@@ -1,8 +1,11 @@
 """Physical card primitives: encodings, pile matrices, shuffles, transcripts.
 
-Cards carry a club or heart face and an orientation.  A value x in [0, q)
-is encoded positionally: a lone club (or heart) at position x+1 in a row of
-q cards, or as q two-card stacks with the odd stack at position x+1.  The
+A card is its face character, ``CLUB`` or ``HEART``; a stack is a list of
+faces, topmost first.  Cards carry no orientation: every card is face-down
+except while ``reveal_row`` copies a row's faces into the transcript.  A
+value x in [0, q) is encoded positionally: a lone club (or heart) at
+position x+1 in a row of q cards, or as q two-card stacks with the odd stack
+at position x+1.  The pool only counts cards taken and returned.  The
 verifier's view of a run is a transcript of shuffle/reveal/normalize/verdict
 events; hidden faces and shuffle secrets never appear in it.
 """
@@ -11,7 +14,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 
 CLUB = "C"
 HEART = "H"
@@ -25,16 +27,10 @@ class MalformedReveal(Exception):
     """A revealed row does not match the expected pattern; the verifier rejects."""
 
 
-@dataclass
-class Card:
-    face: str  # CLUB or HEART
-    face_up: bool = False
-
-
-# A stack is a list of cards, topmost first.  A pair sequence is a list of
-# two-card stacks; a plain sequence is a list of single cards.
-Stack = list[Card]
-Sequence = list[Card]
+# A stack is a list of faces, topmost first.  A pair sequence is a list of
+# two-card stacks; a plain sequence is a list of single faces.
+Stack = list[str]
+Sequence = list[str]
 PairSequence = list[Stack]
 
 
@@ -42,14 +38,14 @@ def encode_club(q: int, x: int) -> Sequence:
     """E^club: q face-down cards, all hearts except a club at position x+1."""
     if not 0 <= x < q:
         raise CardError(f"x = {x} out of range [0,{q})")
-    return [Card(CLUB if i == x else HEART) for i in range(q)]
+    return [CLUB if i == x else HEART for i in range(q)]
 
 
 def encode_heart(q: int, x: int) -> Sequence:
     """E^heart: q face-down cards, all clubs except a heart at position x+1."""
     if not 0 <= x < q:
         raise CardError(f"x = {x} out of range [0,{q})")
-    return [Card(HEART if i == x else CLUB) for i in range(q)]
+    return [HEART if i == x else CLUB for i in range(q)]
 
 
 def encode_pair(q: int, x: int) -> PairSequence:
@@ -59,22 +55,19 @@ def encode_pair(q: int, x: int) -> PairSequence:
     """
     if not 0 <= x < q:
         raise CardError(f"x = {x} out of range [0,{q})")
-    return [
-        [Card(HEART), Card(CLUB)] if i == x else [Card(CLUB), Card(HEART)]
-        for i in range(q)
-    ]
+    return [[HEART, CLUB] if i == x else [CLUB, HEART] for i in range(q)]
 
 
 def decode(seq: Sequence) -> int:
     """Test-only inverse of encode_club: position of the lone club (peeks faces)."""
-    clubs = [i for i, card in enumerate(seq) if card.face == CLUB]
+    clubs = [i for i, face in enumerate(seq) if face == CLUB]
     if len(clubs) != 1:
         raise CardError(f"no lone club: found {len(clubs)} clubs in {len(seq)} cards")
     return clubs[0]
 
 
 def decode_heart(seq: Sequence) -> int:
-    hearts = [i for i, card in enumerate(seq) if card.face == HEART]
+    hearts = [i for i, face in enumerate(seq) if face == HEART]
     if len(hearts) != 1:
         raise CardError(f"no lone heart: found {len(hearts)} hearts in {len(seq)} cards")
     return hearts[0]
@@ -82,14 +75,8 @@ def decode_heart(seq: Sequence) -> int:
 
 def decode_pair(ps: PairSequence) -> int:
     """Test-only inverse of encode_pair."""
-    odd = [
-        i for i, st in enumerate(ps)
-        if len(st) == 2 and st[0].face == HEART and st[1].face == CLUB
-    ]
-    rest_ok = all(
-        len(st) == 2 and (st[0].face, st[1].face) in ((HEART, CLUB), (CLUB, HEART))
-        for st in ps
-    )
+    odd = [i for i, st in enumerate(ps) if st == [HEART, CLUB]]
+    rest_ok = all(st in ([HEART, CLUB], [CLUB, HEART]) for st in ps)
     if len(odd) != 1 or not rest_ok:
         raise CardError("not a valid pair encoding")
     return odd[0]
@@ -108,9 +95,6 @@ class SeededRng:
         self._counter += 1
         return r
 
-    def spawn(self, label) -> "SeededRng":
-        return SeededRng(random.Random(f"{self.seed}/{label}").getrandbits(64))
-
     def shift_offset(self, c: int) -> int:
         return self._stream().randrange(c)
 
@@ -126,11 +110,19 @@ class Transcript:
 
     def __init__(self):
         self.events: list[dict] = []
+        # running counts of the shuffles recorded through shuffle(), so a
+        # run reads its totals without rescanning the events
+        self.shifts = 0
+        self.scrambles = 0
 
     def record(self, ev: dict):
         self.events.append(ev)
 
     def shuffle(self, kind: str, rows: int, cols: int):
+        if kind == "shift":
+            self.shifts += 1
+        else:
+            self.scrambles += 1
         self.record({"ev": "shuffle", "kind": kind, "rows": rows, "cols": cols})
 
     def reveal(self, site: str, row: int, faces: list[str]):
@@ -170,22 +162,18 @@ class PileMatrix:
         self.n_rows = len(rows)
         self.n_cols = len(rows[0])
         # stored column-major: columns[j][i] is the stack at row i, column j
-        self.columns = [[rows[i][j] for i in range(self.n_rows)] for j in range(self.n_cols)]
+        self.columns = [list(col) for col in zip(*rows)]
 
     def row(self, i: int) -> list[Stack]:
-        return [self.columns[j][i] for j in range(self.n_cols)]
-
-    def all_cards(self):
-        for col in self.columns:
-            for stack in col:
-                yield from stack
+        return [col[i] for col in self.columns]
 
 
 def pile_shift(m: PileMatrix, rng: SeededRng, transcript: Transcript | None = None) -> int:
     """Cyclic shift of the columns by a uniform secret offset; returns it
     (for tests only -- it is never recorded)."""
     r = rng.shift_offset(m.n_cols)
-    m.columns = [m.columns[(j - r) % m.n_cols] for j in range(m.n_cols)]
+    k = m.n_cols - r   # column j moves to column (j + r) mod n_cols
+    m.columns = m.columns[k:] + m.columns[:k]
     if transcript is not None:
         transcript.shuffle("shift", m.n_rows, m.n_cols)
     return r
@@ -202,18 +190,9 @@ def pile_scramble(m: PileMatrix, rng: SeededRng, transcript: Transcript | None =
 
 def reveal_row(m: PileMatrix, i: int, transcript: Transcript, site: str) -> list[str]:
     """Turn row i face-up and record the observed per-column face patterns."""
-    patterns = []
-    for stack in m.row(i):
-        for card in stack:
-            card.face_up = True
-        patterns.append("".join(card.face for card in stack))
+    patterns = ["".join(col[i]) for col in m.columns]
     transcript.reveal(site, i, patterns)
     return patterns
-
-
-def turn_down_all(m: PileMatrix):
-    for card in m.all_cards():
-        card.face_up = False
 
 
 def rotate_to_normalize(m: PileMatrix, patterns: list[str], target: str,
@@ -240,7 +219,8 @@ def rotate_to_normalize(m: PileMatrix, patterns: list[str], target: str,
 
 
 class CardPool:
-    """Supply of cards with exact in-play accounting."""
+    """Supply of cards with exact in-play accounting.  It hands out no card
+    objects: callers lay out the faces they took."""
 
     def __init__(self):
         self.clubs_drawn = 0
@@ -248,22 +228,16 @@ class CardPool:
         self.in_play = 0
         self.peak_in_play = 0
 
-    def draw(self, face: str) -> Card:
-        if face == CLUB:
-            self.clubs_drawn += 1
-        else:
-            self.hearts_drawn += 1
-        self.in_play += 1
-        self.peak_in_play = max(self.peak_in_play, self.in_play)
-        return Card(face)
+    def take(self, clubs: int, hearts: int):
+        """Put ``clubs`` clubs and ``hearts`` hearts into play.  Cards only
+        come into play here, so the peak is checked once per take."""
+        self.clubs_drawn += clubs
+        self.hearts_drawn += hearts
+        self.in_play += clubs + hearts
+        if self.in_play > self.peak_in_play:
+            self.peak_in_play = self.in_play
 
-    def draw_sequence(self, faces) -> Sequence:
-        return [self.draw(f) for f in faces]
-
-    def discard(self, cards):
-        """Return cards to the pool (flat iterable or nested stacks)."""
-        for item in cards:
-            if isinstance(item, Card):
-                self.in_play -= 1
-            else:
-                self.discard(item)
+    def discard(self, stacks):
+        """Return cards to the pool: each item is a stack, or a single face
+        (a one-character string, so one card)."""
+        self.in_play -= sum(map(len, stacks))

@@ -26,7 +26,6 @@ from .grid import (
 from .protocol import ProverBehavior, count_resources, run_protocol
 from .reduction import (
     ReductionError,
-    column_fillings,
     extract_assignment,
     lift_assignment,
     reduce_instance,
@@ -188,6 +187,8 @@ def _parse_cheat(spec: str, g, f):
     cell = Coord(r, c)
     if not (1 <= r <= g.rows and 1 <= c <= g.cols):
         raise InputError(f"cheat cell {cell} out of bounds")
+    if g.cell(cell).given is not None:
+        raise InputError(f"cheat cell {cell} is a given cell, which the verifier lays out publicly")
     if kind == "wrong-value":
         wrong = f.value(cell) % g.max_value + 1
         return ProverBehavior.wrong_value(f, cell, wrong)
@@ -196,11 +197,22 @@ def _parse_cheat(spec: str, g, f):
     raise InputError(f"unknown cheat kind {kind!r}")
 
 
-def cmd_zkp_run(args) -> int:
+def _load_proof_inputs(args):
+    """The grid and the prover's solution for ``zkp run``/``zkp audit``; the
+    solution must fit the grid and keep every given."""
     g = _load_grid(args.grid)
     f = _load_filling(args.solution)
     if (f.rows, f.cols) != (g.rows, g.cols):
         raise InputError("solution dimensions do not match grid")
+    for c in g.coords():
+        given = g.cell(c).given
+        if given is not None and f.value(c) != given:
+            raise InputError(f"solution has {f.value(c)} at given cell {c}, which holds {given}")
+    return g, f
+
+
+def cmd_zkp_run(args) -> int:
+    g, f = _load_proof_inputs(args)
     if args.cheat:
         behavior = _parse_cheat(args.cheat, g, f)
     else:
@@ -221,8 +233,7 @@ def cmd_zkp_run(args) -> int:
 
 
 def cmd_zkp_audit(args) -> int:
-    g = _load_grid(args.grid)
-    f = _load_filling(args.solution)
+    g, f = _load_proof_inputs(args)
     try:
         report = audit_mod.audit_zk(g, f, trials=args.trials, alpha=args.alpha, seed=args.seed)
     except audit_mod.AuditError as e:

@@ -14,7 +14,8 @@ from .nae import Assignment, NaeInstance, nae_check
 
 
 class ReductionError(ValueError):
-    """Precondition violation in lift/extract."""
+    """Precondition violation in lift/extract, or a lift/extract result
+    that fails its own check."""
 
 
 def reduce_instance(inst: NaeInstance) -> Grid:
@@ -73,7 +74,8 @@ def lift_assignment(inst: NaeInstance, a: Assignment) -> Filling:
         values.append(row)
     f = Filling(values)
     bad = verify(g, f)
-    assert not bad, f"lifted filling failed verification: {bad[:3]}"
+    if bad:
+        raise ReductionError(f"lifted filling failed verification: {bad[:3]}")
     return f
 
 
@@ -83,7 +85,8 @@ def extract_assignment(inst: NaeInstance, f: Filling) -> Assignment:
     if verify(g, f):
         raise ReductionError("filling does not solve the reduced grid")
     a = tuple(f.value(Coord(g.rows, q)) == 2 for q in range(1, inst.n + 1))
-    assert nae_check(inst, a), "extracted assignment violates the instance"
+    if not nae_check(inst, a):
+        raise ReductionError("extracted assignment violates the instance")
     return a
 
 

@@ -20,6 +20,10 @@ class BudgetExhausted(Exception):
     """Search hit the node budget before finding an answer either way."""
 
 
+class SolverError(RuntimeError):
+    """The search returned a filling that does not verify (a solver bug)."""
+
+
 class _Search:
     def __init__(self, g: Grid, budget: int):
         self.g = g
@@ -126,7 +130,9 @@ def enumerate_solutions(g: Grid, cap: int, budget: int = DEFAULT_BUDGET) -> list
     search = _Search(g, budget)
     found = search.run(cap)
     for f in found:
-        assert not verify(g, f), "solver produced an invalid filling"
+        bad = verify(g, f)
+        if bad:
+            raise SolverError(f"solver produced an invalid filling: {bad[:3]}")
     return found
 
 

@@ -11,7 +11,6 @@ import numpy as np
 
 from zeiger.audit import audit_zk
 from zeiger.cards import (
-    Card,
     CardPool,
     SeededRng,
     Transcript,
@@ -131,12 +130,12 @@ def test_criterion_07_subprotocol_oracles():
             for xs in itertools.product(range(q), repeat=p):
                 out = set_size_protocol([encode_pair(q, x) for x in xs], pool, rng, t)
                 got = sum(
-                    1 for st in out if (st[0].face, st[1].face) == ("H", "C")
+                    1 for st in out if (st[0], st[1]) == ("H", "C")
                 )
                 mismatches += got != len(set(xs))
         for bits in itertools.product((0, 1), repeat=q):
             stacks = [
-                [Card("H" if b else "C"), Card("C" if b else "H")] for b in bits
+                ["H" if b else "C", "C" if b else "H"] for b in bits
             ]
             out = summation_protocol(stacks, pool, rng, t)
             mismatches += decode(out) != sum(bits)

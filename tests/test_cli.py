@@ -132,6 +132,25 @@ def test_zkp_run_cheat(capsys):
     assert "reject at cell (1,1)" in capsys.readouterr().out
 
 
+def test_zkp_run_refuses_cheat_at_given_cell(capsys):
+    # (3,4) holds the given 1: the verifier lays it out, the prover cannot cheat there
+    for kind in ("wrong-value", "malformed"):
+        rc = main(["zkp", "run", "--grid", FIG1, "--solution", FIG1_SOL, "--cheat", f"{kind}:3,4"])
+        assert rc == 2
+        assert "given cell" in capsys.readouterr().err
+
+
+def test_zkp_solution_disagreeing_with_given(tmp_path, capsys):
+    bad = tmp_path / "bad.solution"
+    rows = [line.split() for line in (FIXTURES / "fig1.solution").read_text().splitlines()]
+    rows[2][3] = "2"  # (3,4) is given as 1
+    bad.write_text("\n".join(" ".join(r) for r in rows) + "\n")
+    for command in ("run", "audit"):
+        rc = main(["zkp", command, "--grid", FIG1, "--solution", str(bad)])
+        assert rc == 2
+        assert "(3,4)" in capsys.readouterr().err
+
+
 def test_zkp_run_bad_cheat_spec():
     rc = main(
         ["zkp", "run", "--grid", FIG1, "--solution", FIG1_SOL, "--cheat", "nonsense"]

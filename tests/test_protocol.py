@@ -4,7 +4,6 @@ import random
 import pytest
 
 from zeiger.cards import (
-    Card,
     CardPool,
     SeededRng,
     Transcript,
@@ -33,14 +32,14 @@ def env():
     return CardPool(), SeededRng(1729), Transcript()
 
 
-def bit_stack(b: int) -> list[Card]:
+def bit_stack(b: int) -> list[str]:
     """Two-card stack holding the bit b (the stack form of the 2-card club
     encoding)."""
-    return [Card("H"), Card("C")] if b else [Card("C"), Card("H")]
+    return ["H", "C"] if b else ["C", "H"]
 
 
 def stack_bit(stack) -> int:
-    return 1 if (stack[0].face, stack[1].face) == ("H", "C") else 0
+    return 1 if (stack[0], stack[1]) == ("H", "C") else 0
 
 
 class TestCopy:
@@ -57,15 +56,10 @@ class TestCopy:
         reversed_a = [a[0]] + a[1:][::-1]
         assert decode_pair(reversed_a) == 3  # -1 mod 4
 
-    def test_outputs_face_down(self, env):
-        pool, rng, t = env
-        o1, o2 = copy_protocol(encode_pair(5, 3), pool, rng, t)
-        assert not any(c.face_up for st in o1 + o2 for c in st)
-
     def test_two_markers_rejected(self, env):
         pool, rng, t = env
         bad = encode_pair(5, 2)
-        bad[4][0].face, bad[4][1].face = "H", "C"
+        bad[4] = ["H", "C"]
         from zeiger.cards import MalformedReveal
 
         with pytest.raises(MalformedReveal):
@@ -128,7 +122,7 @@ class TestSummation:
         assert decode(summation_protocol([bit_stack(0)] * 4, pool, rng, t)) == 0
         out = summation_protocol([bit_stack(1)] * 4, pool, rng, t)
         assert decode(out) == 4  # club at the rightmost position
-        assert out[-1].face == "C"
+        assert out[-1] == "C"
 
     def test_example_1011(self, env):
         pool, rng, t = env
@@ -229,6 +223,20 @@ class TestRunProtocol:
         accept, transcript, _ = run_protocol(fig1_grid, behavior, seed=9)
         assert not accept
         assert transcript.events[-1]["accept"] is False
+
+    def test_cheat_at_given_cell_has_no_effect(self, fig1_grid, fig1_solution):
+        # (3,4) is given as 1: the verifier lays it out from the grid
+        _, honest, honest_stats = run_protocol(
+            fig1_grid, ProverBehavior.honest(fig1_solution), seed=9
+        )
+        for behavior in (
+            ProverBehavior.wrong_value(fig1_solution, Coord(3, 4), 2),
+            ProverBehavior.malformed(fig1_solution, Coord(3, 4)),
+        ):
+            accept, transcript, stats = run_protocol(fig1_grid, behavior, seed=9)
+            assert accept
+            assert transcript.to_json_lines() == honest.to_json_lines()
+            assert stats == honest_stats
 
     def test_malformed_rejected_at_first_touch(self, fig1_grid, fig1_solution):
         behavior = ProverBehavior.malformed(fig1_solution, Coord(2, 2))

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from zeiger import reduction
 from zeiger.grid import Coord, Direction, verify
 from zeiger.nae import gen_nae, nae_brute_force, nae_check
 from zeiger.reduction import (
@@ -91,6 +92,20 @@ def test_lift_refuses_non_solution(fig2_instance):
     assert not nae_check(fig2_instance, bad)
     with pytest.raises(ReductionError):
         lift_assignment(fig2_instance, bad)
+
+
+def test_lift_raises_when_its_result_fails_verification(fig2_instance, monkeypatch):
+    # a real exception, not an assert, so the check survives python -O
+    monkeypatch.setattr(reduction, "verify", lambda g, f: ["forced violation"])
+    with pytest.raises(ReductionError, match="lifted filling failed verification"):
+        lift_assignment(fig2_instance, (True, False, True, True, False))
+
+
+def test_extract_raises_when_its_result_violates_the_instance(fig2_instance, monkeypatch):
+    f = lift_assignment(fig2_instance, (True, False, True, True, False))
+    monkeypatch.setattr(reduction, "nae_check", lambda inst, a: False)
+    with pytest.raises(ReductionError, match="extracted assignment violates"):
+        extract_assignment(fig2_instance, f)
 
 
 def test_extract_lift_roundtrip_fuzzed():

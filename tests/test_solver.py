@@ -2,10 +2,11 @@ import random
 
 import pytest
 
+from zeiger import solver
 from zeiger.grid import parse_grid, verify
 from zeiger.nae import gen_nae, nae_brute_force
 from zeiger.reduction import reduce_instance
-from zeiger.solver import BudgetExhausted, enumerate_solutions, solve
+from zeiger.solver import BudgetExhausted, SolverError, enumerate_solutions, solve
 
 
 def test_fig1_solution_found_and_valid(fig1_grid, fig1_solution):
@@ -54,6 +55,13 @@ def test_solver_deterministic(fig1_grid):
 def test_budget_exhaustion_is_distinct(fig1_grid):
     with pytest.raises(BudgetExhausted):
         solve(fig1_grid, budget=3)
+
+
+def test_invalid_solver_result_raises(fig1_grid, monkeypatch):
+    # a real exception, not an assert, so the check survives python -O
+    monkeypatch.setattr(solver, "verify", lambda g, f: ["forced violation"])
+    with pytest.raises(SolverError, match="invalid filling"):
+        solve(fig1_grid)
 
 
 def test_fuzzed_reduced_grids_solutions_verify():
