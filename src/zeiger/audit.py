@@ -7,19 +7,15 @@ uniformity tests to each and a two-sample test between them.
 
 from __future__ import annotations
 
-from collections import defaultdict
-
 import numpy as np
 from scipy import stats as sps
 
-from .cards import CLUB, HEART, Transcript
+from .cards import Transcript
 from .grid import Filling, Grid
-from .protocol import ODD_STACK, ProverBehavior, run_protocol
+from .protocol import MARKER, ProverBehavior, run_protocol
 from .simulator import simulate_transcript
 
 MIN_TRIALS = 1000
-
-_MARKER = {"copy": ODD_STACK, "setsize": ODD_STACK, "sum": HEART, "compare": CLUB}
 
 
 class AuditError(ValueError):
@@ -40,12 +36,16 @@ def reveal_histograms(t: Transcript) -> dict[tuple[str, int], np.ndarray]:
         if site == "compare" and ev["row"] != 0:
             continue
         faces = ev["faces"]
-        pos = faces.index(_MARKER[site])
+        pos = faces.index(MARKER[site])
         key = (site, len(faces))
         if key not in hists:
             hists[key] = np.zeros(len(faces), dtype=np.int64)
         hists[key][pos] += 1
     return hists
+
+
+def _structure(t: Transcript) -> list[tuple]:
+    return [(ev["ev"], ev.get("site"), ev.get("row")) for ev in t.events]
 
 
 def _merge(total: dict, part: dict):
@@ -63,18 +63,13 @@ def audit_zk(g: Grid, f: Filling, trials: int, alpha: float, seed: int = 0) -> d
         raise AuditError(f"need at least {MIN_TRIALS} trials, got {trials}")
     real: dict[tuple[str, int], np.ndarray] = {}
     sim: dict[tuple[str, int], np.ndarray] = {}
-    structure_checked = False
     for i in range(trials):
         accept, transcript, _ = run_protocol(g, ProverBehavior.honest(f), seed=seed * 1_000_003 + i)
         if not accept:
             raise AuditError("honest run rejected during audit")
         sim_transcript = simulate_transcript(g, seed=seed * 1_000_003 + i)
-        if not structure_checked:
-            real_kinds = [(ev["ev"], ev.get("site"), ev.get("row")) for ev in transcript.events]
-            sim_kinds = [(ev["ev"], ev.get("site"), ev.get("row")) for ev in sim_transcript.events]
-            if real_kinds != sim_kinds:
-                raise AuditError("simulated event structure differs from the real run")
-            structure_checked = True
+        if _structure(transcript) != _structure(sim_transcript):
+            raise AuditError(f"simulated event structure differs from the real run (trial {i})")
         _merge(real, reveal_histograms(transcript))
         _merge(sim, reveal_histograms(sim_transcript))
 

@@ -33,6 +33,8 @@ from .grid import Coord, Filling, Grid, sightline
 
 ODD_STACK = "HC"   # heart over club: the position-marking two-card stack
 EVEN_STACK = "CH"
+# the face pattern whose column each reveal site locates (one per honest row)
+MARKER = {"copy": ODD_STACK, "setsize": ODD_STACK, "sum": HEART, "compare": CLUB}
 
 
 def turn_down_all(m: PileMatrix):
@@ -44,7 +46,7 @@ def turn_down_all(m: PileMatrix):
 def _fresh_zero_pair(q: int, pool: CardPool) -> PairSequence:
     """Publicly built pair encoding of 0: odd stack at position 1."""
     pool.take(q, q)
-    return [[HEART, CLUB]] + [[CLUB, HEART] for _ in range(q - 1)]
+    return encode_pair(q, 0)
 
 
 def copy_protocol(a: PairSequence, pool: CardPool, rng: SeededRng,

@@ -1,61 +1,63 @@
 """Transcript simulator: reproduces the verifier's view without any solution.
 
-The event structure of an accepting run depends only on the grid geometry
-(sightline lengths and b); every revealed marker position is uniform thanks
-to the shuffle preceding it.  The simulator therefore emits the same event
-skeleton with positions drawn uniformly at random.
+The event structure of an accepting run depends only on the grid geometry,
+and every revealed marker position is uniform thanks to the shuffle before
+it.  The simulator replays the protocol's own accepting run of each cell, on
+a public board, with every marker moved to a uniformly drawn position.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 
-from .cards import CLUB, HEART, Transcript
+from .cards import CardPool, SeededRng, Transcript, encode_pair
 from .grid import Grid, sightline
-from .protocol import EVEN_STACK, ODD_STACK
+from .protocol import MARKER, verify_cell
 
 
-def _pair_faces(q: int, pos: int) -> list[str]:
-    return [ODD_STACK if j == pos else EVEN_STACK for j in range(q)]
-
-
-def _club_faces(q: int, pos: int) -> list[str]:
-    return [CLUB if j == pos else HEART for j in range(q)]
-
-
-def _heart_faces(q: int, pos: int) -> list[str]:
-    return [HEART if j == pos else CLUB for j in range(q)]
+@functools.lru_cache
+def _skeleton(g: Grid) -> tuple[tuple, ...]:
+    """An accepting run's events, verdict left out: ``verify_cell`` on a
+    public board where the cell holds 1 and its (never empty) sightline 0.
+    A reveal keeps q, its faces twice over with the marker first (so any
+    rotation is one slice), and whether a shuffle came just before it."""
+    b = g.max_value + 1
+    unique: dict[tuple, tuple] = {}
+    steps, fresh = [], False
+    for c in g.coords():
+        board = {cc: encode_pair(b, 0) for cc in sightline(g, c)}
+        board[c] = encode_pair(b, 1)
+        run = Transcript()
+        verify_cell(board, g, c, CardPool(), SeededRng(0), run)
+        for ev in run.events:
+            if ev["ev"] == "reveal":
+                faces = ev["faces"]
+                i = faces.index(MARKER[ev["site"]])
+                twice = tuple(2 * (faces[i:] + faces[:i]))
+                step = ("reveal", ev["site"], ev["row"], len(faces), twice, fresh)
+            else:
+                step = (ev["ev"], ev.get("kind"), ev.get("rows"), ev.get("cols"))
+            fresh = ev["ev"] == "shuffle"
+            steps.append(unique.setdefault(step, step))  # one copy of equal steps
+    return tuple(steps)
 
 
 def simulate_transcript(g: Grid, seed: int) -> Transcript:
-    """Simulated accepting-run transcript for ``g``; no filling involved."""
+    """Simulated accepting-run transcript for ``g``; no filling involved.
+    A reveal right after a shuffle draws a uniform marker position, which the
+    comparing protocol's second row keeps and a normalize shifts by."""
     rng = random.Random(f"sim:{seed}")
-    b = g.max_value + 1
     t = Transcript()
-    for c in g.coords():
-        n = len(sightline(g, c))
-        # one copy of the cell and one per sightline cell
-        for _ in range(n + 1):
-            t.shuffle("shift", 3, b)
-            pos = rng.randrange(b)
-            t.reveal("copy", 0, _pair_faces(b, pos))
+    pos = 0
+    for step in _skeleton(g):
+        if step[0] == "shuffle":
+            t.shuffle(*step[1:])
+        elif step[0] == "reveal":
+            _, site, row, q, twice, fresh = step
+            pos = rng.randrange(q) if fresh else pos
+            t.reveal(site, row, list(twice[q - pos:2 * q - pos]))
+        else:
             t.normalize(pos)
-        # set size over the n sightline copies
-        for i in range(1, n):
-            t.shuffle("scramble", n, b)
-            pos = rng.randrange(b)
-            t.reveal("setsize", i, _pair_faces(b, pos))
-        t.shuffle("scramble", n, b)
-        # summation over b two-card stacks
-        for i in range(2, b + 1):
-            t.shuffle("shift", 2, i + 1)
-            pos = rng.randrange(i + 1)
-            t.reveal("sum", 1, _heart_faces(i + 1, pos))
-            t.normalize(pos)
-        # comparing: both lone clubs land in the same uniform column
-        t.shuffle("scramble", 2, b + 1)
-        pos = rng.randrange(b + 1)
-        t.reveal("compare", 0, _club_faces(b + 1, pos))
-        t.reveal("compare", 1, _club_faces(b + 1, pos))
     t.verdict(True)
     return t

@@ -132,6 +132,15 @@ def test_zkp_run_cheat(capsys):
     assert "reject at cell (1,1)" in capsys.readouterr().out
 
 
+def test_zkp_run_rejects_value_above_max(tmp_path, capsys):
+    bad = tmp_path / "bad.solution"
+    rows = [line.split() for line in (FIXTURES / "fig1.solution").read_text().splitlines()]
+    rows[0][0] = "9"  # (1,1) is unnumbered; the largest value fig1 allows is 4
+    bad.write_text("\n".join(" ".join(r) for r in rows) + "\n")
+    assert main(["zkp", "run", "--grid", FIG1, "--solution", str(bad)]) == 1
+    assert "reject at cell (1,1): expected exactly one 'HC' column" in capsys.readouterr().out
+
+
 def test_zkp_run_refuses_cheat_at_given_cell(capsys):
     # (3,4) holds the given 1: the verifier lays it out, the prover cannot cheat there
     for kind in ("wrong-value", "malformed"):

@@ -1,7 +1,9 @@
 """Golden transcripts: fixed seeds must keep producing byte-identical runs.
 
-The digests were recorded from the object-per-card engine, before the
-card engine stored faces as characters.  Any change to the shuffle
+The run digests were recorded from the object-per-card engine, before the
+card engine stored faces as characters; the simulator digests from the
+simulator that spelled out each subprotocol's steps itself, before it
+replayed the protocol's own accepting run.  Any change to the shuffle
 randomness, the event order or the resource accounting shows up here.
 """
 
@@ -14,6 +16,7 @@ from zeiger.grid import Coord
 from zeiger.nae import gen_nae, nae_brute_force
 from zeiger.protocol import ProverBehavior, run_protocol
 from zeiger.reduction import lift_assignment, reduce_instance
+from zeiger.simulator import simulate_transcript
 
 
 def _sha(text: str) -> str:
@@ -81,3 +84,28 @@ def test_transcript_and_stats_are_byte_identical(case, seed, fig1_grid, fig1_sol
     assert (accept, len(transcript.events)) == (want_accept, want_events)
     assert _sha(transcript.to_json_lines()) == want_transcript
     assert _sha(json.dumps(stats.to_dict())) == want_stats
+
+
+# (grid, seed) -> sha256 of simulate_transcript(grid, seed).to_json_lines()
+SIM_GOLDEN = {
+    ("fig1", 1): "78bdec1db02f433de45f29192935f57aa23dec3dee325ea0477f64f5401ae6c1",
+    ("fig1", 2): "5d2762e920043237f2c830106e5147dd4b584bda5c807596cb3162af28caf088",
+    ("reduced", 1): "981f3ebdc0e44f7250e2f05f7ec9ac6c531a31fe2aa419b0df82659e7fb2e777",
+    ("reduced", 2): "6e4f6dbfb1b613fa994c1ccb213dd9a476cf00374f68c0781dc7a6f9e55cfcd9",
+}
+
+
+@pytest.mark.parametrize("name,seed", list(SIM_GOLDEN), ids=[f"sim-{n}-{s}" for n, s in SIM_GOLDEN])
+def test_simulated_transcript_is_byte_identical(name, seed, fig1_grid, reduced):
+    g = reduced[0] if name == "reduced" else fig1_grid
+    assert _sha(simulate_transcript(g, seed).to_json_lines()) == SIM_GOLDEN[name, seed]
+
+
+def test_simulated_transcripts_share_no_events(fig1_grid):
+    """Editing one simulated transcript in place leaves the next unchanged."""
+    t = simulate_transcript(fig1_grid, 1)
+    for ev in t.events:
+        if ev["ev"] == "reveal":
+            ev["faces"][:] = ["X"] * len(ev["faces"])
+    t.events[-1]["accept"] = False
+    assert _sha(simulate_transcript(fig1_grid, 1).to_json_lines()) == SIM_GOLDEN["fig1", 1]

@@ -238,6 +238,19 @@ class TestRunProtocol:
             assert transcript.to_json_lines() == honest.to_json_lines()
             assert stats == honest_stats
 
+    def test_value_above_max_value_rejected(self, fig1_grid, fig1_solution):
+        # setup_board lays the value out itself: encode_pair would raise
+        # CardError here, while the verifier must see a reject
+        values = [list(r) for r in fig1_solution.values]
+        values[0][0] = 9  # (1,1) is unnumbered; max_value is 4
+        bad = parse_filling("\n".join(" ".join(map(str, r)) for r in values))
+        accept, transcript, _ = run_protocol(fig1_grid, ProverBehavior.honest(bad), seed=9)
+        assert not accept
+        assert transcript.events[-1] == {
+            "ev": "verdict", "accept": False, "cell": [1, 1],
+            "reason": "expected exactly one 'HC' column, found 0",
+        }
+
     def test_malformed_rejected_at_first_touch(self, fig1_grid, fig1_solution):
         behavior = ProverBehavior.malformed(fig1_solution, Coord(2, 2))
         accept, transcript, _ = run_protocol(fig1_grid, behavior, seed=9)

@@ -4,7 +4,8 @@ from scipy import stats as sps
 
 from zeiger.audit import AuditError, audit_zk, reveal_histograms
 from zeiger.grid import parse_grid
-from zeiger.protocol import ProverBehavior, run_protocol
+from zeiger import audit
+from zeiger.protocol import MARKER, ProverBehavior, run_protocol
 from zeiger.simulator import simulate_transcript
 
 
@@ -62,8 +63,7 @@ def test_normalize_shift_equals_revealed_position(fig1_grid, fig1_solution):
         if ev["ev"] == "normalize":
             prev = events[i - 1]
             assert prev["ev"] == "reveal"
-            marker = {"copy": "HC", "sum": "H"}[prev["site"]]
-            assert prev["faces"].index(marker) == ev["shift"]
+            assert prev["faces"].index(MARKER[prev["site"]]) == ev["shift"]
 
 
 def test_real_reveal_positions_uniform_many_runs(fig1_grid, fig1_solution):
@@ -79,6 +79,22 @@ def test_real_reveal_positions_uniform_many_runs(fig1_grid, fig1_solution):
 def test_audit_requires_enough_trials(fig1_grid, fig1_solution):
     with pytest.raises(AuditError, match="at least"):
         audit_zk(fig1_grid, fig1_solution, trials=10, alpha=0.001)
+
+
+def test_audit_checks_structure_of_every_trial(fig1_grid, fig1_solution, monkeypatch):
+    calls = []
+
+    def deviating(g, seed):
+        t = simulate_transcript(g, seed)
+        calls.append(seed)
+        if len(calls) == 2:
+            t.events.insert(-1, {"ev": "normalize", "shift": 0})
+        return t
+
+    monkeypatch.setattr(audit, "simulate_transcript", deviating)
+    with pytest.raises(AuditError, match="structure differs"):
+        audit_zk(fig1_grid, fig1_solution, trials=1000, alpha=0.001)
+    assert len(calls) == 2
 
 
 def test_audit_report_shape(fig1_grid, fig1_solution):
