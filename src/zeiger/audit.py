@@ -45,7 +45,10 @@ def reveal_histograms(t: Transcript) -> dict[tuple[str, int], np.ndarray]:
 
 
 def _structure(t: Transcript) -> list[tuple]:
-    return [(ev["ev"], ev.get("site"), ev.get("row")) for ev in t.events]
+    """Every event's public shape: its kind, reveal site, row and width, and
+    shuffle kind and size.  Only marker positions may differ."""
+    return [(ev["ev"], ev.get("site"), ev.get("row"), len(ev.get("faces", ())),
+             ev.get("kind"), ev.get("rows"), ev.get("cols")) for ev in t.events]
 
 
 def _merge(total: dict, part: dict):

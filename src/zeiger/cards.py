@@ -1,13 +1,16 @@
 """Physical card primitives: encodings, pile matrices, shuffles, transcripts.
 
-A card is its face character, ``CLUB`` or ``HEART``; a stack is a list of
-faces, topmost first.  Cards carry no orientation: every card is face-down
-except while ``reveal_row`` copies a row's faces into the transcript.  A
-value x in [0, q) is encoded positionally: a lone club (or heart) at
-position x+1 in a row of q cards, or as q two-card stacks with the odd stack
-at position x+1.  The pool only counts cards taken and returned.  The
-verifier's view of a run is a transcript of shuffle/reveal/normalize/verdict
-events; hidden faces and shuffle secrets never appear in it.
+A card is its face character, ``CLUB`` or ``HEART``, and a stack is its face
+string, topmost first: ``"HC"``, ``"CH"``, or a single card ``"C"`` or ``"H"``.
+Cards carry no orientation: every card is face-down except while
+``reveal_row`` copies a row's stacks into the transcript.  A value x in
+[0, q) is a row of q stacks, all alike except one marker stack at position
+x+1: a lone club among hearts, a lone heart among clubs, or a heart-over-club
+pair among club-over-heart pairs.  ``encode`` lays such a row out and
+``locate`` finds its marker, raising unless the row has that format.  The
+pool only counts cards taken and returned.  The verifier's view of a run is a
+transcript of shuffle/reveal/normalize/verdict events; hidden faces and
+shuffle secrets never appear in it.
 """
 
 from __future__ import annotations
@@ -27,59 +30,26 @@ class MalformedReveal(Exception):
     """A revealed row does not match the expected pattern; the verifier rejects."""
 
 
-# A stack is a list of faces, topmost first.  A pair sequence is a list of
-# two-card stacks; a plain sequence is a list of single faces.
-Stack = list[str]
-Sequence = list[str]
-PairSequence = list[Stack]
-
-
-def encode_club(q: int, x: int) -> Sequence:
-    """E^club: q face-down cards, all hearts except a club at position x+1."""
+def encode(q: int, x: int, mark: str, rest: str) -> list[str]:
+    """q stacks, all ``rest`` except ``mark`` at position x+1."""
     if not 0 <= x < q:
         raise CardError(f"x = {x} out of range [0,{q})")
-    return [CLUB if i == x else HEART for i in range(q)]
+    row = [rest] * q
+    row[x] = mark
+    return row
 
 
-def encode_heart(q: int, x: int) -> Sequence:
-    """E^heart: q face-down cards, all clubs except a heart at position x+1."""
-    if not 0 <= x < q:
-        raise CardError(f"x = {x} out of range [0,{q})")
-    return [HEART if i == x else CLUB for i in range(q)]
-
-
-def encode_pair(q: int, x: int) -> PairSequence:
-    """q two-card stacks: club-over-heart everywhere except heart-over-club at x+1.
-
-    Top cards form the heart encoding of x, bottom cards the club encoding.
-    """
-    if not 0 <= x < q:
-        raise CardError(f"x = {x} out of range [0,{q})")
-    return [[HEART, CLUB] if i == x else [CLUB, HEART] for i in range(q)]
-
-
-def decode(seq: Sequence) -> int:
-    """Test-only inverse of encode_club: position of the lone club (peeks faces)."""
-    clubs = [i for i, face in enumerate(seq) if face == CLUB]
-    if len(clubs) != 1:
-        raise CardError(f"no lone club: found {len(clubs)} clubs in {len(seq)} cards")
-    return clubs[0]
-
-
-def decode_heart(seq: Sequence) -> int:
-    hearts = [i for i, face in enumerate(seq) if face == HEART]
-    if len(hearts) != 1:
-        raise CardError(f"no lone heart: found {len(hearts)} hearts in {len(seq)} cards")
-    return hearts[0]
-
-
-def decode_pair(ps: PairSequence) -> int:
-    """Test-only inverse of encode_pair."""
-    odd = [i for i, st in enumerate(ps) if st == [HEART, CLUB]]
-    rest_ok = all(st in ([HEART, CLUB], [CLUB, HEART]) for st in ps)
-    if len(odd) != 1 or not rest_ok:
-        raise CardError("not a valid pair encoding")
-    return odd[0]
+def locate(row: list[str], mark: str, rest: str) -> int:
+    """Position of the lone ``mark`` stack in ``row``: the verifier's format
+    check.  Raises MalformedReveal unless exactly one stack is ``mark`` and
+    every other stack is ``rest``."""
+    hits = row.count(mark)
+    if hits != 1:
+        raise MalformedReveal(f"expected exactly one {mark!r} column, found {hits}")
+    if row.count(rest) != len(row) - 1:
+        bad = [p for p in row if p != mark and p != rest]
+        raise MalformedReveal(f"unexpected pattern(s) {bad} beside {mark!r}")
+    return row.index(mark)
 
 
 class SeededRng:
@@ -156,7 +126,7 @@ class Transcript:
 class PileMatrix:
     """Rectangular matrix of card stacks; columns move atomically."""
 
-    def __init__(self, rows: list[list[Stack]]):
+    def __init__(self, rows: list[list[str]]):
         if not rows or any(len(r) != len(rows[0]) for r in rows):
             raise CardError("matrix rows must have equal length")
         self.n_rows = len(rows)
@@ -164,7 +134,7 @@ class PileMatrix:
         # stored column-major: columns[j][i] is the stack at row i, column j
         self.columns = [list(col) for col in zip(*rows)]
 
-    def row(self, i: int) -> list[Stack]:
+    def row(self, i: int) -> list[str]:
         return [col[i] for col in self.columns]
 
 
@@ -190,29 +160,17 @@ def pile_scramble(m: PileMatrix, rng: SeededRng, transcript: Transcript | None =
 
 def reveal_row(m: PileMatrix, i: int, transcript: Transcript, site: str) -> list[str]:
     """Turn row i face-up and record the observed per-column face patterns."""
-    patterns = ["".join(col[i]) for col in m.columns]
+    patterns = [col[i] for col in m.columns]
     transcript.reveal(site, i, patterns)
     return patterns
 
 
-def rotate_to_normalize(m: PileMatrix, patterns: list[str], target: str,
-                        transcript: Transcript, rest: str | None = None) -> int:
-    """Cyclically shift columns so the unique column matching ``target`` lands
-    in column 1.  The shift magnitude is public and recorded.
-
-    Raises MalformedReveal unless exactly one column matches ``target`` and,
-    when ``rest`` is given, all other columns match ``rest``.
-    """
-    hits = [j for j, p in enumerate(patterns) if p == target]
-    if len(hits) != 1:
-        raise MalformedReveal(
-            f"expected exactly one {target!r} column, found {len(hits)}"
-        )
-    if rest is not None:
-        bad = [p for j, p in enumerate(patterns) if j != hits[0] and p != rest]
-        if bad:
-            raise MalformedReveal(f"unexpected pattern(s) {bad} beside {target!r}")
-    shift = hits[0]
+def rotate_to_normalize(m: PileMatrix, patterns: list[str], mark: str,
+                        transcript: Transcript, rest: str) -> int:
+    """Cyclically shift columns so the revealed ``mark`` column lands in
+    column 1.  The shift magnitude is public and recorded.  Raises
+    MalformedReveal unless ``locate`` finds the row well-formed."""
+    shift = locate(patterns, mark, rest)
     m.columns = m.columns[shift:] + m.columns[:shift]
     transcript.normalize(shift)
     return shift
@@ -238,6 +196,6 @@ class CardPool:
             self.peak_in_play = self.in_play
 
     def discard(self, stacks):
-        """Return cards to the pool: each item is a stack, or a single face
-        (a one-character string, so one card)."""
+        """Return cards to the pool: each item is a stack, one character
+        per card."""
         self.in_play -= sum(map(len, stacks))

@@ -44,41 +44,27 @@ def _read(path: str) -> str:
         raise InputError(f"cannot read {path}: {e}") from None
 
 
-def _load_grid(path: str):
+def _load(path: str, parse, error: type[Exception]):
+    """``parse`` the file's text; its ``error`` becomes an InputError."""
     try:
-        return parse_grid(_read(path))
-    except GridError as e:
+        return parse(_read(path))
+    except error as e:
         raise InputError(f"{path}: {e}") from None
 
 
-def _load_filling(path: str):
-    try:
-        return parse_filling(_read(path))
-    except GridError as e:
-        raise InputError(f"{path}: {e}") from None
-
-
-def _load_nae(path: str):
-    try:
-        inst, remap = nae_mod.parse_nae(_read(path))
-    except nae_mod.NaeError as e:
-        raise InputError(f"{path}: {e}") from None
-    dropped = [old for old in remap if remap[old] != old]
-    if dropped:
+def _parse_nae(text: str):
+    inst, remap = nae_mod.parse_nae(text)
+    if any(remap[old] != old for old in remap):
         print(f"note: remapped variables after removing unused ones: {remap}", file=sys.stderr)
     return inst
 
 
-def _load_assignment(path: str):
-    try:
-        return nae_mod.parse_assignment(_read(path))
-    except nae_mod.NaeError as e:
-        raise InputError(f"{path}: {e}") from None
-
-
 def _write(path: str | None, text: str, default_msg: str | None = None):
     if path:
-        Path(path).write_text(text)
+        try:
+            Path(path).write_text(text)
+        except OSError as e:
+            raise InputError(f"cannot write {path}: {e}") from None
         if default_msg:
             print(default_msg)
     else:
@@ -86,7 +72,7 @@ def _write(path: str | None, text: str, default_msg: str | None = None):
 
 
 def cmd_solve(args) -> int:
-    g = _load_grid(args.grid)
+    g = _load(args.grid, parse_grid, GridError)
     try:
         if args.enumerate_cap > 1:
             sols = enumerate_solutions(g, cap=args.enumerate_cap, budget=args.budget)
@@ -108,8 +94,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    g = _load_grid(args.grid)
-    f = _load_filling(args.solution)
+    g = _load(args.grid, parse_grid, GridError)
+    f = _load(args.solution, parse_filling, GridError)
     try:
         violations = verify(g, f)
     except GridError as e:
@@ -123,15 +109,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    inst = _load_nae(args.nae)
+    inst = _load(args.nae, _parse_nae, nae_mod.NaeError)
     g = reduce_instance(inst)
     _write(args.output, serialize_grid(g), f"wrote {g.rows}x{g.cols} grid to {args.output}")
     return 0
 
 
 def cmd_lift(args) -> int:
-    inst = _load_nae(args.nae)
-    a = _load_assignment(args.assignment)
+    inst = _load(args.nae, _parse_nae, nae_mod.NaeError)
+    a = _load(args.assignment, nae_mod.parse_assignment, nae_mod.NaeError)
     if len(a) != inst.n:
         raise InputError(f"assignment has {len(a)} variables, instance has {inst.n}")
     try:
@@ -144,8 +130,8 @@ def cmd_lift(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    inst = _load_nae(args.nae)
-    f = _load_filling(args.solution)
+    inst = _load(args.nae, _parse_nae, nae_mod.NaeError)
+    f = _load(args.solution, parse_filling, GridError)
     try:
         a = extract_assignment(inst, f)
     except ReductionError as e:
@@ -158,8 +144,8 @@ def cmd_extract(args) -> int:
 
 
 def cmd_nae_check(args) -> int:
-    inst = _load_nae(args.nae)
-    a = _load_assignment(args.assignment)
+    inst = _load(args.nae, _parse_nae, nae_mod.NaeError)
+    a = _load(args.assignment, nae_mod.parse_assignment, nae_mod.NaeError)
     if len(a) != inst.n:
         raise InputError(f"assignment has {len(a)} variables, instance has {inst.n}")
     if nae_mod.nae_check(inst, a):
@@ -200,8 +186,8 @@ def _parse_cheat(spec: str, g, f):
 def _load_proof_inputs(args):
     """The grid and the prover's solution for ``zkp run``/``zkp audit``; the
     solution must fit the grid and keep every given."""
-    g = _load_grid(args.grid)
-    f = _load_filling(args.solution)
+    g = _load(args.grid, parse_grid, GridError)
+    f = _load(args.solution, parse_filling, GridError)
     if (f.rows, f.cols) != (g.rows, g.cols):
         raise InputError("solution dimensions do not match grid")
     for c in g.coords():
@@ -219,9 +205,9 @@ def cmd_zkp_run(args) -> int:
         behavior = ProverBehavior.honest(f)
     accept, transcript, stats = run_protocol(g, behavior, seed=args.seed)
     if args.transcript:
-        Path(args.transcript).write_text(transcript.to_json_lines())
+        _write(args.transcript, transcript.to_json_lines())
     if args.stats:
-        Path(args.stats).write_text(json.dumps(stats.to_dict(), indent=2) + "\n")
+        _write(args.stats, json.dumps(stats.to_dict(), indent=2) + "\n")
     if accept:
         print("accept")
         return 0
@@ -239,7 +225,7 @@ def cmd_zkp_audit(args) -> int:
     except audit_mod.AuditError as e:
         raise InputError(str(e)) from None
     if args.report:
-        Path(args.report).write_text(json.dumps(report, indent=2) + "\n")
+        _write(args.report, json.dumps(report, indent=2) + "\n")
     for site in report["sites"]:
         print(
             f"{site['site']:>8} q={site['columns']}: "
@@ -251,13 +237,8 @@ def cmd_zkp_audit(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    g = _load_grid(args.grid)
-    stats = count_resources(g)
-    text = json.dumps(stats.to_dict(), indent=2) + "\n"
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
+    g = _load(args.grid, parse_grid, GridError)
+    _write(args.output, json.dumps(count_resources(g).to_dict(), indent=2) + "\n")
     return 0
 
 

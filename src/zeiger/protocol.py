@@ -17,13 +17,11 @@ from .cards import (
     HEART,
     CardPool,
     MalformedReveal,
-    PairSequence,
     PileMatrix,
     SeededRng,
-    Sequence,
-    Stack,
     Transcript,
-    encode_pair,
+    encode,
+    locate,
     pile_scramble,
     pile_shift,
     reveal_row,
@@ -43,14 +41,14 @@ def turn_down_all(m: PileMatrix):
     (``perfbench/run.py``) and its tests still look it up here."""
 
 
-def _fresh_zero_pair(q: int, pool: CardPool) -> PairSequence:
+def _fresh_zero_pair(q: int, pool: CardPool) -> list[str]:
     """Publicly built pair encoding of 0: odd stack at position 1."""
     pool.take(q, q)
-    return encode_pair(q, 0)
+    return encode(q, 0, ODD_STACK, EVEN_STACK)
 
 
-def copy_protocol(a: PairSequence, pool: CardPool, rng: SeededRng,
-                  transcript: Transcript) -> tuple[PairSequence, PairSequence]:
+def copy_protocol(a: list[str], pool: CardPool, rng: SeededRng,
+                  transcript: Transcript) -> tuple[list[str], list[str]]:
     """Duplicate a pair encoding without revealing its value.
 
     Also checks the input's format: a malformed input sequence surfaces as a
@@ -67,24 +65,17 @@ def copy_protocol(a: PairSequence, pool: CardPool, rng: SeededRng,
     return m.row(1), m.row(2)
 
 
-def set_size_protocol(seqs: list[PairSequence], pool: CardPool, rng: SeededRng,
-                      transcript: Transcript) -> list[Stack]:
+def set_size_protocol(seqs: list[list[str]], pool: CardPool, rng: SeededRng,
+                      transcript: Transcript) -> list[str]:
     """Count distinct encoded values: returns q two-card stacks whose odd-stack
     count equals the number of different inputs."""
     p = len(seqs)
-    q = len(seqs[0])
-    m = PileMatrix([list(s) for s in seqs])
+    m = PileMatrix(seqs)
     for i in range(1, p):
         pile_scramble(m, rng, transcript)
         patterns = reveal_row(m, i, transcript, "setsize")
-        if patterns.count(ODD_STACK) != 1 or any(
-            pat not in (ODD_STACK, EVEN_STACK) for pat in patterns
-        ):
-            raise MalformedReveal(f"row {i + 1} is not a valid pair encoding")
-        for j, pat in enumerate(patterns):
-            if pat == ODD_STACK:
-                col = m.columns[j]
-                col[0], col[i] = col[i], col[0]
+        col = m.columns[locate(patterns, ODD_STACK, EVEN_STACK)]
+        col[0], col[i] = col[i], col[0]
     pile_scramble(m, rng, transcript)
     out = m.row(0)
     for i in range(1, p):
@@ -92,39 +83,37 @@ def set_size_protocol(seqs: list[PairSequence], pool: CardPool, rng: SeededRng,
     return out
 
 
-def summation_protocol(stacks: list[Stack], pool: CardPool, rng: SeededRng,
-                       transcript: Transcript) -> Sequence:
+def summation_protocol(stacks: list[str], pool: CardPool, rng: SeededRng,
+                       transcript: Transcript) -> list[str]:
     """Sum q bits held as two-card stacks into a single club encoding of
     length q+1."""
     q = len(stacks)
-    a_seq = list(stacks[0])  # sequence form, topmost card leftmost
+    a_seq = list(stacks[0])  # the first stack as a row of cards, top card leftmost
     for i in range(2, q + 1):
         pool.take(i - 1, 1)
         a_seq.append(HEART)
         top, bottom = stacks[i - 1]
         b_seq = [bottom] + [CLUB] * (i - 1) + [top]
-        m = PileMatrix([[[c] for c in a_seq], [[c] for c in b_seq]])
+        m = PileMatrix([a_seq, b_seq])
         pile_shift(m, rng, transcript)
         patterns = reveal_row(m, 1, transcript, "sum")
         rotate_to_normalize(m, patterns, HEART, transcript, rest=CLUB)
-        a_seq = [stack[0] for stack in m.row(0)]
+        a_seq = m.row(0)
         pool.discard(m.row(1))
     return a_seq
 
 
-def comparing_protocol(s1: Sequence, s2: Sequence, pool: CardPool, rng: SeededRng,
+def comparing_protocol(s1: list[str], s2: list[str], pool: CardPool, rng: SeededRng,
                        transcript: Transcript) -> bool:
     """True iff both club encodings hold the same value; reveals everything
     after a scramble, then discards all cards."""
-    m = PileMatrix([[[c] for c in s1], [[c] for c in s2]])
+    m = PileMatrix([s1, s2])
     pile_scramble(m, rng, transcript)
     p1 = reveal_row(m, 0, transcript, "compare")
     p2 = reveal_row(m, 1, transcript, "compare")
-    pool.discard(m.row(0))
-    pool.discard(m.row(1))
-    if p1.count(CLUB) != 1 or p2.count(CLUB) != 1:
-        raise MalformedReveal("comparison rows are not club encodings")
-    return p1.index(CLUB) == p2.index(CLUB)
+    pool.discard(p1)
+    pool.discard(p2)
+    return locate(p1, CLUB, HEART) == locate(p2, CLUB, HEART)
 
 
 @dataclass(frozen=True)
@@ -149,7 +138,7 @@ class ProverBehavior:
         return cls(filling=f, kind="malformed", cell=cell)
 
 
-Board = dict[Coord, PairSequence]
+Board = dict[Coord, list[str]]
 
 
 def setup_board(g: Grid, behavior: ProverBehavior, pool: CardPool) -> Board:
@@ -175,10 +164,10 @@ def setup_board(g: Grid, behavior: ProverBehavior, pool: CardPool) -> Board:
         elif cheat == "wrong-value":
             v = behavior.value
         pool.take(b, b)
-        ps = [[HEART, CLUB] if i == v else [CLUB, HEART] for i in range(b)]
+        ps = [ODD_STACK if i == v else EVEN_STACK for i in range(b)]
         if cheat == "malformed":
             # a second marker stack: caught by the copy protocol's format check
-            ps[(v + 1) % b] = [HEART, CLUB]
+            ps[(v + 1) % b] = ODD_STACK
         board[c] = ps
     return board
 

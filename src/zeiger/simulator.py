@@ -11,9 +11,9 @@ from __future__ import annotations
 import functools
 import random
 
-from .cards import CardPool, SeededRng, Transcript, encode_pair
+from .cards import CardPool, SeededRng, Transcript, encode
 from .grid import Grid, sightline
-from .protocol import MARKER, verify_cell
+from .protocol import EVEN_STACK, MARKER, ODD_STACK, verify_cell
 
 
 @functools.lru_cache
@@ -26,8 +26,8 @@ def _skeleton(g: Grid) -> tuple[tuple, ...]:
     unique: dict[tuple, tuple] = {}
     steps, fresh = [], False
     for c in g.coords():
-        board = {cc: encode_pair(b, 0) for cc in sightline(g, c)}
-        board[c] = encode_pair(b, 1)
+        board = {cc: encode(b, 0, ODD_STACK, EVEN_STACK) for cc in sightline(g, c)}
+        board[c] = encode(b, 1, ODD_STACK, EVEN_STACK)
         run = Transcript()
         verify_cell(board, g, c, CardPool(), SeededRng(0), run)
         for ev in run.events:

@@ -41,13 +41,11 @@ class _Search:
             for j in line:
                 self.watchers[j].append(i)
         self.values = [0] * self.n  # 0 = unassigned
-        self.fixed = [False] * self.n
         for c in g.coords():
             given = g.cell(c).given
             if given is not None:
                 i = (c.row - 1) * l + (c.col - 1)
                 self.values[i] = given
-                self.fixed[i] = True
 
     def _interval(self, i: int) -> tuple[int, int]:
         """(distinct assigned, unassigned count) over cell i's sightline."""

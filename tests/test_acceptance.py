@@ -11,17 +11,19 @@ import numpy as np
 
 from zeiger.audit import audit_zk
 from zeiger.cards import (
+    CLUB,
+    HEART,
     CardPool,
     SeededRng,
     Transcript,
-    decode,
-    decode_pair,
-    encode_club,
-    encode_pair,
+    encode,
+    locate,
 )
 from zeiger.grid import Coord, parse_filling, sightline, verify
 from zeiger.nae import gen_nae, nae_brute_force
 from zeiger.protocol import (
+    EVEN_STACK,
+    ODD_STACK,
     ProverBehavior,
     comparing_protocol,
     copy_protocol,
@@ -124,24 +126,28 @@ def test_criterion_07_subprotocol_oracles():
     mismatches = 0
     for q in range(2, 7):
         for x in range(q):
-            o1, o2 = copy_protocol(encode_pair(q, x), pool, rng, t)
-            mismatches += not (decode_pair(o1) == decode_pair(o2) == x)
+            o1, o2 = copy_protocol(encode(q, x, ODD_STACK, EVEN_STACK), pool, rng, t)
+            mismatches += not (
+                locate(o1, ODD_STACK, EVEN_STACK) == locate(o2, ODD_STACK, EVEN_STACK) == x
+            )
         for p in (1, 2, 3):
             for xs in itertools.product(range(q), repeat=p):
-                out = set_size_protocol([encode_pair(q, x) for x in xs], pool, rng, t)
+                out = set_size_protocol(
+                    [encode(q, x, ODD_STACK, EVEN_STACK) for x in xs], pool, rng, t
+                )
                 got = sum(
                     1 for st in out if (st[0], st[1]) == ("H", "C")
                 )
                 mismatches += got != len(set(xs))
         for bits in itertools.product((0, 1), repeat=q):
-            stacks = [
-                ["H" if b else "C", "C" if b else "H"] for b in bits
-            ]
+            stacks = [ODD_STACK if b else EVEN_STACK for b in bits]
             out = summation_protocol(stacks, pool, rng, t)
-            mismatches += decode(out) != sum(bits)
+            mismatches += locate(out, CLUB, HEART) != sum(bits)
         for x1 in range(q):
             for x2 in range(q):
-                got = comparing_protocol(encode_club(q, x1), encode_club(q, x2), pool, rng, t)
+                got = comparing_protocol(
+                    encode(q, x1, CLUB, HEART), encode(q, x2, CLUB, HEART), pool, rng, t
+                )
                 mismatches += got != (x1 == x2)
     report(7, mismatches == 0, f"exhaustive decode-equivalence q <= 6: {mismatches} mismatches")
 

@@ -4,18 +4,16 @@ import math
 import pytest
 
 from zeiger.cards import (
+    CLUB,
+    HEART,
     CardError,
     CardPool,
     MalformedReveal,
     PileMatrix,
     SeededRng,
     Transcript,
-    decode,
-    decode_heart,
-    decode_pair,
-    encode_club,
-    encode_heart,
-    encode_pair,
+    encode,
+    locate,
     pile_scramble,
     pile_shift,
     reveal_row,
@@ -23,20 +21,26 @@ from zeiger.cards import (
 )
 
 
+# the three encodings of the protocol, as (marker stack, other stacks)
+CLUB_ENC = (CLUB, HEART)
+HEART_ENC = (HEART, CLUB)
+PAIR_ENC = ("HC", "CH")
+
+
 def faces(seq):
     return "".join(seq)
 
 
 def test_encode_club_example():
-    assert faces(encode_club(4, 1)) == "HCHH"
+    assert faces(encode(4, 1, *CLUB_ENC)) == "HCHH"
 
 
 def test_encode_heart_example():
-    assert faces(encode_heart(4, 1)) == "CHCC"
+    assert faces(encode(4, 1, *HEART_ENC)) == "CHCC"
 
 
 def test_encode_pair_example():
-    ps = encode_pair(4, 1)
+    ps = encode(4, 1, *PAIR_ENC)
     assert [faces(st) for st in ps] == ["CH", "HC", "CH", "CH"]
     assert faces([st[0] for st in ps]) == "CHCC"  # tops: heart encoding
     assert faces([st[1] for st in ps]) == "HCHH"  # bottoms: club encoding
@@ -44,22 +48,22 @@ def test_encode_pair_example():
 
 def test_encode_range_check():
     with pytest.raises(CardError):
-        encode_club(4, 4)
+        encode(4, 4, *CLUB_ENC)
     with pytest.raises(CardError):
-        encode_pair(4, -1)
+        encode(4, -1, *PAIR_ENC)
 
 
 def test_decode_roundtrip_exhaustive():
     for q in range(1, 9):
         for x in range(q):
-            assert decode(encode_club(q, x)) == x
-            assert decode_heart(encode_heart(q, x)) == x
-            assert decode_pair(encode_pair(q, x)) == x
+            assert locate(encode(q, x, *CLUB_ENC), *CLUB_ENC) == x
+            assert locate(encode(q, x, *HEART_ENC), *HEART_ENC) == x
+            assert locate(encode(q, x, *PAIR_ENC), *PAIR_ENC) == x
 
 
 def test_decode_rejects_malformed():
-    with pytest.raises(CardError, match="no lone club"):
-        decode(encode_heart(4, 1))
+    with pytest.raises(MalformedReveal, match="expected exactly one 'C' column, found 3"):
+        locate(encode(4, 1, *HEART_ENC), *CLUB_ENC)
 
 
 def test_pile_shift_is_cyclic_rotation():
@@ -126,7 +130,7 @@ def test_scramble_identity_possible_and_multiset_preserved():
 
 
 def test_reveal_records_faces_and_flips():
-    m = PileMatrix([[[c] for c in encode_club(4, 2)]])
+    m = PileMatrix([encode(4, 2, *CLUB_ENC)])
     t = Transcript()
     patterns = reveal_row(m, 0, t, "copy")
     assert patterns == ["H", "H", "C", "H"]
@@ -134,7 +138,7 @@ def test_reveal_records_faces_and_flips():
 
 
 def test_normalize_rotates_match_to_column_one():
-    m = PileMatrix([[[c] for c in encode_club(4, 2)]])
+    m = PileMatrix([encode(4, 2, *CLUB_ENC)])
     t = Transcript()
     patterns = reveal_row(m, 0, t, "copy")
     shift = rotate_to_normalize(m, patterns, "C", t, rest="H")
@@ -144,9 +148,9 @@ def test_normalize_rotates_match_to_column_one():
 
 
 def test_normalize_rejects_two_matches():
-    seq = encode_club(4, 1)
+    seq = encode(4, 1, *CLUB_ENC)
     seq[3] = "C"
-    m = PileMatrix([[[c] for c in seq]])
+    m = PileMatrix([seq])
     t = Transcript()
     patterns = reveal_row(m, 0, t, "copy")
     with pytest.raises(MalformedReveal):
@@ -156,7 +160,7 @@ def test_normalize_rejects_two_matches():
 def test_transcript_never_contains_shuffle_secrets():
     rng = SeededRng(3)
     t = Transcript()
-    m = PileMatrix([[[c] for c in encode_club(5, 2)]])
+    m = PileMatrix([encode(5, 2, *CLUB_ENC)])
     pile_shift(m, rng, t)
     pile_scramble(m, rng, t)
     for ev in t.events:
@@ -195,6 +199,6 @@ def test_card_pool_accounting():
     assert pool.in_play == 2
     pool.take(1, 0)
     assert pool.peak_in_play == 4
-    pool.discard([["C", "H"], ["H"]])   # stacks return all their cards
+    pool.discard(["CH", "H"])   # stacks return all their cards
     assert pool.in_play == 0
     assert (pool.clubs_drawn, pool.hearts_drawn) == (4, 1)

@@ -180,3 +180,28 @@ def test_stats_command(tmp_path):
     data = json.loads(out.read_text())
     assert data["total_shuffles"] == 304
     assert data["peak_cards"] == 310
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", FIG1, "-o", "{out}"],
+        ["reduce", FIG2, "-o", "{out}"],
+        ["gen-nae", "4", "3", "-o", "{out}"],
+        ["stats", FIG1, "-o", "{out}"],
+        ["zkp", "run", "--grid", FIG1, "--solution", FIG1_SOL, "--transcript", "{out}"],
+        ["zkp", "run", "--grid", FIG1, "--solution", FIG1_SOL, "--stats", "{out}"],
+        ["zkp", "audit", "--grid", FIG1, "--solution", FIG1_SOL, "--report", "{out}"],
+    ],
+    ids=["solve", "reduce", "gen-nae", "stats", "zkp-transcript", "zkp-stats", "zkp-report"],
+)
+def test_unwritable_output_exits_2(argv, tmp_path, capsys, monkeypatch):
+    """An output path in a missing directory is a usage error: main returns 2
+    with a one-line message instead of letting the OSError escape."""
+    # the audit itself is not under test here: an empty report stands in for it
+    monkeypatch.setattr("zeiger.cli.audit_mod.audit_zk", lambda *a, **k: {"sites": [], "pass": True})
+    out = str(tmp_path / "no-such-dir" / "out")
+    assert main([arg.replace("{out}", out) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}")
+    assert err.count("\n") == 1

@@ -4,16 +4,19 @@ import random
 import pytest
 
 from zeiger.cards import (
+    CLUB,
+    HEART,
     CardPool,
+    MalformedReveal,
     SeededRng,
     Transcript,
-    decode,
-    decode_pair,
-    encode_club,
-    encode_pair,
+    encode,
+    locate,
 )
 from zeiger.grid import Coord, distinct_count, parse_filling, sightline
 from zeiger.protocol import (
+    EVEN_STACK,
+    ODD_STACK,
     ProverBehavior,
     Reject,
     comparing_protocol,
@@ -32,10 +35,15 @@ def env():
     return CardPool(), SeededRng(1729), Transcript()
 
 
-def bit_stack(b: int) -> list[str]:
+# (marker stack, other stacks) of the pair encoding and of the club encoding
+PAIR = (ODD_STACK, EVEN_STACK)
+CLUBS = (CLUB, HEART)
+
+
+def bit_stack(b: int) -> str:
     """Two-card stack holding the bit b (the stack form of the 2-card club
     encoding)."""
-    return ["H", "C"] if b else ["C", "H"]
+    return "HC" if b else "CH"
 
 
 def stack_bit(stack) -> int:
@@ -47,21 +55,19 @@ class TestCopy:
         pool, rng, t = env
         for q in range(2, 7):
             for x in range(q):
-                o1, o2 = copy_protocol(encode_pair(q, x), pool, rng, t)
-                assert decode_pair(o1) == x
-                assert decode_pair(o2) == x
+                o1, o2 = copy_protocol(encode(q, x, *PAIR), pool, rng, t)
+                assert locate(o1, *PAIR) == x
+                assert locate(o2, *PAIR) == x
 
     def test_reversal_negates_value(self):
-        a = encode_pair(4, 1)
+        a = encode(4, 1, *PAIR)
         reversed_a = [a[0]] + a[1:][::-1]
-        assert decode_pair(reversed_a) == 3  # -1 mod 4
+        assert locate(reversed_a, *PAIR) == 3  # -1 mod 4
 
     def test_two_markers_rejected(self, env):
         pool, rng, t = env
-        bad = encode_pair(5, 2)
-        bad[4] = ["H", "C"]
-        from zeiger.cards import MalformedReveal
-
+        bad = encode(5, 2, *PAIR)
+        bad[4] = "HC"
         with pytest.raises(MalformedReveal):
             copy_protocol(bad, pool, rng, t)
 
@@ -71,8 +77,8 @@ class TestCopy:
         for _ in range(30):
             q = r.randint(7, 12)
             x = r.randrange(q)
-            o1, o2 = copy_protocol(encode_pair(q, x), pool, rng, t)
-            assert decode_pair(o1) == decode_pair(o2) == x
+            o1, o2 = copy_protocol(encode(q, x, *PAIR), pool, rng, t)
+            assert locate(o1, *PAIR) == locate(o2, *PAIR) == x
 
 
 class TestSetSize:
@@ -82,20 +88,20 @@ class TestSetSize:
             for p in (1, 2, 3):
                 for xs in itertools.product(range(q), repeat=p):
                     out = set_size_protocol(
-                        [encode_pair(q, x) for x in xs], pool, rng, t
+                        [encode(q, x, *PAIR) for x in xs], pool, rng, t
                     )
                     assert len(out) == q
                     assert sum(stack_bit(st) for st in out) == distinct_count(xs)
 
     def test_spec_examples(self, env):
         pool, rng, t = env
-        out = set_size_protocol([encode_pair(4, x) for x in (2, 2, 3)], pool, rng, t)
+        out = set_size_protocol([encode(4, x, *PAIR) for x in (2, 2, 3)], pool, rng, t)
         assert sum(stack_bit(st) for st in out) == 2
-        out = set_size_protocol([encode_pair(6, 5)], pool, rng, t)
+        out = set_size_protocol([encode(6, 5, *PAIR)], pool, rng, t)
         assert sum(stack_bit(st) for st in out) == 1
-        out = set_size_protocol([encode_pair(4, x) for x in range(4)], pool, rng, t)
+        out = set_size_protocol([encode(4, x, *PAIR) for x in range(4)], pool, rng, t)
         assert sum(stack_bit(st) for st in out) == 4
-        out = set_size_protocol([encode_pair(5, 2)] * 1 * 5, pool, rng, t)
+        out = set_size_protocol([encode(5, 2, *PAIR)] * 1 * 5, pool, rng, t)
         assert sum(stack_bit(st) for st in out) == 1
 
     def test_random_larger(self, env):
@@ -104,7 +110,7 @@ class TestSetSize:
         for _ in range(20):
             q = r.randint(7, 12)
             xs = [r.randrange(q) for _ in range(r.randint(1, 6))]
-            out = set_size_protocol([encode_pair(q, x) for x in xs], pool, rng, t)
+            out = set_size_protocol([encode(q, x, *PAIR) for x in xs], pool, rng, t)
             assert sum(stack_bit(st) for st in out) == distinct_count(xs)
 
 
@@ -115,19 +121,19 @@ class TestSummation:
             for bits in itertools.product((0, 1), repeat=q):
                 out = summation_protocol([bit_stack(b) for b in bits], pool, rng, t)
                 assert len(out) == q + 1
-                assert decode(out) == sum(bits)
+                assert locate(out, *CLUBS) == sum(bits)
 
     def test_all_zero_and_all_one(self, env):
         pool, rng, t = env
-        assert decode(summation_protocol([bit_stack(0)] * 4, pool, rng, t)) == 0
+        assert locate(summation_protocol([bit_stack(0)] * 4, pool, rng, t), *CLUBS) == 0
         out = summation_protocol([bit_stack(1)] * 4, pool, rng, t)
-        assert decode(out) == 4  # club at the rightmost position
+        assert locate(out, *CLUBS) == 4  # club at the rightmost position
         assert out[-1] == "C"
 
     def test_example_1011(self, env):
         pool, rng, t = env
         out = summation_protocol([bit_stack(b) for b in (1, 0, 1, 1)], pool, rng, t)
-        assert decode(out) == 3
+        assert locate(out, *CLUBS) == 3
 
 
 class TestComparing:
@@ -137,22 +143,22 @@ class TestComparing:
             for x1 in range(q):
                 for x2 in range(q):
                     got = comparing_protocol(
-                        encode_club(q, x1), encode_club(q, x2), pool, rng, t
+                        encode(q, x1, *CLUBS), encode(q, x2, *CLUBS), pool, rng, t
                     )
                     assert got == (x1 == x2)
 
     def test_spec_examples(self, env):
         pool, rng, t = env
-        assert comparing_protocol(encode_club(5, 2), encode_club(5, 2), pool, rng, t)
-        assert not comparing_protocol(encode_club(5, 2), encode_club(5, 3), pool, rng, t)
+        assert comparing_protocol(encode(5, 2, *CLUBS), encode(5, 2, *CLUBS), pool, rng, t)
+        assert not comparing_protocol(encode(5, 2, *CLUBS), encode(5, 3, *CLUBS), pool, rng, t)
 
 
 class TestBoard:
     def test_setup_board_values(self, fig1_grid, fig1_solution):
         pool = CardPool()
         board = setup_board(fig1_grid, ProverBehavior.honest(fig1_solution), pool)
-        assert decode_pair(board[Coord(3, 4)]) == 1  # the given cell
-        assert decode_pair(board[Coord(1, 1)]) == 3
+        assert locate(board[Coord(3, 4)], *PAIR) == 1  # the given cell
+        assert locate(board[Coord(1, 1)], *PAIR) == 3
         # 2b cards per cell
         assert pool.in_play == 2 * 5 * 25
 
@@ -166,7 +172,7 @@ class TestBoard:
     def test_cheat_wrong_value_board(self, fig1_grid, fig1_solution):
         behavior = ProverBehavior.wrong_value(fig1_solution, Coord(1, 1), 2)
         board = setup_board(fig1_grid, behavior, CardPool())
-        assert decode_pair(board[Coord(1, 1)]) == 2
+        assert locate(board[Coord(1, 1)], *PAIR) == 2
 
 
 class TestVerifyCell:
@@ -180,7 +186,7 @@ class TestVerifyCell:
         board = setup_board(fig1_grid, ProverBehavior.honest(fig1_solution), pool)
         verify_cell(board, fig1_grid, Coord(1, 1), pool, rng, t)
         for c in fig1_grid.coords():
-            assert decode_pair(board[c]) == fig1_solution.value(c)
+            assert locate(board[c], *PAIR) == fig1_solution.value(c)
 
     def test_forced_cell_accepts_iff_one(self, fig1_grid, fig1_solution):
         # (2,3) has sightline length 1
@@ -239,7 +245,7 @@ class TestRunProtocol:
             assert stats == honest_stats
 
     def test_value_above_max_value_rejected(self, fig1_grid, fig1_solution):
-        # setup_board lays the value out itself: encode_pair would raise
+        # setup_board lays the value out itself: encode would raise
         # CardError here, while the verifier must see a reject
         values = [list(r) for r in fig1_solution.values]
         values[0][0] = 9  # (1,1) is unnumbered; max_value is 4

@@ -105,3 +105,19 @@ def test_audit_report_shape(fig1_grid, fig1_solution):
     for s in report["sites"]:
         assert s["samples_real"] == s["samples_sim"]
         assert sum(s["real_counts"]) == s["samples_real"]
+
+
+def test_audit_checks_reveal_widths(fig1_grid, fig1_solution, monkeypatch):
+    # a simulator whose copy reveals are one column too wide must be caught
+    # by the structure check, before any per-site histogram is compared
+    def widened(g, seed):
+        t = simulate_transcript(g, seed)
+        for ev in t.events:
+            if ev.get("site") == "copy":
+                ev["faces"] = ev["faces"] + ["CH"]
+        return t
+
+    monkeypatch.setattr(audit, "simulate_transcript", widened)
+    monkeypatch.setattr(audit, "MIN_TRIALS", 1)
+    with pytest.raises(AuditError, match="structure differs"):
+        audit_zk(fig1_grid, fig1_solution, trials=1, alpha=0.001)
