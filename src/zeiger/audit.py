@@ -2,13 +2,13 @@
 
 Aggregates, per reveal site, the histogram of marker positions over many
 seeded real runs and as many simulated transcripts, then applies chi-square
-uniformity tests to each and a two-sample test between them.
+uniformity tests to each and a two-sample test between them, whose p-values
+come from the chi-square law's closed-form upper tail.
 """
 
 from __future__ import annotations
 
-import numpy as np
-from scipy import stats as sps
+import math
 
 from .cards import Transcript
 from .grid import Filling, Grid
@@ -16,19 +16,57 @@ from .protocol import MARKER, ProverBehavior, run_protocol
 from .simulator import simulate_transcript
 
 MIN_TRIALS = 1000
+MIN_EXPECTED = 5  # smallest expected count per bin for which a chi-square test is meaningful
 
 
 class AuditError(ValueError):
     pass
 
 
-def reveal_histograms(t: Transcript) -> dict[tuple[str, int], np.ndarray]:
+def chi2_sf(x: float, dof: int) -> float:
+    """P(X >= x) for X chi-square with a whole number ``dof`` of degrees of
+    freedom (Abramowitz & Stegun 26.4.4 and 26.4.5): the sum of
+    e^(-x/2) (x/2)^s / Gamma(s + 1) for s = dof/2 - 1, dof/2 - 2, ... down to
+    0 (even ``dof``) or 1/2 (odd ``dof``, which adds erfc(sqrt(x/2))).  Each
+    term is formed in logs, so a huge ``x`` gives 0.0 instead of overflowing."""
+    if x <= 0:
+        return 1.0
+    half = x / 2
+    tail = math.erfc(math.sqrt(half)) if dof % 2 else 0.0
+    for k in range(dof // 2):
+        s = k + dof % 2 / 2
+        tail += math.exp(s * math.log(half) - half - math.lgamma(s + 1))
+    return tail
+
+
+def uniform_p(counts: list[int]) -> float:
+    """Pearson's one-sample test of ``counts`` against the uniform law."""
+    n, q = sum(counts), len(counts)
+    return chi2_sf((q * sum(c * c for c in counts) - n * n) / n, q - 1)
+
+
+def two_sample_p(r: list[int], s: list[int]) -> float:
+    """Pearson's test of the 2 x q table [r, s], with Yates' correction at
+    q = 2 as ``scipy.stats.chi2_contingency`` applies it.  Column j adds
+    D^2 / ((r_j + s_j) n_r n_s), D = |r_j n_s - s_j n_r| (less N/2 under Yates)."""
+    n_r, n_s = sum(r), sum(s)
+    stat = 0.0
+    for a, b in zip(r, s):
+        if a + b:  # a column empty in both rows adds nothing
+            d = 2 * abs(a * n_s - b * n_r)  # 2D: an integer under Yates too
+            if len(r) == 2:
+                d = max(0, d - n_r - n_s)
+            stat += d * d / (4 * (a + b) * n_r * n_s)
+    return chi2_sf(stat, len(r) - 1)
+
+
+def reveal_histograms(t: Transcript) -> dict[tuple[str, int], list[int]]:
     """Marker-position counts keyed by (site, number of columns).
 
     The comparing protocol's two rows always agree, so only its first row is
     counted (the second would duplicate every sample).
     """
-    hists: dict[tuple[str, int], np.ndarray] = {}
+    hists: dict[tuple[str, int], list[int]] = {}
     for ev in t.events:
         if ev["ev"] != "reveal":
             continue
@@ -37,10 +75,7 @@ def reveal_histograms(t: Transcript) -> dict[tuple[str, int], np.ndarray]:
             continue
         faces = ev["faces"]
         pos = faces.index(MARKER[site])
-        key = (site, len(faces))
-        if key not in hists:
-            hists[key] = np.zeros(len(faces), dtype=np.int64)
-        hists[key][pos] += 1
+        hists.setdefault((site, len(faces)), [0] * len(faces))[pos] += 1
     return hists
 
 
@@ -53,10 +88,7 @@ def _structure(t: Transcript) -> list[tuple]:
 
 def _merge(total: dict, part: dict):
     for key, counts in part.items():
-        if key in total:
-            total[key] += counts
-        else:
-            total[key] = counts.copy()
+        total[key] = [a + b for a, b in zip(total.get(key, [0] * len(counts)), counts)]
 
 
 def audit_zk(g: Grid, f: Filling, trials: int, alpha: float, seed: int = 0) -> dict:
@@ -64,8 +96,8 @@ def audit_zk(g: Grid, f: Filling, trials: int, alpha: float, seed: int = 0) -> d
     site for uniformity and real-vs-simulated indistinguishability."""
     if trials < MIN_TRIALS:
         raise AuditError(f"need at least {MIN_TRIALS} trials, got {trials}")
-    real: dict[tuple[str, int], np.ndarray] = {}
-    sim: dict[tuple[str, int], np.ndarray] = {}
+    real: dict[tuple[str, int], list[int]] = {}
+    sim: dict[tuple[str, int], list[int]] = {}
     for i in range(trials):
         accept, transcript, _ = run_protocol(g, ProverBehavior.honest(f), seed=seed * 1_000_003 + i)
         if not accept:
@@ -81,19 +113,20 @@ def audit_zk(g: Grid, f: Filling, trials: int, alpha: float, seed: int = 0) -> d
     for key in sorted(real):
         site, q = key
         r, s = real[key], sim[key]
-        p_real = float(sps.chisquare(r).pvalue)
-        p_sim = float(sps.chisquare(s).pvalue)
-        p_two = float(sps.chi2_contingency(np.stack([r, s])).pvalue)
+        if sum(r) < MIN_EXPECTED * q:
+            raise AuditError(f"site {site} with {q} columns has {sum(r)} samples, "
+                             f"under {MIN_EXPECTED} expected per column")
+        p_real, p_sim, p_two = uniform_p(r), uniform_p(s), two_sample_p(r, s)
         ok = p_real >= alpha and p_sim >= alpha and p_two >= alpha
         all_pass &= ok
         sites.append(
             {
                 "site": site,
                 "columns": q,
-                "samples_real": int(r.sum()),
-                "samples_sim": int(s.sum()),
-                "real_counts": [int(v) for v in r],
-                "sim_counts": [int(v) for v in s],
+                "samples_real": sum(r),
+                "samples_sim": sum(s),
+                "real_counts": r,
+                "sim_counts": s,
                 "p_uniform_real": p_real,
                 "p_uniform_sim": p_sim,
                 "p_two_sample": p_two,

@@ -30,7 +30,7 @@ from .reduction import (
     lift_assignment,
     reduce_instance,
 )
-from .solver import DEFAULT_BUDGET, BudgetExhausted, enumerate_solutions, solve
+from .solver import DEFAULT_BUDGET, BudgetExhausted, enumerate_solutions
 
 
 class InputError(Exception):
@@ -72,25 +72,21 @@ def _write(path: str | None, text: str, default_msg: str | None = None):
 
 
 def cmd_solve(args) -> int:
+    if args.enumerate_cap < 1:
+        raise InputError(f"--enumerate-cap must be at least 1, got {args.enumerate_cap}")
     g = _load(args.grid, parse_grid, GridError)
     try:
-        if args.enumerate_cap > 1:
-            sols = enumerate_solutions(g, cap=args.enumerate_cap, budget=args.budget)
-            print(f"{len(sols)} solution(s) found (cap {args.enumerate_cap})")
-            if not sols:
-                return 1
-            _write(args.output, serialize_filling(sols[0]))
-            return 0
-        sol = solve(g, budget=args.budget)
+        sols = enumerate_solutions(g, cap=args.enumerate_cap, budget=args.budget)
     except BudgetExhausted as e:
         print(f"budget exhausted: {e}")
         return 1
-    if args.enumerate_cap <= 1:
-        if sol is None:
-            print("unsatisfiable")
-            return 1
-        _write(args.output, serialize_filling(sol))
-    return 0
+    if args.enumerate_cap > 1:
+        print(f"{len(sols)} solution(s) found (cap {args.enumerate_cap})")
+    elif not sols:
+        print("unsatisfiable")
+    if sols:
+        _write(args.output, serialize_filling(sols[0]))
+    return 0 if sols else 1
 
 
 def cmd_verify(args) -> int:

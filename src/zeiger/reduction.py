@@ -7,9 +7,10 @@ values 2 and 3 stand for TRUE and FALSE.
 
 from __future__ import annotations
 
-import numpy as np
+import itertools
+import math
 
-from .grid import Cell, Coord, Direction, Filling, Grid, verify
+from .grid import Cell, Coord, Direction, Filling, Grid, sightline, verify
 from .nae import Assignment, NaeInstance, nae_check
 
 
@@ -61,18 +62,8 @@ def lift_assignment(inst: NaeInstance, a: Assignment) -> Filling:
     if not nae_check(inst, a):
         raise ReductionError("assignment does not satisfy the instance")
     g = reduce_instance(inst)
-    values = []
-    for p in range(1, g.rows + 1):
-        row = []
-        for q in range(1, g.cols + 1):
-            given = g.cell(Coord(p, q)).given
-            if given is not None:
-                row.append(given)
-            else:
-                # Unnumbered cells only occur in the first n columns.
-                row.append(2 if a[q - 1] else 3)
-        values.append(row)
-    f = Filling(values)
+    # Unnumbered cells only occur in the first n columns.
+    f = Filling([[c.given or (2 if a[j] else 3) for j, c in enumerate(row)] for row in g.cells])
     bad = verify(g, f)
     if bad:
         raise ReductionError(f"lifted filling failed verification: {bad[:3]}")
@@ -90,10 +81,6 @@ def extract_assignment(inst: NaeInstance, f: Filling) -> Assignment:
     return a
 
 
-def _popcount_table(max_mask: int) -> np.ndarray:
-    return np.array([bin(i).count("1") for i in range(max_mask + 1)], dtype=np.int16)
-
-
 def column_fillings(inst: NaeInstance, q: int) -> list[tuple[int, ...]]:
     """All value tuples for column q's unnumbered cells satisfying that column's
     up/down arrow constraints (right-arrow constraints ignored, numbered cells
@@ -102,43 +89,25 @@ def column_fillings(inst: NaeInstance, q: int) -> list[tuple[int, ...]]:
     if not 1 <= q <= inst.n:
         raise ReductionError(f"column {q} out of range [1,{inst.n}]")
     g = reduce_instance(inst)
-    m = inst.m
-    b = g.max_value + 1
-
-    # Column q top to bottom: fixed values (0 marks an unknown).
-    fixed = np.zeros(m + 3, dtype=np.int16)
-    unknown_rows = []
-    arrows = []  # (row index 0-based, direction)
-    for p in range(1, m + 4):
-        cell = g.cell(Coord(p, q))
-        if cell.given is None:
-            unknown_rows.append(p - 1)
-        else:
-            fixed[p - 1] = cell.given
-        if cell.direction in (Direction.UP, Direction.DOWN):
-            arrows.append((p - 1, cell.direction))
-
-    u = len(unknown_rows)
-    n_cand = (b - 1) ** u
+    column = [g.cell(Coord(p, q)) for p in range(1, g.rows + 1)]
+    values = [cell.given or 0 for cell in column]
+    unknown = [i for i, cell in enumerate(column) if cell.given is None]
+    # a cell counts the distinct values it sees, so it holds 1..(its sightline length)
+    choices = [range(1, len(sightline(g, Coord(i + 1, q))) + 1) for i in unknown]
+    n_cand = math.prod(len(c) for c in choices)
     if n_cand > 5_000_000:
         raise ReductionError(f"too many candidates to enumerate: {n_cand}")
+    # (row, the rows it sees) for each up or down arrow
+    arrows = [
+        (i, slice(i + 1, None) if cell.direction == Direction.DOWN else slice(0, i))
+        for i, cell in enumerate(column)
+        if cell.direction in (Direction.UP, Direction.DOWN)
+    ]
 
-    # Candidate matrix: every combination of values 1..b-1 for the unknowns.
-    idx = np.arange(n_cand, dtype=np.int64)
-    cols = np.tile(fixed, (n_cand, 1))
-    for pos, row in enumerate(unknown_rows):
-        cols[:, row] = (idx // (b - 1) ** (u - 1 - pos)) % (b - 1) + 1
-
-    pop = _popcount_table((1 << b) - 1)
-    bits = (np.int32(1) << cols.astype(np.int32)).astype(np.int32)
-    ok = np.ones(n_cand, dtype=bool)
-    for row, direction in arrows:
-        if direction == Direction.DOWN:
-            seg = bits[:, row + 1 :]
-        else:
-            seg = bits[:, :row]
-        mask = np.bitwise_or.reduce(seg, axis=1)
-        ok &= pop[mask] == cols[:, row]
-
-    survivors = cols[ok][:, unknown_rows]
-    return [tuple(int(v) for v in row) for row in survivors]
+    found = []
+    for combo in itertools.product(*choices):
+        for i, v in zip(unknown, combo):
+            values[i] = v
+        if all(len(set(values[seen])) == values[i] for i, seen in arrows):
+            found.append(combo)
+    return found

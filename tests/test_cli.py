@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from zeiger.cli import main
 
 from .conftest import FIXTURES
+
+SRC = FIXTURES.parent.parent / "src"
 
 FIG1 = str(FIXTURES / "fig1.puzzle")
 FIG1_SOL = str(FIXTURES / "fig1.solution")
@@ -35,6 +40,29 @@ def test_solve_enumerate_cap(tmp_path, capsys):
     out = tmp_path / "out.solution"
     assert main(["solve", FIG1, "--enumerate-cap", "2", "-o", str(out)]) == 0
     assert "1 solution(s)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_solve_enumerate_cap_below_one_exits_2(cap, capsys):
+    assert main(["solve", FIG1, "--enumerate-cap", cap]) == 2
+    assert f"--enumerate-cap must be at least 1, got {cap}" in capsys.readouterr().err
+
+
+def test_runs_on_the_standard_library_alone():
+    # -S leaves site-packages off sys.path, so numpy and scipy cannot be found
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+
+    def python(*args):
+        return subprocess.run(
+            [sys.executable, "-S", *args], env=env, capture_output=True, text=True
+        )
+
+    code = "import sys, zeiger.cli; print(sorted({'numpy', 'scipy'} & set(sys.modules)))"
+    imported = python("-c", code)
+    assert (imported.returncode, imported.stdout) == (0, "[]\n"), imported.stderr
+    for args in (["zkp", "run", "--grid", FIG1, "--solution", FIG1_SOL], ["solve", FIG1]):
+        run = python("-m", "zeiger.cli", *args)
+        assert run.returncode == 0, (args, run.stderr)
 
 
 def test_verify_ok(capsys):

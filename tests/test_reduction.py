@@ -1,9 +1,10 @@
+import itertools
 import random
 
 import pytest
 
 from zeiger import reduction
-from zeiger.grid import Coord, Direction, verify
+from zeiger.grid import Coord, Direction, sightline, verify
 from zeiger.nae import gen_nae, nae_brute_force, nae_check
 from zeiger.reduction import (
     ReductionError,
@@ -153,6 +154,30 @@ def test_column_fillings_single_down_arrow():
     inst = gen_nae(3, 1, seed=0)  # one clause: each column has one down arrow
     for q in (1, 2, 3):
         assert sorted(column_fillings(inst, q)) == [(2, 2), (3, 3)]
+
+
+def exhaustive_column_fillings(inst, q):
+    """Every value 1..max_value on each unnumbered cell of column q, kept when
+    the column's up and down arrows hold."""
+    g = reduce_instance(inst)
+    column = [Coord(p, q) for p in range(1, g.rows + 1)]
+    unknown = [c for c in column if g.cell(c).given is None]
+    arrows = [c for c in column if g.cell(c).direction in (Direction.UP, Direction.DOWN)]
+    found = []
+    for combo in itertools.product(range(1, g.max_value + 1), repeat=len(unknown)):
+        value = {c: g.cell(c).given for c in column}
+        value.update(zip(unknown, combo))
+        if all(len({value[s] for s in sightline(g, c)}) == value[c] for c in arrows):
+            found.append(combo)
+    return found
+
+
+def test_column_fillings_equal_exhaustive_enumeration(fig2_instance):
+    # column_fillings tries only 1..(sightline length) per cell; no filling is lost
+    small = [gen_nae(n, m, seed) for n, m in [(3, 1), (4, 2), (5, 3)] for seed in range(3)]
+    for inst in [fig2_instance] + small:
+        for q in range(1, inst.n + 1):
+            assert sorted(column_fillings(inst, q)) == exhaustive_column_fillings(inst, q)
 
 
 def test_row_cells_mix_two_and_three(fig2_instance):

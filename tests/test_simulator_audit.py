@@ -1,8 +1,10 @@
+import random
+
 import numpy as np
 import pytest
 from scipy import stats as sps
 
-from zeiger.audit import AuditError, audit_zk, reveal_histograms
+from zeiger.audit import AuditError, audit_zk, chi2_sf, reveal_histograms, two_sample_p, uniform_p
 from zeiger.grid import parse_grid
 from zeiger import audit
 from zeiger.protocol import MARKER, ProverBehavior, run_protocol
@@ -46,14 +48,14 @@ def test_reveal_histograms_sites(fig1_grid, fig1_solution):
         *{("sum", i + 1) for i in range(2, b + 1)},
     }
     # one copy reveal per cell and per sightline cell: sum(t_c) + 25 = 102
-    assert hists[("copy", b)].sum() == 102
-    assert hists[("compare", b + 1)].sum() == 25
+    assert sum(hists[("copy", b)]) == 102
+    assert sum(hists[("compare", b + 1)]) == 25
 
 
 def test_compare_counts_only_first_row(fig1_grid):
     sim = simulate_transcript(fig1_grid, seed=1)
     hists = reveal_histograms(sim)
-    assert hists[("compare", 6)].sum() == 25
+    assert sum(hists[("compare", 6)]) == 25
 
 
 def test_normalize_shift_equals_revealed_position(fig1_grid, fig1_solution):
@@ -71,7 +73,7 @@ def test_real_reveal_positions_uniform_many_runs(fig1_grid, fig1_solution):
     for i in range(60):
         _, t, _ = run_protocol(fig1_grid, ProverBehavior.honest(fig1_solution), seed=5000 + i)
         for key, counts in reveal_histograms(t).items():
-            total[key] = total.get(key, 0) + counts
+            total[key] = [a + b for a, b in zip(total.get(key, [0] * len(counts)), counts)]
     for key, counts in total.items():
         assert sps.chisquare(counts).pvalue >= 0.001, key
 
@@ -121,3 +123,51 @@ def test_audit_checks_reveal_widths(fig1_grid, fig1_solution, monkeypatch):
     monkeypatch.setattr(audit, "MIN_TRIALS", 1)
     with pytest.raises(AuditError, match="structure differs"):
         audit_zk(fig1_grid, fig1_solution, trials=1, alpha=0.001)
+
+
+def test_audit_refuses_sites_under_five_per_column(fig1_grid, fig1_solution, monkeypatch):
+    # one trial gives the comparing site 25 samples over 6 columns
+    monkeypatch.setattr(audit, "MIN_TRIALS", 1)
+    with pytest.raises(AuditError, match="site compare with 6 columns has 25 samples"):
+        audit_zk(fig1_grid, fig1_solution, trials=1, alpha=0.001)
+
+
+# scipy is the reference for the audit's stdlib p-values: equal within 1e-10
+# relative wherever scipy's value is at least 1e-300
+
+def assert_close(got, ref, what):
+    if ref >= 1e-300:
+        assert abs(got - ref) <= 1e-10 * ref, (what, got, ref)
+
+
+def test_chi2_sf_matches_scipy():
+    for dof in range(1, 61):
+        for x in (1e-9, 0.01, 0.5, 1, 3, dof / 2, dof, 2 * dof, 50, 100, 300, 700, 1000, 1400):
+            assert_close(chi2_sf(x, dof), sps.chi2.sf(x, dof), (x, dof))
+        assert chi2_sf(0, dof) == 1.0
+
+
+def test_chi2_sf_of_a_huge_statistic_is_zero():
+    for dof in (1, 2, 59, 60):
+        assert chi2_sf(1e308, dof) == 0.0
+
+
+def test_uniform_p_matches_scipy_chisquare():
+    rng = random.Random(7)
+    for _ in range(500):
+        q = rng.randint(2, 12)
+        counts = [rng.randint(0, 3000) for _ in range(q)]
+        assert_close(uniform_p(counts), sps.chisquare(counts).pvalue, counts)
+    assert uniform_p([40] * 5) == sps.chisquare([40] * 5).pvalue == 1.0
+
+
+def test_two_sample_p_matches_scipy_chi2_contingency():
+    # q = 2 has one degree of freedom, where both apply Yates' correction
+    rng = random.Random(8)
+    for _ in range(500):
+        q = rng.choice([2, 2, 3, 5, 8, 12])
+        table = [[rng.randint(1, 3000) for _ in range(q)] for _ in range(2)]
+        ref = sps.chi2_contingency(np.array(table)).pvalue
+        assert_close(two_sample_p(*table), ref, table)
+    table = [[50, 51], [51, 50]]  # Yates' correction takes the statistic to 0
+    assert two_sample_p(*table) == sps.chi2_contingency(table).pvalue == 1.0
