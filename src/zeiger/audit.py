@@ -96,6 +96,8 @@ def audit_zk(g: Grid, f: Filling, trials: int, alpha: float, seed: int = 0) -> d
     site for uniformity and real-vs-simulated indistinguishability."""
     if trials < MIN_TRIALS:
         raise AuditError(f"need at least {MIN_TRIALS} trials, got {trials}")
+    if not 0 < alpha < 1:
+        raise AuditError(f"alpha must lie in (0, 1), got {alpha}")
     real: dict[tuple[str, int], list[int]] = {}
     sim: dict[tuple[str, int], list[int]] = {}
     for i in range(trials):

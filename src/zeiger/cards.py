@@ -8,7 +8,8 @@ Cards carry no orientation: every card is face-down except while
 x+1: a lone club among hearts, a lone heart among clubs, or a heart-over-club
 pair among club-over-heart pairs.  ``encode`` lays such a row out and
 ``locate`` finds its marker, raising unless the row has that format.  The
-pool only counts cards taken and returned.  The verifier's view of a run is a
+pool only counts cards taken and returned.  A shuffle draws its secret from
+the ``random.Random`` it is given.  The verifier's view of a run is a
 transcript of shuffle/reveal/normalize/verdict events; hidden faces and
 shuffle secrets never appear in it.
 """
@@ -50,28 +51,6 @@ def locate(row: list[str], mark: str, rest: str) -> int:
         bad = [p for p in row if p != mark and p != rest]
         raise MalformedReveal(f"unexpected pattern(s) {bad} beside {mark!r}")
     return row.index(mark)
-
-
-class SeededRng:
-    """Deterministic shuffle randomness: one 64-bit master seed per run,
-    a fresh sub-stream per shuffle in call order."""
-
-    def __init__(self, seed: int):
-        self.seed = int(seed)
-        self._counter = 0
-
-    def _stream(self) -> random.Random:
-        r = random.Random(f"{self.seed}:{self._counter}")
-        self._counter += 1
-        return r
-
-    def shift_offset(self, c: int) -> int:
-        return self._stream().randrange(c)
-
-    def permutation(self, c: int) -> list[int]:
-        perm = list(range(c))
-        self._stream().shuffle(perm)
-        return perm
 
 
 class Transcript:
@@ -138,24 +117,20 @@ class PileMatrix:
         return [col[i] for col in self.columns]
 
 
-def pile_shift(m: PileMatrix, rng: SeededRng, transcript: Transcript | None = None) -> int:
+def pile_shift(m: PileMatrix, rng: random.Random, transcript: Transcript) -> int:
     """Cyclic shift of the columns by a uniform secret offset; returns it
     (for tests only -- it is never recorded)."""
-    r = rng.shift_offset(m.n_cols)
+    r = rng.randrange(m.n_cols)
     k = m.n_cols - r   # column j moves to column (j + r) mod n_cols
     m.columns = m.columns[k:] + m.columns[:k]
-    if transcript is not None:
-        transcript.shuffle("shift", m.n_rows, m.n_cols)
+    transcript.shuffle("shift", m.n_rows, m.n_cols)
     return r
 
 
-def pile_scramble(m: PileMatrix, rng: SeededRng, transcript: Transcript | None = None) -> list[int]:
-    """Uniform secret permutation of the columns; returns it (tests only)."""
-    perm = rng.permutation(m.n_cols)
-    m.columns = [m.columns[p] for p in perm]
-    if transcript is not None:
-        transcript.shuffle("scramble", m.n_rows, m.n_cols)
-    return perm
+def pile_scramble(m: PileMatrix, rng: random.Random, transcript: Transcript):
+    """Uniform secret permutation of the columns, never recorded."""
+    rng.shuffle(m.columns)
+    transcript.shuffle("scramble", m.n_rows, m.n_cols)
 
 
 def reveal_row(m: PileMatrix, i: int, transcript: Transcript, site: str) -> list[str]:

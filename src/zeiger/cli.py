@@ -39,8 +39,8 @@ class InputError(Exception):
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text()
-    except OSError as e:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
         raise InputError(f"cannot read {path}: {e}") from None
 
 
@@ -74,6 +74,8 @@ def _write(path: str | None, text: str, default_msg: str | None = None):
 def cmd_solve(args) -> int:
     if args.enumerate_cap < 1:
         raise InputError(f"--enumerate-cap must be at least 1, got {args.enumerate_cap}")
+    if args.budget < 1:
+        raise InputError(f"--budget must be at least 1, got {args.budget}")
     g = _load(args.grid, parse_grid, GridError)
     try:
         sols = enumerate_solutions(g, cap=args.enumerate_cap, budget=args.budget)

@@ -189,7 +189,7 @@ def parse_filling(text: str) -> Filling:
     for r, line in enumerate(lines, start=1):
         row = []
         for c, tok in enumerate(line.split(), start=1):
-            if not tok.isdigit() or int(tok) < 1:
+            if not (tok.isascii() and tok.isdigit()) or int(tok) < 1:
                 raise GridError(f"malformed value {tok!r} at ({r},{c})")
             row.append(int(tok))
         values.append(row)

@@ -74,7 +74,10 @@ def parse_nae(text: str) -> tuple[NaeInstance, dict[int, int]]:
         toks = ln.split()
         if len(toks) != 3:
             raise NaeError(f"clause {ln!r} must have 3 variables")
-        cl = tuple(int(t) for t in toks)
+        try:
+            cl = tuple(int(t) for t in toks)
+        except ValueError:
+            raise NaeError(f"clause {ln!r} must hold integer variables") from None
         if len(set(cl)) != 3:
             raise NaeError(f"repeated variable in clause {ln!r}")
         clauses.append(cl)

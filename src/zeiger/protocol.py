@@ -9,6 +9,7 @@ any position that depends on the solution.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -18,7 +19,6 @@ from .cards import (
     CardPool,
     MalformedReveal,
     PileMatrix,
-    SeededRng,
     Transcript,
     encode,
     locate,
@@ -47,7 +47,7 @@ def _fresh_zero_pair(q: int, pool: CardPool) -> list[str]:
     return encode(q, 0, ODD_STACK, EVEN_STACK)
 
 
-def copy_protocol(a: list[str], pool: CardPool, rng: SeededRng,
+def copy_protocol(a: list[str], pool: CardPool, rng: random.Random,
                   transcript: Transcript) -> tuple[list[str], list[str]]:
     """Duplicate a pair encoding without revealing its value.
 
@@ -65,7 +65,7 @@ def copy_protocol(a: list[str], pool: CardPool, rng: SeededRng,
     return m.row(1), m.row(2)
 
 
-def set_size_protocol(seqs: list[list[str]], pool: CardPool, rng: SeededRng,
+def set_size_protocol(seqs: list[list[str]], pool: CardPool, rng: random.Random,
                       transcript: Transcript) -> list[str]:
     """Count distinct encoded values: returns q two-card stacks whose odd-stack
     count equals the number of different inputs."""
@@ -83,7 +83,7 @@ def set_size_protocol(seqs: list[list[str]], pool: CardPool, rng: SeededRng,
     return out
 
 
-def summation_protocol(stacks: list[str], pool: CardPool, rng: SeededRng,
+def summation_protocol(stacks: list[str], pool: CardPool, rng: random.Random,
                        transcript: Transcript) -> list[str]:
     """Sum q bits held as two-card stacks into a single club encoding of
     length q+1."""
@@ -103,7 +103,7 @@ def summation_protocol(stacks: list[str], pool: CardPool, rng: SeededRng,
     return a_seq
 
 
-def comparing_protocol(s1: list[str], s2: list[str], pool: CardPool, rng: SeededRng,
+def comparing_protocol(s1: list[str], s2: list[str], pool: CardPool, rng: random.Random,
                        transcript: Transcript) -> bool:
     """True iff both club encodings hold the same value; reveals everything
     after a scramble, then discards all cards."""
@@ -204,7 +204,7 @@ class Reject(Exception):
         self.cell = cell
 
 
-def verify_cell(board: Board, g: Grid, c: Coord, pool: CardPool, rng: SeededRng,
+def verify_cell(board: Board, g: Grid, c: Coord, pool: CardPool, rng: random.Random,
                 transcript: Transcript):
     """Check one cell's arrow constraint; raises Reject on failure."""
     b = g.max_value + 1
@@ -232,8 +232,10 @@ def verify_cell(board: Board, g: Grid, c: Coord, pool: CardPool, rng: SeededRng,
 
 def run_protocol(g: Grid, behavior: ProverBehavior, seed: int
                  ) -> tuple[bool, Transcript, ResourceStats]:
-    """Full run over every cell in row-major order.  Deterministic per seed."""
-    rng = SeededRng(seed)
+    """Full run over every cell in row-major order.  One stream, seeded from
+    the string ``run:<seed>`` (an int seed would make -1 and 1 alike), draws
+    every shuffle secret, so a run is deterministic per seed."""
+    rng = random.Random(f"run:{seed}")
     transcript = Transcript()
     pool = CardPool()
     stats = ResourceStats()

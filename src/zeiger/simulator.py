@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import random
 
-from .cards import CardPool, SeededRng, Transcript, encode
+from .cards import CardPool, Transcript, encode
 from .grid import Grid, sightline
 from .protocol import EVEN_STACK, MARKER, ODD_STACK, verify_cell
 
@@ -21,7 +21,8 @@ def _skeleton(g: Grid) -> tuple[tuple, ...]:
     """An accepting run's events, verdict left out: ``verify_cell`` on a
     public board where the cell holds 1 and its (never empty) sightline 0.
     A reveal keeps q, its faces twice over with the marker first (so any
-    rotation is one slice), and whether a shuffle came just before it."""
+    rotation is one slice, and the shuffle stream used here is immaterial),
+    and whether a shuffle came just before it."""
     b = g.max_value + 1
     unique: dict[tuple, tuple] = {}
     steps, fresh = [], False
@@ -29,7 +30,7 @@ def _skeleton(g: Grid) -> tuple[tuple, ...]:
         board = {cc: encode(b, 0, ODD_STACK, EVEN_STACK) for cc in sightline(g, c)}
         board[c] = encode(b, 1, ODD_STACK, EVEN_STACK)
         run = Transcript()
-        verify_cell(board, g, c, CardPool(), SeededRng(0), run)
+        verify_cell(board, g, c, CardPool(), random.Random(0), run)
         for ev in run.events:
             if ev["ev"] == "reveal":
                 faces = ev["faces"]

@@ -14,7 +14,6 @@ from zeiger.cards import (
     CLUB,
     HEART,
     CardPool,
-    SeededRng,
     Transcript,
     encode,
     locate,
@@ -122,7 +121,7 @@ def test_criterion_06_lifting():
 
 
 def test_criterion_07_subprotocol_oracles():
-    pool, rng, t = CardPool(), SeededRng(7), Transcript()
+    pool, rng, t = CardPool(), random.Random(7), Transcript()
     mismatches = 0
     for q in range(2, 7):
         for x in range(q):

@@ -1,5 +1,6 @@
 import collections
 import math
+import random
 
 import pytest
 
@@ -10,7 +11,6 @@ from zeiger.cards import (
     CardPool,
     MalformedReveal,
     PileMatrix,
-    SeededRng,
     Transcript,
     encode,
     locate,
@@ -67,11 +67,11 @@ def test_decode_rejects_malformed():
 
 
 def test_pile_shift_is_cyclic_rotation():
-    rng = SeededRng(1)
+    rng = random.Random(1)
     for _ in range(30):
         labels = [chr(ord("A") + i) for i in range(6)]
         m = PileMatrix([[list(lbl) for lbl in labels]])  # abuse: stacks of strings
-        r = pile_shift(m, rng)
+        r = pile_shift(m, rng, Transcript())
         rotated = [labels[(j - r) % 6] for j in range(6)]
         assert ["".join(st) for st in m.row(0)] == rotated
 
@@ -83,22 +83,22 @@ def test_shift_example_offset_one():
 
 
 def test_shift_preserves_cyclic_adjacency():
-    rng = SeededRng(8)
+    rng = random.Random(8)
     labels = list("ABCDEFG")
     m = PileMatrix([[[x] for x in labels]])
-    pile_shift(m, rng)
+    pile_shift(m, rng, Transcript())
     out = [st[0] for st in m.row(0)]
     doubled = "".join(labels) * 2
     assert "".join(out) in doubled
 
 
 def test_shift_offsets_uniform_4sigma():
-    rng = SeededRng(1234)
+    rng = random.Random(1234)
     counts = collections.Counter()
     trials, c = 6000, 6
     for _ in range(trials):
         m = PileMatrix([[[j] for j in range(c)]])
-        pile_shift(m, rng)
+        pile_shift(m, rng, Transcript())
         counts[m.row(0).index([0])] += 1
     expected = trials / c
     sigma = math.sqrt(trials * (1 / c) * (1 - 1 / c))
@@ -107,22 +107,22 @@ def test_shift_offsets_uniform_4sigma():
 
 
 def test_scramble_swap_frequency():
-    rng = SeededRng(77)
+    rng = random.Random(77)
     swapped = 0
     trials = 10_000
     for _ in range(trials):
         m = PileMatrix([[["a"], ["b"]]])
-        pile_scramble(m, rng)
+        pile_scramble(m, rng, Transcript())
         swapped += m.row(0)[0] == ["b"]
     assert abs(swapped / trials - 0.5) <= 0.02
 
 
 def test_scramble_identity_possible_and_multiset_preserved():
-    rng = SeededRng(5)
+    rng = random.Random(5)
     seen_identity = False
     for _ in range(200):
         m = PileMatrix([[[j] for j in range(4)]])
-        pile_scramble(m, rng)
+        pile_scramble(m, rng, Transcript())
         out = [st[0] for st in m.row(0)]
         assert sorted(out) == [0, 1, 2, 3]
         seen_identity |= out == [0, 1, 2, 3]
@@ -158,7 +158,7 @@ def test_normalize_rejects_two_matches():
 
 
 def test_transcript_never_contains_shuffle_secrets():
-    rng = SeededRng(3)
+    rng = random.Random(3)
     t = Transcript()
     m = PileMatrix([encode(5, 2, *CLUB_ENC)])
     pile_shift(m, rng, t)
@@ -183,11 +183,6 @@ def test_transcript_counts_shuffles_as_recorded():
         t.shuffle(kind, 2, 4)
     t.normalize(0)
     assert (t.shifts, t.scrambles) == (2, 1)
-
-
-def test_seeded_rng_reproducible():
-    a, b = SeededRng(99), SeededRng(99)
-    assert [a.shift_offset(10) for _ in range(20)] == [b.shift_offset(10) for _ in range(20)]
 
 
 def test_card_pool_accounting():

@@ -151,6 +151,22 @@ def test_zkp_run_honest(tmp_path, capsys):
     assert data["total_shuffles"] == 304
 
 
+def test_zkp_run_transcript_is_reproducible_across_processes(tmp_path):
+    """The same seed gives the same bytes whatever the process's str hash seed."""
+    written = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / f"t{hash_seed}.jsonl"
+        env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": hash_seed}
+        run = subprocess.run(
+            [sys.executable, "-m", "zeiger.cli", "zkp", "run", "--grid", FIG1,
+             "--solution", FIG1_SOL, "--seed", "5", "--transcript", str(out)],
+            env=env, capture_output=True, text=True,
+        )
+        assert run.returncode == 0, run.stderr
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+
+
 def test_zkp_run_cheat(capsys):
     rc = main(
         ["zkp", "run", "--grid", FIG1, "--solution", FIG1_SOL, "--seed", "3",
@@ -200,6 +216,40 @@ def test_zkp_audit_rejects_few_trials():
         ["zkp", "audit", "--grid", FIG1, "--solution", FIG1_SOL, "--trials", "5"]
     )
     assert rc == 2
+
+
+@pytest.mark.parametrize("alpha", ["-1", "0", "1", "2", "nan"])
+def test_zkp_audit_rejects_alpha_outside_unit_interval(alpha, capsys, monkeypatch):
+    # the range check comes before any trial is run
+    monkeypatch.setattr("zeiger.audit.MIN_TRIALS", 1)
+    rc = main(["zkp", "audit", "--grid", FIG1, "--solution", FIG1_SOL, "--trials", "1",
+               "--alpha", alpha])
+    assert rc == 2
+    assert f"alpha must lie in (0, 1), got {float(alpha)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_solve_budget_below_one_exits_2(budget, capsys):
+    assert main(["solve", FIG1, "--budget", budget]) == 2
+    assert f"--budget must be at least 1, got {budget}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,content",
+    [
+        (["verify", FIG1, "{path}"], b"\xe9 1\n"),
+        (["reduce", "{path}"], b"nae3sat+ 3 1\n1 2 x\n"),
+        (["verify", FIG1, "{path}"], "1 \u00b2\n".encode()),
+    ],
+    ids=["not-utf-8", "nae-clause-token-not-an-integer", "solution-superscript-digit"],
+)
+def test_malformed_input_exits_2(argv, content, tmp_path, capsys):
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    assert main([arg.replace("{path}", str(path)) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+    assert err.count("\n") == 1
 
 
 def test_stats_command(tmp_path):

@@ -8,7 +8,6 @@ from zeiger.cards import (
     HEART,
     CardPool,
     MalformedReveal,
-    SeededRng,
     Transcript,
     encode,
     locate,
@@ -32,7 +31,7 @@ from zeiger.protocol import (
 
 @pytest.fixture
 def env():
-    return CardPool(), SeededRng(1729), Transcript()
+    return CardPool(), random.Random(1729), Transcript()
 
 
 # (marker stack, other stacks) of the pair encoding and of the club encoding
@@ -177,12 +176,12 @@ class TestBoard:
 
 class TestVerifyCell:
     def test_fig1_cell_1_1_accepts(self, fig1_grid, fig1_solution):
-        pool, rng, t = CardPool(), SeededRng(2), Transcript()
+        pool, rng, t = CardPool(), random.Random(2), Transcript()
         board = setup_board(fig1_grid, ProverBehavior.honest(fig1_solution), pool)
         verify_cell(board, fig1_grid, Coord(1, 1), pool, rng, t)  # no Reject
 
     def test_board_value_survives_verification(self, fig1_grid, fig1_solution):
-        pool, rng, t = CardPool(), SeededRng(2), Transcript()
+        pool, rng, t = CardPool(), random.Random(2), Transcript()
         board = setup_board(fig1_grid, ProverBehavior.honest(fig1_solution), pool)
         verify_cell(board, fig1_grid, Coord(1, 1), pool, rng, t)
         for c in fig1_grid.coords():
@@ -191,7 +190,7 @@ class TestVerifyCell:
     def test_forced_cell_accepts_iff_one(self, fig1_grid, fig1_solution):
         # (2,3) has sightline length 1
         assert len(sightline(fig1_grid, Coord(2, 3))) == 1
-        pool, rng, t = CardPool(), SeededRng(3), Transcript()
+        pool, rng, t = CardPool(), random.Random(3), Transcript()
         board = setup_board(fig1_grid, ProverBehavior.honest(fig1_solution), pool)
         verify_cell(board, fig1_grid, Coord(2, 3), pool, rng, t)
 
@@ -199,7 +198,7 @@ class TestVerifyCell:
         values = [list(r) for r in fig1_solution.values]
         values[1][2] = 2  # (2,3): 1 -> 2, unnumbered
         bad = parse_filling("\n".join(" ".join(map(str, r)) for r in values))
-        pool, rng, t = CardPool(), SeededRng(4), Transcript()
+        pool, rng, t = CardPool(), random.Random(4), Transcript()
         board = setup_board(fig1_grid, ProverBehavior.honest(bad), pool)
         # (3,4)'s sightline is row 3 to the left; unaffected by the corruption
         verify_cell(board, fig1_grid, Coord(3, 4), pool, rng, t)
@@ -223,6 +222,13 @@ class TestRunProtocol:
         _, t3, _ = run_protocol(fig1_grid, b, seed=34)
         assert t1.events == t2.events
         assert t1.events != t3.events
+
+    def test_seeds_minus_one_and_one_differ(self, fig1_grid, fig1_solution):
+        # random.Random(-1) and random.Random(1) are the same stream
+        b = ProverBehavior.honest(fig1_solution)
+        _, t1, _ = run_protocol(fig1_grid, b, seed=-1)
+        _, t2, _ = run_protocol(fig1_grid, b, seed=1)
+        assert t1.events != t2.events
 
     def test_wrong_value_rejected(self, fig1_grid, fig1_solution):
         behavior = ProverBehavior.wrong_value(fig1_solution, Coord(1, 1), 2)

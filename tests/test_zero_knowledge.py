@@ -1,0 +1,128 @@
+"""Exact zero-knowledge check: every reveal that directly follows a shuffle
+shows a marker position that is a bijection of that shuffle's secret.
+
+For shuffle k of a cell, the cell is replayed from the same board once for
+each of the q secrets r: shift offset r, or the stream's permutation rotated
+by r.  The replay stops at the next event.  If that is a reveal, its marker
+positions over the q replays must be q distinct values; if it is another
+shuffle, the secret is never shown on its own.  No chi-square test and no
+sampling are involved.
+"""
+
+import random
+
+import pytest
+
+from zeiger import protocol
+from zeiger.cards import CardPool, Transcript
+from zeiger.grid import Filling, parse_grid
+from zeiger.protocol import MARKER, ProverBehavior, count_resources, setup_board, verify_cell
+
+
+class _Stop(Exception):
+    pass
+
+
+class _ForcedRng:
+    """Shuffle secrets from a seeded stream, except shuffle ``k``'s: shift
+    offset ``r``, or the stream's permutation rotated by ``r``."""
+
+    def __init__(self, seed: str, k: int = -1, r: int = 0):
+        self.stream = random.Random(seed)
+        self.k, self.r = k, r
+        self.n = 0
+
+    def randrange(self, n):
+        x = self.stream.randrange(n)
+        self.n += 1
+        return self.r if self.n - 1 == self.k else x
+
+    def shuffle(self, x):
+        perm = list(range(len(x)))
+        self.stream.shuffle(perm)
+        if self.n == self.k:
+            perm = perm[self.r:] + perm[:self.r]
+        self.n += 1
+        x[:] = [x[p] for p in perm]
+
+
+class _StopAfterShuffle(Transcript):
+    """Stops the cell at the event after shuffle ``k``, keeping the marker
+    position if that event is a reveal."""
+
+    def __init__(self, k: int):
+        super().__init__()
+        self.k = k
+        self.position = None
+
+    def _past_k(self) -> bool:
+        return self.shifts + self.scrambles > self.k
+
+    def shuffle(self, kind, rows, cols):
+        if self._past_k():
+            raise _Stop
+        super().shuffle(kind, rows, cols)
+
+    def reveal(self, site, row, faces):
+        if self._past_k():
+            self.position = faces.index(MARKER[site])
+            raise _Stop
+        super().reveal(site, row, faces)
+
+
+def exact_check(g, f, seed):
+    """(shuffles whose next reveal is a bijection of the secret, shuffles
+    where it is not, shuffles followed by another shuffle)."""
+    board = setup_board(g, ProverBehavior.honest(f), CardPool())
+    good, bad, unrevealed = 0, 0, 0
+    for c in g.coords():
+        stream = f"zk:{seed}:{c.row},{c.col}"
+        start = dict(board)
+        t = Transcript()
+        verify_cell(board, g, c, CardPool(), _ForcedRng(stream), t)
+        widths = [ev["cols"] for ev in t.events if ev["ev"] == "shuffle"]
+        for k, q in enumerate(widths):
+            positions = set()
+            for r in range(q):
+                probe = _StopAfterShuffle(k)
+                with pytest.raises(_Stop):
+                    verify_cell(dict(start), g, c, CardPool(), _ForcedRng(stream, k, r), probe)
+                positions.add(probe.position)
+            if positions == {None}:
+                unrevealed += 1
+            elif positions == set(range(q)):
+                good += 1
+            else:
+                bad += 1
+    return good, bad, unrevealed
+
+
+GRIDS = {
+    "fig1": None,
+    "R. L./R. L.": (parse_grid("R. L.\nR. L."), Filling([[1, 1], [1, 1]])),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", list(GRIDS))
+def test_every_revealed_position_is_a_bijection_of_its_secret(name, seed, fig1_grid, fig1_solution):
+    g, f = GRIDS[name] or (fig1_grid, fig1_solution)
+    good, bad, unrevealed = exact_check(g, f, seed)
+    cells = g.rows * g.cols
+    # only each cell's last set-size scramble is followed by another shuffle
+    assert (bad, unrevealed) == (0, cells)
+    assert good + unrevealed == count_resources(g).total_shuffles
+    if name == "fig1":
+        assert good == 279
+
+
+def test_a_shift_that_ignores_its_secret_fails(fig1_grid, fig1_solution, monkeypatch):
+    def lazy_shift(m, rng, transcript):
+        rng.randrange(m.n_cols)
+        transcript.shuffle("shift", m.n_rows, m.n_cols)
+        return 0
+
+    monkeypatch.setattr(protocol, "pile_shift", lazy_shift)
+    good, bad, unrevealed = exact_check(fig1_grid, fig1_solution, 0)
+    assert bad == count_resources(fig1_grid).shifts == 202
+    assert (good, unrevealed) == (279 - 202, 25)
