@@ -2,6 +2,13 @@
 
 Exit codes: 0 = success, 1 = valid negative answer (no solution, reject,
 violations), 2 = usage or file-format error.
+
+The library checks every input it is given; a command only calls it and
+returns 0 or 1 for the answer.  ``main`` is the only place that turns an
+exception into an exit code: ``BudgetExhausted`` and ``ReductionError`` are
+negative answers (exit 1, message on stdout), and ``GridError``,
+``NaeError``, ``AuditError`` and ``InputError`` are input errors (exit 2,
+``error: ...`` on stderr).
 """
 
 from __future__ import annotations
@@ -13,7 +20,6 @@ from pathlib import Path
 
 from . import audit as audit_mod
 from . import nae as nae_mod
-from .cards import CardError
 from .grid import (
     Coord,
     GridError,
@@ -44,11 +50,11 @@ def _read(path: str) -> str:
         raise InputError(f"cannot read {path}: {e}") from None
 
 
-def _load(path: str, parse, error: type[Exception]):
-    """``parse`` the file's text; its ``error`` becomes an InputError."""
+def _load(path: str, parse):
+    """``parse`` the file's text, naming the file in any format error."""
     try:
         return parse(_read(path))
-    except error as e:
+    except (GridError, nae_mod.NaeError) as e:
         raise InputError(f"{path}: {e}") from None
 
 
@@ -76,12 +82,8 @@ def cmd_solve(args) -> int:
         raise InputError(f"--enumerate-cap must be at least 1, got {args.enumerate_cap}")
     if args.budget < 1:
         raise InputError(f"--budget must be at least 1, got {args.budget}")
-    g = _load(args.grid, parse_grid, GridError)
-    try:
-        sols = enumerate_solutions(g, cap=args.enumerate_cap, budget=args.budget)
-    except BudgetExhausted as e:
-        print(f"budget exhausted: {e}")
-        return 1
+    g = _load(args.grid, parse_grid)
+    sols = enumerate_solutions(g, cap=args.enumerate_cap, budget=args.budget)
     if args.enumerate_cap > 1:
         print(f"{len(sols)} solution(s) found (cap {args.enumerate_cap})")
     elif not sols:
@@ -92,12 +94,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    g = _load(args.grid, parse_grid, GridError)
-    f = _load(args.solution, parse_filling, GridError)
-    try:
-        violations = verify(g, f)
-    except GridError as e:
-        raise InputError(str(e)) from None
+    g = _load(args.grid, parse_grid)
+    f = _load(args.solution, parse_filling)
+    violations = verify(g, f)
     if violations:
         for v in violations:
             print(v)
@@ -107,45 +106,29 @@ def cmd_verify(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    inst = _load(args.nae, _parse_nae, nae_mod.NaeError)
+    inst = _load(args.nae, _parse_nae)
     g = reduce_instance(inst)
     _write(args.output, serialize_grid(g), f"wrote {g.rows}x{g.cols} grid to {args.output}")
     return 0
 
 
 def cmd_lift(args) -> int:
-    inst = _load(args.nae, _parse_nae, nae_mod.NaeError)
-    a = _load(args.assignment, nae_mod.parse_assignment, nae_mod.NaeError)
-    if len(a) != inst.n:
-        raise InputError(f"assignment has {len(a)} variables, instance has {inst.n}")
-    try:
-        f = lift_assignment(inst, a)
-    except ReductionError as e:
-        print(e)
-        return 1
-    _write(args.output, serialize_filling(f))
+    inst = _load(args.nae, _parse_nae)
+    a = _load(args.assignment, nae_mod.parse_assignment)
+    _write(args.output, serialize_filling(lift_assignment(inst, a)))
     return 0
 
 
 def cmd_extract(args) -> int:
-    inst = _load(args.nae, _parse_nae, nae_mod.NaeError)
-    f = _load(args.solution, parse_filling, GridError)
-    try:
-        a = extract_assignment(inst, f)
-    except ReductionError as e:
-        print(e)
-        return 1
-    except GridError as e:
-        raise InputError(str(e)) from None
-    _write(args.output, nae_mod.serialize_assignment(a))
+    inst = _load(args.nae, _parse_nae)
+    f = _load(args.solution, parse_filling)
+    _write(args.output, nae_mod.serialize_assignment(extract_assignment(inst, f)))
     return 0
 
 
 def cmd_nae_check(args) -> int:
-    inst = _load(args.nae, _parse_nae, nae_mod.NaeError)
-    a = _load(args.assignment, nae_mod.parse_assignment, nae_mod.NaeError)
-    if len(a) != inst.n:
-        raise InputError(f"assignment has {len(a)} variables, instance has {inst.n}")
+    inst = _load(args.nae, _parse_nae)
+    a = _load(args.assignment, nae_mod.parse_assignment)
     if nae_mod.nae_check(inst, a):
         print("satisfied")
         return 0
@@ -154,11 +137,7 @@ def cmd_nae_check(args) -> int:
 
 
 def cmd_gen_nae(args) -> int:
-    try:
-        inst = nae_mod.gen_nae(args.n, args.m, args.seed)
-    except nae_mod.NaeError as e:
-        raise InputError(str(e)) from None
-    _write(args.output, nae_mod.serialize_nae(inst))
+    _write(args.output, nae_mod.serialize_nae(nae_mod.gen_nae(args.n, args.m, args.seed)))
     return 0
 
 
@@ -175,6 +154,8 @@ def _parse_cheat(spec: str, g, f):
         raise InputError(f"cheat cell {cell} is a given cell, which the verifier lays out publicly")
     if kind == "wrong-value":
         wrong = f.value(cell) % g.max_value + 1
+        if wrong == f.value(cell):
+            raise InputError(f"cheat cell {cell} has no wrong value: the grid allows only 1")
         return ProverBehavior.wrong_value(f, cell, wrong)
     if kind == "malformed":
         return ProverBehavior.malformed(f, cell)
@@ -184,14 +165,13 @@ def _parse_cheat(spec: str, g, f):
 def _load_proof_inputs(args):
     """The grid and the prover's solution for ``zkp run``/``zkp audit``; the
     solution must fit the grid and keep every given."""
-    g = _load(args.grid, parse_grid, GridError)
-    f = _load(args.solution, parse_filling, GridError)
-    if (f.rows, f.cols) != (g.rows, g.cols):
-        raise InputError("solution dimensions do not match grid")
-    for c in g.coords():
-        given = g.cell(c).given
-        if given is not None and f.value(c) != given:
-            raise InputError(f"solution has {f.value(c)} at given cell {c}, which holds {given}")
+    g = _load(args.grid, parse_grid)
+    f = _load(args.solution, parse_filling)
+    for v in verify(g, f):
+        if v.kind == "given":
+            raise InputError(
+                f"solution has {v.actual} at given cell {v.coord}, which holds {v.expected}"
+            )
     return g, f
 
 
@@ -218,10 +198,7 @@ def cmd_zkp_run(args) -> int:
 
 def cmd_zkp_audit(args) -> int:
     g, f = _load_proof_inputs(args)
-    try:
-        report = audit_mod.audit_zk(g, f, trials=args.trials, alpha=args.alpha, seed=args.seed)
-    except audit_mod.AuditError as e:
-        raise InputError(str(e)) from None
+    report = audit_mod.audit_zk(g, f, trials=args.trials, alpha=args.alpha, seed=args.seed)
     if args.report:
         _write(args.report, json.dumps(report, indent=2) + "\n")
     for site in report["sites"]:
@@ -235,7 +212,7 @@ def cmd_zkp_audit(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    g = _load(args.grid, parse_grid, GridError)
+    g = _load(args.grid, parse_grid)
     _write(args.output, json.dumps(count_resources(g).to_dict(), indent=2) + "\n")
     return 0
 
@@ -323,7 +300,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as e:
+    except BudgetExhausted as e:
+        print(f"budget exhausted: {e}")
+        return 1
+    except ReductionError as e:
+        print(e)
+        return 1
+    except (GridError, nae_mod.NaeError, audit_mod.AuditError, InputError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

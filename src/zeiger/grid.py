@@ -28,13 +28,6 @@ class Direction(IntEnum):
     def letter(self) -> str:
         return "UDLR"[self.value]
 
-    @classmethod
-    def from_letter(cls, ch: str) -> "Direction":
-        try:
-            return cls("UDLR".index(ch))
-        except ValueError:
-            raise GridError(f"unknown direction letter {ch!r}") from None
-
 
 # (drow, dcol) step for each direction, rows growing downward.
 _STEP = {
@@ -160,12 +153,10 @@ def parse_grid(text: str) -> Grid:
             m = _TOKEN_RE.match(tok)
             if m is None:
                 raise GridError(f"malformed token {tok!r} at ({r},{c})")
-            direction = Direction.from_letter(m.group(1))
+            direction = Direction("UDLR".index(m.group(1)))
             given = None if m.group(2) == "." else int(m.group(2))
             row.append(Cell(direction, given))
         cells.append(row)
-    if any(len(row) != len(cells[0]) for row in cells):
-        raise GridError("ragged rows")
     return Grid(cells)
 
 

@@ -26,7 +26,9 @@ class NaeInstance:
 
     def __post_init__(self):
         for cl in self.clauses:
-            if len(cl) != 3 or len(set(cl)) != 3:
+            if len(cl) != 3:
+                raise NaeError(f"clause {cl} has {len(cl)} variables, expected 3")
+            if len(set(cl)) != 3:
                 raise NaeError(f"repeated variable in clause {cl}")
             for v in cl:
                 if not 1 <= v <= self.n:

@@ -252,6 +252,55 @@ def test_malformed_input_exits_2(argv, content, tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_short_assignment_exits_2(tmp_path, capsys):
+    """fig2.nae has 5 variables; the library's length check refuses 3."""
+    assignment = tmp_path / "a.txt"
+    assignment.write_text("T\nF\nT\n")
+    for command in ("lift", "nae-check"):
+        assert main([command, FIG2, str(assignment)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["zkp", "run"], ["zkp", "run", "--cheat", "malformed:1,1"], ["zkp", "audit"]],
+    ids=["run", "run-malformed", "audit"],
+)
+def test_zkp_wrong_size_solution_exits_2(argv, tmp_path, capsys):
+    small = tmp_path / "small.solution"
+    small.write_text("1 1\n1 1\n")
+    assert main([*argv, "--grid", FIG1, "--solution", str(small)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_negative_answers_exit_1_on_stdout(tmp_path, capsys):
+    assert main(["solve", FIG1, "--budget", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "budget exhausted: exceeded 1 nodes\n" and err == ""
+    # an all-2s filling of the right size does not solve fig2's 7x10 reduced grid
+    wrong = tmp_path / "wrong.solution"
+    wrong.write_text("2 2 2 2 2 2 2 2 2 2\n" * 7)
+    assert main(["extract", FIG2, str(wrong)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "filling does not solve the reduced grid\n" and err == ""
+
+
+def test_wrong_value_cheat_needs_a_wrong_value(tmp_path, capsys):
+    # every cell of a 2x2 grid holds 1, so no value differs from the honest one
+    grid = tmp_path / "rl.puzzle"
+    grid.write_text("R. L.\nR. L.\n")
+    ones = tmp_path / "ones.solution"
+    ones.write_text("1 1\n1 1\n")
+    rc = main(["zkp", "run", "--grid", str(grid), "--solution", str(ones),
+               "--cheat", "wrong-value:1,1"])
+    assert rc == 2
+    assert "cheat cell (1,1) has no wrong value" in capsys.readouterr().err
+    assert main(["zkp", "run", "--grid", str(grid), "--solution", str(ones),
+                 "--cheat", "malformed:1,1"]) == 1
+
+
 def test_stats_command(tmp_path):
     out = tmp_path / "stats.json"
     assert main(["stats", FIG1, "-o", str(out)]) == 0

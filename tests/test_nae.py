@@ -35,6 +35,12 @@ def test_repeated_variable_rejected():
         parse_nae("nae3sat+ 3 1\n1 1 2")
 
 
+@pytest.mark.parametrize("clause", [(1, 2), (1, 2, 3, 4)])
+def test_clause_of_wrong_arity_names_its_arity(clause):
+    with pytest.raises(NaeError, match=rf"has {len(clause)} variables, expected 3"):
+        NaeInstance(4, (clause,))
+
+
 def test_index_out_of_range():
     with pytest.raises(NaeError, match="out of range"):
         parse_nae("nae3sat+ 3 1\n1 2 9")

@@ -1,13 +1,30 @@
 """Property tests: the card format over every size and face pair, and the
-protocol's completeness and soundness over drawn seeds."""
+protocol's completeness and soundness over drawn seeds, fillings and grids."""
+
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zeiger.cards import CLUB, HEART, MalformedReveal, encode, locate
-from zeiger.grid import Filling, verify
+from zeiger.grid import (
+    Cell,
+    Direction,
+    Filling,
+    Grid,
+    distinct_count,
+    parse_filling,
+    parse_grid,
+    sightline,
+    verify,
+)
+from zeiger.nae import gen_nae, nae_brute_force
 from zeiger.protocol import EVEN_STACK, ODD_STACK, ProverBehavior, run_protocol
+from zeiger.reduction import lift_assignment, reduce_instance
+from zeiger.solver import BudgetExhausted, solve
+
+from .conftest import FIXTURES
 
 # (marker stack, other stacks) of the club, heart and pair encodings
 ENCODINGS = [(CLUB, HEART), (HEART, CLUB), (ODD_STACK, EVEN_STACK)]
@@ -89,3 +106,88 @@ def test_every_wrong_value_on_unnumbered_fig1_cell_rejects(fig1_grid, fig1_solut
             accept, t, _ = run_protocol(fig1_grid, ProverBehavior.honest(bad), seed)
             assert not accept, (cell, wrong)
             assert t.events[-1]["accept"] is False
+
+
+def first_failing_cell(g: Grid, f: Filling):
+    """The soundness oracle: the first cell, in row-major order, where a value
+    in the cell or its sightline exceeds max_value (it has no pair encoding,
+    so a copy finds no marker), or the cell's value differs from its
+    sightline's distinct count; None if no cell qualifies."""
+    for c in g.coords():
+        seen = [f.value(s) for s in sightline(g, c)]
+        if max(f.value(c), *seen) > g.max_value or f.value(c) != distinct_count(seen):
+            return c
+    return None
+
+
+@cache
+def solved_grid(name: str) -> tuple[Grid, Filling]:
+    if name == "fig1":
+        return (parse_grid((FIXTURES / "fig1.puzzle").read_text()),
+                parse_filling((FIXTURES / "fig1.solution").read_text()))
+    if name == "R. L./R. L.":
+        return parse_grid("R. L.\nR. L."), Filling([[1, 1], [1, 1]])
+    n, m = {"gen_nae(3, 4, 0)": (3, 4), "gen_nae(4, 6, 0)": (4, 6)}[name]
+    inst = gen_nae(n, m, 0)
+    return reduce_instance(inst), lift_assignment(inst, nae_brute_force(inst))
+
+
+@st.composite
+def random_grids(draw):
+    """2..5 x 2..5 grids of random arrows, none pointing off the board, and
+    random givens on about a quarter of the cells (more make most grids
+    unsolvable)."""
+    rows, cols = draw(st.integers(2, 5)), draw(st.integers(2, 5))
+    top = max(rows, cols) - 1
+    cells = []
+    for r in range(rows):
+        row = []
+        for c in range(cols):
+            # the Direction order: UP, DOWN, LEFT, RIGHT
+            on_board = (r > 0, r < rows - 1, c > 0, c < cols - 1)
+            arrow = draw(st.sampled_from([d for d, ok in zip(Direction, on_board) if ok]))
+            given = draw(st.integers(1, top)) if draw(st.integers(0, 3)) == 0 else None
+            row.append(Cell(arrow, given))
+        cells.append(row)
+    return Grid(cells)
+
+
+def draw_filling(data, g: Grid, base) -> Filling:
+    """A filling that keeps the givens, with values in 1..max_value+1: either
+    ``base`` with up to three unnumbered cells redrawn, or drawn afresh."""
+    free = [c for c in g.coords() if g.cell(c).given is None]
+    if base is not None and data.draw(st.booleans()):
+        values = [list(row) for row in base.values]
+        redrawn = data.draw(st.lists(st.sampled_from(free), max_size=3, unique=True)) if free else []
+    else:
+        values = [[cell.given or 0 for cell in row] for row in g.cells]
+        redrawn = free
+    for c in redrawn:
+        values[c.row - 1][c.col - 1] = data.draw(st.integers(1, g.max_value + 1))
+    return Filling(values)
+
+
+def assert_rejects_exactly_at_first_failing_cell(g, f, seed):
+    accept, t, _ = run_protocol(g, ProverBehavior.honest(f), seed)
+    bad = first_failing_cell(g, f)
+    assert accept == (bad is None)
+    if bad is not None:
+        assert t.events[-1]["cell"] == [bad.row, bad.col]
+
+
+@pytest.mark.parametrize("name", ["fig1", "R. L./R. L.", "gen_nae(3, 4, 0)", "gen_nae(4, 6, 0)"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), seed=seeds)
+def test_run_rejects_exactly_at_the_first_failing_cell(name, data, seed):
+    g, solution = solved_grid(name)
+    assert_rejects_exactly_at_first_failing_cell(g, draw_filling(data, g, solution), seed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=random_grids(), data=st.data(), seed=seeds)
+def test_run_rejects_exactly_at_the_first_failing_cell_on_random_grids(g, data, seed):
+    try:
+        solution = solve(g, budget=2_000)
+    except BudgetExhausted:
+        solution = None
+    assert_rejects_exactly_at_first_failing_cell(g, draw_filling(data, g, solution), seed)

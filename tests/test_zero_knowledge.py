@@ -12,11 +12,17 @@ sampling are involved.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zeiger import protocol
 from zeiger.cards import CardPool, Transcript
-from zeiger.grid import Filling, parse_grid
+from zeiger.grid import Filling, parse_filling, parse_grid
+from zeiger.nae import gen_nae, nae_brute_force
 from zeiger.protocol import MARKER, ProverBehavior, count_resources, setup_board, verify_cell
+from zeiger.reduction import lift_assignment, reduce_instance
+
+from .conftest import FIXTURES
 
 
 class _Stop(Exception):
@@ -97,23 +103,41 @@ def exact_check(g, f, seed):
     return good, bad, unrevealed
 
 
+def _reduced(n, m):
+    inst = gen_nae(n, m, 0)
+    return reduce_instance(inst), lift_assignment(inst, nae_brute_force(inst))
+
+
 GRIDS = {
-    "fig1": None,
-    "R. L./R. L.": (parse_grid("R. L.\nR. L."), Filling([[1, 1], [1, 1]])),
+    "fig1": lambda: (parse_grid((FIXTURES / "fig1.puzzle").read_text()),
+                     parse_filling((FIXTURES / "fig1.solution").read_text())),
+    "R. L./R. L.": lambda: (parse_grid("R. L.\nR. L."), Filling([[1, 1], [1, 1]])),
+    "gen_nae(4, 6, 0)": lambda: _reduced(4, 6),
 }
+# (grid, seed): the 9x9 reduced grid takes ~2.6 s per seed, so it runs one
+CASES = [(name, seed) for name in ("fig1", "R. L./R. L.") for seed in (0, 1, 2)]
+CASES.append(("gen_nae(4, 6, 0)", 0))
+GOOD = {"fig1": 279, "gen_nae(4, 6, 0)": 1527}
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("name", list(GRIDS))
-def test_every_revealed_position_is_a_bijection_of_its_secret(name, seed, fig1_grid, fig1_solution):
-    g, f = GRIDS[name] or (fig1_grid, fig1_solution)
+def assert_exact(g, f, seed, good_expected=None):
     good, bad, unrevealed = exact_check(g, f, seed)
-    cells = g.rows * g.cols
     # only each cell's last set-size scramble is followed by another shuffle
-    assert (bad, unrevealed) == (0, cells)
+    assert (bad, unrevealed) == (0, g.rows * g.cols)
     assert good + unrevealed == count_resources(g).total_shuffles
-    if name == "fig1":
-        assert good == 279
+    if good_expected is not None:
+        assert good == good_expected
+
+
+@pytest.mark.parametrize("name,seed", CASES)
+def test_every_revealed_position_is_a_bijection_of_its_secret(name, seed):
+    assert_exact(*GRIDS[name](), seed, GOOD.get(name))
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.integers())
+def test_exact_check_holds_for_any_stream_seed(fig1_grid, fig1_solution, seed):
+    assert_exact(fig1_grid, fig1_solution, seed, GOOD["fig1"])
 
 
 def test_a_shift_that_ignores_its_secret_fails(fig1_grid, fig1_solution, monkeypatch):
