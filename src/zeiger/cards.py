@@ -7,11 +7,10 @@ Cards carry no orientation: every card is face-down except while
 [0, q) is a row of q stacks, all alike except one marker stack at position
 x+1: a lone club among hearts, a lone heart among clubs, or a heart-over-club
 pair among club-over-heart pairs.  ``encode`` lays such a row out and
-``locate`` finds its marker, raising unless the row has that format.  The
-pool only counts cards taken and returned.  A shuffle draws its secret from
-the ``random.Random`` it is given.  The verifier's view of a run is a
-transcript of shuffle/reveal/normalize/verdict events; hidden faces and
-shuffle secrets never appear in it.
+``locate`` finds its marker, raising unless the row has that format.  A
+shuffle draws its secret from the ``random.Random`` it is given.  The
+verifier's view of a run is a transcript of shuffle/reveal/normalize/verdict
+events; hidden faces and shuffle secrets never appear in it.
 """
 
 from __future__ import annotations
@@ -59,19 +58,18 @@ class Transcript:
 
     def __init__(self):
         self.events: list[dict] = []
-        # running counts of the shuffles recorded through shuffle(), so a
-        # run reads its totals without rescanning the events
+        # running counts of the shuffles recorded, so a run reads its totals
+        # without rescanning the events
         self.shifts = 0
         self.scrambles = 0
 
     def record(self, ev: dict):
+        if ev["ev"] == "shuffle":
+            self.shifts += ev["kind"] == "shift"
+            self.scrambles += ev["kind"] != "shift"
         self.events.append(ev)
 
     def shuffle(self, kind: str, rows: int, cols: int):
-        if kind == "shift":
-            self.shifts += 1
-        else:
-            self.scrambles += 1
         self.record({"ev": "shuffle", "kind": kind, "rows": rows, "cols": cols})
 
     def reveal(self, site: str, row: int, faces: list[str]):
@@ -83,10 +81,10 @@ class Transcript:
         self.record({"ev": "normalize", "shift": shift})
 
     def verdict(self, accept: bool, reason: str = "", cell=None):
+        """A reject names its reason and the cell being verified."""
         ev = {"ev": "verdict", "accept": accept}
-        if reason:
+        if not accept:
             ev["reason"] = reason
-        if cell is not None:
             ev["cell"] = [cell.row, cell.col]
         self.record(ev)
 
@@ -150,27 +148,3 @@ def rotate_to_normalize(m: PileMatrix, patterns: list[str], mark: str,
     transcript.normalize(shift)
     return shift
 
-
-class CardPool:
-    """Supply of cards with exact in-play accounting.  It hands out no card
-    objects: callers lay out the faces they took."""
-
-    def __init__(self):
-        self.clubs_drawn = 0
-        self.hearts_drawn = 0
-        self.in_play = 0
-        self.peak_in_play = 0
-
-    def take(self, clubs: int, hearts: int):
-        """Put ``clubs`` clubs and ``hearts`` hearts into play.  Cards only
-        come into play here, so the peak is checked once per take."""
-        self.clubs_drawn += clubs
-        self.hearts_drawn += hearts
-        self.in_play += clubs + hearts
-        if self.in_play > self.peak_in_play:
-            self.peak_in_play = self.in_play
-
-    def discard(self, stacks):
-        """Return cards to the pool: each item is a stack, one character
-        per card."""
-        self.in_play -= sum(map(len, stacks))

@@ -22,6 +22,7 @@ from . import audit as audit_mod
 from . import nae as nae_mod
 from .grid import (
     Coord,
+    Filling,
     GridError,
     parse_filling,
     parse_grid,
@@ -156,7 +157,9 @@ def _parse_cheat(spec: str, g, f):
         wrong = f.value(cell) % g.max_value + 1
         if wrong == f.value(cell):
             raise InputError(f"cheat cell {cell} has no wrong value: the grid allows only 1")
-        return ProverBehavior.wrong_value(f, cell, wrong)
+        values = [list(row) for row in f.values]
+        values[r - 1][c - 1] = wrong
+        return ProverBehavior.honest(Filling(values))
     if kind == "malformed":
         return ProverBehavior.malformed(f, cell)
     raise InputError(f"unknown cheat kind {kind!r}")
@@ -190,9 +193,8 @@ def cmd_zkp_run(args) -> int:
         print("accept")
         return 0
     last = transcript.events[-1]
-    cell = last.get("cell")
-    where = f" at cell ({cell[0]},{cell[1]})" if cell else ""
-    print(f"reject{where}: {last.get('reason', '')}")
+    r, c = last["cell"]
+    print(f"reject at cell ({r},{c}): {last['reason']}")
     return 1
 
 

@@ -16,7 +16,6 @@ from typing import Optional
 from .cards import (
     CLUB,
     HEART,
-    CardPool,
     MalformedReveal,
     PileMatrix,
     Transcript,
@@ -41,13 +40,13 @@ def turn_down_all(m: PileMatrix):
     (``perfbench/run.py``) and its tests still look it up here."""
 
 
-def _fresh_zero_pair(q: int, pool: CardPool) -> list[str]:
+def _fresh_zero_pair(q: int, pool: ResourceStats) -> list[str]:
     """Publicly built pair encoding of 0: odd stack at position 1."""
     pool.take(q, q)
     return encode(q, 0, ODD_STACK, EVEN_STACK)
 
 
-def copy_protocol(a: list[str], pool: CardPool, rng: random.Random,
+def copy_protocol(a: list[str], pool: ResourceStats, rng: random.Random,
                   transcript: Transcript) -> tuple[list[str], list[str]]:
     """Duplicate a pair encoding without revealing its value.
 
@@ -65,7 +64,7 @@ def copy_protocol(a: list[str], pool: CardPool, rng: random.Random,
     return m.row(1), m.row(2)
 
 
-def set_size_protocol(seqs: list[list[str]], pool: CardPool, rng: random.Random,
+def set_size_protocol(seqs: list[list[str]], pool: ResourceStats, rng: random.Random,
                       transcript: Transcript) -> list[str]:
     """Count distinct encoded values: returns q two-card stacks whose odd-stack
     count equals the number of different inputs."""
@@ -83,7 +82,7 @@ def set_size_protocol(seqs: list[list[str]], pool: CardPool, rng: random.Random,
     return out
 
 
-def summation_protocol(stacks: list[str], pool: CardPool, rng: random.Random,
+def summation_protocol(stacks: list[str], pool: ResourceStats, rng: random.Random,
                        transcript: Transcript) -> list[str]:
     """Sum q bits held as two-card stacks into a single club encoding of
     length q+1."""
@@ -103,7 +102,7 @@ def summation_protocol(stacks: list[str], pool: CardPool, rng: random.Random,
     return a_seq
 
 
-def comparing_protocol(s1: list[str], s2: list[str], pool: CardPool, rng: random.Random,
+def comparing_protocol(s1: list[str], s2: list[str], pool: ResourceStats, rng: random.Random,
                        transcript: Transcript) -> bool:
     """True iff both club encodings hold the same value; reveals everything
     after a scramble, then discards all cards."""
@@ -118,35 +117,30 @@ def comparing_protocol(s1: list[str], s2: list[str], pool: CardPool, rng: random
 
 @dataclass(frozen=True)
 class ProverBehavior:
-    """Honest prover, or one of the test harness's cheating variants."""
+    """The prover's filling, with at most one cell's sequence broken.  A wrong
+    value is an honest run of a filling that holds it."""
 
     filling: Filling
-    kind: str = "honest"  # honest | wrong-value | malformed
-    cell: Optional[Coord] = None
-    value: Optional[int] = None
+    malformed_cell: Optional[Coord] = None
 
     @classmethod
     def honest(cls, f: Filling) -> "ProverBehavior":
         return cls(filling=f)
 
     @classmethod
-    def wrong_value(cls, f: Filling, cell: Coord, value: int) -> "ProverBehavior":
-        return cls(filling=f, kind="wrong-value", cell=cell, value=value)
-
-    @classmethod
     def malformed(cls, f: Filling, cell: Coord) -> "ProverBehavior":
-        return cls(filling=f, kind="malformed", cell=cell)
+        return cls(filling=f, malformed_cell=cell)
 
 
 Board = dict[Coord, list[str]]
 
 
-def setup_board(g: Grid, behavior: ProverBehavior, pool: CardPool) -> Board:
+def setup_board(g: Grid, behavior: ProverBehavior, pool: ResourceStats) -> Board:
     """Place a pair encoding of the (claimed) value on every cell.
 
     Given cells are laid out publicly from the grid, so no cheat reaches
-    them; on an unnumbered cell the cheating variants inject a wrong value
-    or a structurally broken sequence.
+    them: the filling must agree with every given, and a malformed cell
+    only breaks an unnumbered cell's sequence.
     """
     f = behavior.filling
     if (f.rows, f.cols) != (g.rows, g.cols):
@@ -156,16 +150,11 @@ def setup_board(g: Grid, behavior: ProverBehavior, pool: CardPool) -> Board:
     for c in g.coords():
         v = f.value(c)
         given = g.cell(c).given
-        cheat = behavior.kind if c == behavior.cell and given is None else "honest"
-        if given is not None:
-            if behavior.kind == "honest" and v != given:
-                raise ValueError(f"honest filling disagrees with given at {c}")
-            v = given
-        elif cheat == "wrong-value":
-            v = behavior.value
+        if given is not None and v != given:
+            raise ValueError(f"filling disagrees with given at {c}")
         pool.take(b, b)
         ps = [ODD_STACK if i == v else EVEN_STACK for i in range(b)]
-        if cheat == "malformed":
+        if c == behavior.malformed_cell and given is None:
             # a second marker stack: caught by the copy protocol's format check
             ps[(v + 1) % b] = ODD_STACK
         board[c] = ps
@@ -174,12 +163,30 @@ def setup_board(g: Grid, behavior: ProverBehavior, pool: CardPool) -> Board:
 
 @dataclass
 class ResourceStats:
+    """A run's ledger of shuffles and cards.  The subprotocols take it as
+    ``pool``; it hands out no cards, callers lay out the faces they took."""
+
     shifts: int = 0
     scrambles: int = 0
     peak_cards: int = 0
     clubs_drawn: int = 0
     hearts_drawn: int = 0
     per_cell: list = field(default_factory=list)
+    in_play: int = 0   # cards out of the pool now; to_dict leaves it out
+
+    def take(self, clubs: int, hearts: int):
+        """Put ``clubs`` clubs and ``hearts`` hearts into play.  Cards only
+        come into play here, so the peak is checked once per take."""
+        self.clubs_drawn += clubs
+        self.hearts_drawn += hearts
+        self.in_play += clubs + hearts
+        if self.in_play > self.peak_cards:
+            self.peak_cards = self.in_play
+
+    def discard(self, stacks):
+        """Return cards to the pool: each item is a stack, one character
+        per card."""
+        self.in_play -= sum(map(len, stacks))
 
     @property
     def total_shuffles(self) -> int:
@@ -197,37 +204,24 @@ class ResourceStats:
         }
 
 
-class Reject(Exception):
-    def __init__(self, reason: str, cell: Coord):
-        super().__init__(f"reject at {cell}: {reason}")
-        self.reason = reason
-        self.cell = cell
-
-
-def verify_cell(board: Board, g: Grid, c: Coord, pool: CardPool, rng: random.Random,
-                transcript: Transcript):
-    """Check one cell's arrow constraint; raises Reject on failure."""
-    b = g.max_value + 1
-    line = sightline(g, c)
-    try:
-        copies = []
-        for cc in [c] + line:
-            kept, out = copy_protocol(board[cc], pool, rng, transcript)
-            board[cc] = kept
-            copies.append(out)
-        cell_copy, sight_copies = copies[0], copies[1:]
-        y_stacks = set_size_protocol(sight_copies, pool, rng, transcript)
-        z_seq = summation_protocol(y_stacks, pool, rng, transcript)
-        # the bottom cards of the retained copy form the club encoding of d
-        d_seq = [stack[1] for stack in cell_copy]
-        pool.discard([stack[0] for stack in cell_copy])
-        pool.take(0, 1)
-        d_seq.append(HEART)
-        equal = comparing_protocol(d_seq, z_seq, pool, rng, transcript)
-    except MalformedReveal as e:
-        raise Reject(str(e), c) from None
-    if not equal:
-        raise Reject("cell value differs from its sightline's distinct count", c)
+def verify_cell(board: Board, g: Grid, c: Coord, pool: ResourceStats, rng: random.Random,
+                transcript: Transcript) -> bool:
+    """True iff cell c's value equals its sightline's distinct count; a
+    malformed sequence raises MalformedReveal when its row is turned over."""
+    copies = []
+    for cc in [c] + sightline(g, c):
+        kept, out = copy_protocol(board[cc], pool, rng, transcript)
+        board[cc] = kept
+        copies.append(out)
+    cell_copy, sight_copies = copies[0], copies[1:]
+    y_stacks = set_size_protocol(sight_copies, pool, rng, transcript)
+    z_seq = summation_protocol(y_stacks, pool, rng, transcript)
+    # the bottom cards of the retained copy form the club encoding of d
+    d_seq = [stack[1] for stack in cell_copy]
+    pool.discard([stack[0] for stack in cell_copy])
+    pool.take(0, 1)
+    d_seq.append(HEART)
+    return comparing_protocol(d_seq, z_seq, pool, rng, transcript)
 
 
 def run_protocol(g: Grid, behavior: ProverBehavior, seed: int
@@ -237,30 +231,26 @@ def run_protocol(g: Grid, behavior: ProverBehavior, seed: int
     every shuffle secret, so a run is deterministic per seed."""
     rng = random.Random(f"run:{seed}")
     transcript = Transcript()
-    pool = CardPool()
     stats = ResourceStats()
-    board = setup_board(g, behavior, pool)
-    accept = True
+    board = setup_board(g, behavior, stats)
     for c in g.coords():
         before = transcript.shifts + transcript.scrambles
         try:
-            verify_cell(board, g, c, pool, rng, transcript)
-        except Reject as e:
-            transcript.verdict(False, reason=e.reason, cell=e.cell)
-            accept = False
+            if not verify_cell(board, g, c, stats, rng, transcript):
+                transcript.verdict(False, "cell value differs from its sightline's distinct count", c)
+                break
+        except MalformedReveal as e:
+            transcript.verdict(False, str(e), c)
             break
         stats.per_cell.append(
             {"cell": [c.row, c.col],
              "shuffles": transcript.shifts + transcript.scrambles - before}
         )
-    if accept:
+    else:
         transcript.verdict(True)
     stats.shifts = transcript.shifts
     stats.scrambles = transcript.scrambles
-    stats.peak_cards = pool.peak_in_play
-    stats.clubs_drawn = pool.clubs_drawn
-    stats.hearts_drawn = pool.hearts_drawn
-    return accept, transcript, stats
+    return transcript.events[-1]["accept"], transcript, stats
 
 
 def count_resources(g: Grid) -> ResourceStats:

@@ -11,15 +11,16 @@ from __future__ import annotations
 import functools
 import random
 
-from .cards import CardPool, Transcript, encode
+from .cards import Transcript, encode
 from .grid import Grid, sightline
-from .protocol import EVEN_STACK, MARKER, ODD_STACK, verify_cell
+from .protocol import EVEN_STACK, MARKER, ODD_STACK, ResourceStats, verify_cell
 
 
 @functools.lru_cache
 def _skeleton(g: Grid) -> tuple[tuple, ...]:
     """An accepting run's events, verdict left out: ``verify_cell`` on a
-    public board where the cell holds 1 and its (never empty) sightline 0.
+    public board where the cell holds 1 and its sightline 0.  It accepts
+    because ``Grid`` rules out empty sightlines, so its verdict is unread.
     A reveal keeps q, its faces twice over with the marker first (so any
     rotation is one slice, and the shuffle stream used here is immaterial),
     and whether a shuffle came just before it."""
@@ -30,7 +31,7 @@ def _skeleton(g: Grid) -> tuple[tuple, ...]:
         board = {cc: encode(b, 0, ODD_STACK, EVEN_STACK) for cc in sightline(g, c)}
         board[c] = encode(b, 1, ODD_STACK, EVEN_STACK)
         run = Transcript()
-        verify_cell(board, g, c, CardPool(), random.Random(0), run)
+        verify_cell(board, g, c, ResourceStats(), random.Random(0), run)
         for ev in run.events:
             if ev["ev"] == "reveal":
                 faces = ev["faces"]

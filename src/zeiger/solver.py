@@ -9,7 +9,7 @@ same interval test prunes every cell watching an assigned cell.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterator, Optional
 
 from .grid import Coord, Filling, Grid, sightline, verify
 
@@ -73,16 +73,9 @@ class _Search:
         hi = min(len(self.sight[i]), d + u)
         return list(range(lo, hi + 1))
 
-    def run(self, cap: int) -> list[Filling]:
-        # Givens alone can already be contradictory.
-        if any(not self._consistent(i) for i in range(self.n)):
-            return []
-        found: list[Filling] = []
-        self._backtrack(found, cap)
-        return found
-
-    def _backtrack(self, found: list[Filling], cap: int) -> bool:
-        """Returns True when enough solutions were collected."""
+    def _branch(self) -> tuple[int, list[int]]:
+        """The unassigned cell with the fewest feasible values (row-major on
+        ties) and those values; cell -1 once every cell is assigned."""
         best_i = -1
         best_domain: list[int] = []
         for i in range(self.n):
@@ -92,23 +85,42 @@ class _Search:
             if best_i < 0 or len(dom) < len(best_domain):
                 best_i, best_domain = i, dom
                 if not dom:
-                    return False
-        if best_i < 0:
-            found.append(self._to_filling())
-            return len(found) >= cap
-        for v in best_domain:
-            self.nodes += 1
-            if self.nodes > self.budget:
-                raise BudgetExhausted(f"exceeded {self.budget} nodes")
-            self.values[best_i] = v
-            if self._consistent(best_i) and all(
-                self._consistent(w) for w in self.watchers[best_i]
-            ):
-                if self._backtrack(found, cap):
-                    self.values[best_i] = 0
-                    return True
-            self.values[best_i] = 0
-        return False
+                    break
+        return best_i, best_domain
+
+    def run(self, cap: int) -> list[Filling]:
+        # Givens alone can already be contradictory.
+        if any(not self._consistent(i) for i in range(self.n)):
+            return []
+        found: list[Filling] = []
+        # One (cell, untried values) frame per branching cell, deepest last:
+        # a loop, not recursion, so no grid outgrows Python's call stack.
+        stack: list[tuple[int, Iterator[int]]] = []
+        descend = True
+        while True:
+            if descend:
+                i, dom = self._branch()
+                if i < 0:
+                    found.append(self._to_filling())
+                    if len(found) >= cap:
+                        return found
+                else:
+                    stack.append((i, iter(dom)))
+            if not stack:
+                return found
+            i, untried = stack[-1]
+            v = next(untried, 0)   # 0 once exhausted, which unassigns the cell
+            self.values[i] = v
+            if v:
+                self.nodes += 1
+                if self.nodes > self.budget:
+                    raise BudgetExhausted(f"exceeded {self.budget} nodes")
+                # the value lies in the cell's own interval; only its
+                # watchers can be broken by it
+                descend = all(self._consistent(w) for w in self.watchers[i])
+            else:
+                stack.pop()
+                descend = False
 
     def _to_filling(self) -> Filling:
         l = self.g.cols

@@ -2,10 +2,18 @@ from pathlib import Path
 
 import pytest
 
-from zeiger.grid import parse_filling, parse_grid
+from zeiger.grid import Coord, Filling, parse_filling, parse_grid
 from zeiger.nae import parse_nae
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def with_value(f: Filling, cell: Coord, v: int) -> Filling:
+    """``f`` with ``cell`` set to ``v``: the filling a prover who claims a
+    wrong value there lays out."""
+    values = [list(row) for row in f.values]
+    values[cell.row - 1][cell.col - 1] = v
+    return Filling(values)
 
 
 @pytest.fixture(scope="session")

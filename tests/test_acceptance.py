@@ -13,7 +13,6 @@ from zeiger.audit import audit_zk
 from zeiger.cards import (
     CLUB,
     HEART,
-    CardPool,
     Transcript,
     encode,
     locate,
@@ -24,6 +23,7 @@ from zeiger.protocol import (
     EVEN_STACK,
     ODD_STACK,
     ProverBehavior,
+    ResourceStats,
     comparing_protocol,
     copy_protocol,
     count_resources,
@@ -34,6 +34,7 @@ from zeiger.protocol import (
 from zeiger.reduction import column_fillings, extract_assignment, lift_assignment, reduce_instance
 from zeiger.solver import enumerate_solutions, solve
 
+from .conftest import with_value
 from .test_reduction import check_placement_rules
 
 
@@ -121,7 +122,7 @@ def test_criterion_06_lifting():
 
 
 def test_criterion_07_subprotocol_oracles():
-    pool, rng, t = CardPool(), random.Random(7), Transcript()
+    pool, rng, t = ResourceStats(), random.Random(7), Transcript()
     mismatches = 0
     for q in range(2, 7):
         for x in range(q):
@@ -172,7 +173,7 @@ def test_criterion_09_soundness(fig1_grid, fig1_solution):
     picks = corruptions + [rng.choice(corruptions) for _ in range(100 - len(corruptions))]
     rejects = 0
     for i, (cell, v) in enumerate(picks):
-        behavior = ProverBehavior.wrong_value(fig1_solution, cell, v)
+        behavior = ProverBehavior.honest(with_value(fig1_solution, cell, v))
         rejects += not run_protocol(fig1_grid, behavior, seed=900 + i)[0]
     cells = list(fig1_grid.coords())
     for i in range(10):

@@ -8,7 +8,6 @@ from zeiger.cards import (
     CLUB,
     HEART,
     CardError,
-    CardPool,
     MalformedReveal,
     PileMatrix,
     Transcript,
@@ -19,6 +18,7 @@ from zeiger.cards import (
     reveal_row,
     rotate_to_normalize,
 )
+from zeiger.protocol import ResourceStats
 
 
 # the three encodings of the protocol, as (marker stack, other stacks)
@@ -173,8 +173,12 @@ def test_transcript_json_roundtrip():
     t.shuffle("shift", 3, 5)
     t.reveal("copy", 0, ["CH", "HC"])
     t.normalize(1)
+    t.shuffle("scramble", 2, 5)
+    t.shuffle("shift", 3, 5)
     t.verdict(True)
-    assert Transcript.from_json_lines(t.to_json_lines()).events == t.events
+    back = Transcript.from_json_lines(t.to_json_lines())
+    assert back.events == t.events
+    assert (back.shifts, back.scrambles) == (t.shifts, t.scrambles) == (2, 1)
 
 
 def test_transcript_counts_shuffles_as_recorded():
@@ -186,14 +190,15 @@ def test_transcript_counts_shuffles_as_recorded():
 
 
 def test_card_pool_accounting():
-    pool = CardPool()
+    pool = ResourceStats()
     pool.take(3, 1)
     cards = ["C", "C", "C", "H"]
-    assert pool.in_play == 4 and pool.peak_in_play == 4
+    assert pool.in_play == 4 and pool.peak_cards == 4
     pool.discard(cards[:2])
     assert pool.in_play == 2
     pool.take(1, 0)
-    assert pool.peak_in_play == 4
+    assert pool.peak_cards == 4
     pool.discard(["CH", "H"])   # stacks return all their cards
     assert pool.in_play == 0
     assert (pool.clubs_drawn, pool.hearts_drawn) == (4, 1)
+    assert "in_play" not in pool.to_dict()

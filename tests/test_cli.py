@@ -30,6 +30,17 @@ def test_solve_unsatisfiable(tmp_path, capsys):
     assert "unsatisfiable" in capsys.readouterr().out
 
 
+def test_solve_grid_deeper_than_the_recursion_limit(tmp_path, capsys):
+    # 1024 unnumbered cells, one search level each: more than Python's
+    # default recursion limit of 1000
+    grid = tmp_path / "big.puzzle"
+    grid.write_text(("R. " * 31 + "L.\n") * 32)
+    out = tmp_path / "big.solution"
+    assert main(["solve", str(grid), "-o", str(out)]) == 0
+    assert main(["verify", str(grid), str(out)]) == 0
+    assert capsys.readouterr().out == "ok\n"
+
+
 def test_solve_garbage_file(tmp_path):
     p = tmp_path / "garbage.puzzle"
     p.write_text("not a grid at all\n")
@@ -287,7 +298,7 @@ def test_negative_answers_exit_1_on_stdout(tmp_path, capsys):
     assert out == "filling does not solve the reduced grid\n" and err == ""
 
 
-def test_wrong_value_cheat_needs_a_wrong_value(tmp_path, capsys):
+def test_value_cheat_needs_another_value(tmp_path, capsys):
     # every cell of a 2x2 grid holds 1, so no value differs from the honest one
     grid = tmp_path / "rl.puzzle"
     grid.write_text("R. L.\nR. L.\n")

@@ -22,6 +22,8 @@ from zeiger.protocol import ProverBehavior, run_protocol
 from zeiger.reduction import lift_assignment, reduce_instance
 from zeiger.simulator import simulate_transcript
 
+from .conftest import with_value
+
 
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -37,8 +39,8 @@ def reduced():
 def _behavior(case: str, f):
     if case.endswith("honest"):
         return ProverBehavior.honest(f)
-    if case == "fig1-wrong-value":
-        return ProverBehavior.wrong_value(f, Coord(1, 1), 2)
+    if case == "fig1-wrong-value":  # an honest run of fig1 with (1,1) set to 2
+        return ProverBehavior.honest(with_value(f, Coord(1, 1), 2))
     if case == "fig1-malformed":
         return ProverBehavior.malformed(f, Coord(2, 2))
     return ProverBehavior.malformed(f, Coord(9, 3))  # reduced-malformed, rejected late

@@ -92,7 +92,7 @@ def test_honest_fig1_accepts(fig1_grid, fig1_solution, seed):
 
 @settings(max_examples=4, deadline=None)
 @given(seeds)
-def test_every_wrong_value_on_unnumbered_fig1_cell_rejects(fig1_grid, fig1_solution, seed):
+def test_every_changed_value_on_unnumbered_fig1_cell_rejects(fig1_grid, fig1_solution, seed):
     for cell in fig1_grid.coords():
         if fig1_grid.cell(cell).given is not None:
             continue

@@ -6,18 +6,18 @@ import pytest
 from zeiger.cards import (
     CLUB,
     HEART,
-    CardPool,
     MalformedReveal,
     Transcript,
     encode,
     locate,
 )
 from zeiger.grid import Coord, distinct_count, parse_filling, sightline
+from zeiger.nae import gen_nae, nae_brute_force
 from zeiger.protocol import (
     EVEN_STACK,
     ODD_STACK,
     ProverBehavior,
-    Reject,
+    ResourceStats,
     comparing_protocol,
     copy_protocol,
     count_resources,
@@ -27,11 +27,14 @@ from zeiger.protocol import (
     summation_protocol,
     verify_cell,
 )
+from zeiger.reduction import lift_assignment, reduce_instance
+
+from .conftest import with_value
 
 
 @pytest.fixture
 def env():
-    return CardPool(), random.Random(1729), Transcript()
+    return ResourceStats(), random.Random(1729), Transcript()
 
 
 # (marker stack, other stacks) of the pair encoding and of the club encoding
@@ -154,7 +157,7 @@ class TestComparing:
 
 class TestBoard:
     def test_setup_board_values(self, fig1_grid, fig1_solution):
-        pool = CardPool()
+        pool = ResourceStats()
         board = setup_board(fig1_grid, ProverBehavior.honest(fig1_solution), pool)
         assert locate(board[Coord(3, 4)], *PAIR) == 1  # the given cell
         assert locate(board[Coord(1, 1)], *PAIR) == 3
@@ -165,23 +168,19 @@ class TestBoard:
         values = [list(r) for r in fig1_solution.values]
         values[2][3] = 2  # given is 1
         bad = parse_filling("\n".join(" ".join(map(str, r)) for r in values))
-        with pytest.raises(ValueError, match="disagrees with given"):
-            setup_board(fig1_grid, ProverBehavior.honest(bad), CardPool())
-
-    def test_cheat_wrong_value_board(self, fig1_grid, fig1_solution):
-        behavior = ProverBehavior.wrong_value(fig1_solution, Coord(1, 1), 2)
-        board = setup_board(fig1_grid, behavior, CardPool())
-        assert locate(board[Coord(1, 1)], *PAIR) == 2
+        for behavior in (ProverBehavior.honest(bad), ProverBehavior.malformed(bad, Coord(1, 1))):
+            with pytest.raises(ValueError, match=r"^filling disagrees with given at \(3,4\)$"):
+                setup_board(fig1_grid, behavior, ResourceStats())
 
 
 class TestVerifyCell:
     def test_fig1_cell_1_1_accepts(self, fig1_grid, fig1_solution):
-        pool, rng, t = CardPool(), random.Random(2), Transcript()
+        pool, rng, t = ResourceStats(), random.Random(2), Transcript()
         board = setup_board(fig1_grid, ProverBehavior.honest(fig1_solution), pool)
-        verify_cell(board, fig1_grid, Coord(1, 1), pool, rng, t)  # no Reject
+        assert verify_cell(board, fig1_grid, Coord(1, 1), pool, rng, t)
 
     def test_board_value_survives_verification(self, fig1_grid, fig1_solution):
-        pool, rng, t = CardPool(), random.Random(2), Transcript()
+        pool, rng, t = ResourceStats(), random.Random(2), Transcript()
         board = setup_board(fig1_grid, ProverBehavior.honest(fig1_solution), pool)
         verify_cell(board, fig1_grid, Coord(1, 1), pool, rng, t)
         for c in fig1_grid.coords():
@@ -190,21 +189,20 @@ class TestVerifyCell:
     def test_forced_cell_accepts_iff_one(self, fig1_grid, fig1_solution):
         # (2,3) has sightline length 1
         assert len(sightline(fig1_grid, Coord(2, 3))) == 1
-        pool, rng, t = CardPool(), random.Random(3), Transcript()
+        pool, rng, t = ResourceStats(), random.Random(3), Transcript()
         board = setup_board(fig1_grid, ProverBehavior.honest(fig1_solution), pool)
-        verify_cell(board, fig1_grid, Coord(2, 3), pool, rng, t)
+        assert verify_cell(board, fig1_grid, Coord(2, 3), pool, rng, t)
 
     def test_corrupted_sightline_detected_somewhere(self, fig1_grid, fig1_solution):
         values = [list(r) for r in fig1_solution.values]
         values[1][2] = 2  # (2,3): 1 -> 2, unnumbered
         bad = parse_filling("\n".join(" ".join(map(str, r)) for r in values))
-        pool, rng, t = CardPool(), random.Random(4), Transcript()
+        pool, rng, t = ResourceStats(), random.Random(4), Transcript()
         board = setup_board(fig1_grid, ProverBehavior.honest(bad), pool)
         # (3,4)'s sightline is row 3 to the left; unaffected by the corruption
-        verify_cell(board, fig1_grid, Coord(3, 4), pool, rng, t)
+        assert verify_cell(board, fig1_grid, Coord(3, 4), pool, rng, t)
         # (2,3) itself now claims 2 but its sightline has 1 distinct value
-        with pytest.raises(Reject):
-            verify_cell(board, fig1_grid, Coord(2, 3), pool, rng, t)
+        assert not verify_cell(board, fig1_grid, Coord(2, 3), pool, rng, t)
 
 
 class TestRunProtocol:
@@ -230,25 +228,25 @@ class TestRunProtocol:
         _, t2, _ = run_protocol(fig1_grid, b, seed=1)
         assert t1.events != t2.events
 
-    def test_wrong_value_rejected(self, fig1_grid, fig1_solution):
-        behavior = ProverBehavior.wrong_value(fig1_solution, Coord(1, 1), 2)
+    def test_changed_value_rejected(self, fig1_grid, fig1_solution):
+        behavior = ProverBehavior.honest(with_value(fig1_solution, Coord(1, 1), 2))
         accept, transcript, _ = run_protocol(fig1_grid, behavior, seed=9)
         assert not accept
-        assert transcript.events[-1]["accept"] is False
+        assert transcript.events[-1] == {
+            "ev": "verdict", "accept": False, "cell": [1, 1],
+            "reason": "cell value differs from its sightline's distinct count",
+        }
 
     def test_cheat_at_given_cell_has_no_effect(self, fig1_grid, fig1_solution):
         # (3,4) is given as 1: the verifier lays it out from the grid
         _, honest, honest_stats = run_protocol(
             fig1_grid, ProverBehavior.honest(fig1_solution), seed=9
         )
-        for behavior in (
-            ProverBehavior.wrong_value(fig1_solution, Coord(3, 4), 2),
-            ProverBehavior.malformed(fig1_solution, Coord(3, 4)),
-        ):
-            accept, transcript, stats = run_protocol(fig1_grid, behavior, seed=9)
-            assert accept
-            assert transcript.to_json_lines() == honest.to_json_lines()
-            assert stats == honest_stats
+        behavior = ProverBehavior.malformed(fig1_solution, Coord(3, 4))
+        accept, transcript, stats = run_protocol(fig1_grid, behavior, seed=9)
+        assert accept
+        assert transcript.to_json_lines() == honest.to_json_lines()
+        assert stats == honest_stats
 
     def test_value_above_max_value_rejected(self, fig1_grid, fig1_solution):
         # setup_board lays the value out itself: encode would raise
@@ -284,10 +282,14 @@ class TestRunProtocol:
             assert set(ev) <= allowed[ev["ev"]]
 
     def test_cards_balance_after_run(self, fig1_grid, fig1_solution):
-        _, _, stats = run_protocol(
-            fig1_grid, ProverBehavior.honest(fig1_solution), seed=5
-        )
-        assert stats.clubs_drawn > 0 and stats.hearts_drawn > 0
+        # every card taken is returned, except the 2b*k*l cards of the board
+        inst = gen_nae(4, 6, 0)
+        reduced = reduce_instance(inst), lift_assignment(inst, nae_brute_force(inst))
+        for (g, f), board_cards in (((fig1_grid, fig1_solution), 250), (reduced, 1458)):
+            accept, _, stats = run_protocol(g, ProverBehavior.honest(f), seed=5)
+            assert accept
+            assert stats.clubs_drawn > 0 and stats.hearts_drawn > 0
+            assert stats.in_play == 2 * (g.max_value + 1) * g.rows * g.cols == board_cards
 
 
 class TestResources:

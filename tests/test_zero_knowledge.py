@@ -16,10 +16,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zeiger import protocol
-from zeiger.cards import CardPool, Transcript
+from zeiger.cards import Transcript
 from zeiger.grid import Filling, parse_filling, parse_grid
 from zeiger.nae import gen_nae, nae_brute_force
-from zeiger.protocol import MARKER, ProverBehavior, count_resources, setup_board, verify_cell
+from zeiger.protocol import (
+    MARKER,
+    ProverBehavior,
+    ResourceStats,
+    count_resources,
+    setup_board,
+    verify_cell,
+)
 from zeiger.reduction import lift_assignment, reduce_instance
 
 from .conftest import FIXTURES
@@ -79,20 +86,20 @@ class _StopAfterShuffle(Transcript):
 def exact_check(g, f, seed):
     """(shuffles whose next reveal is a bijection of the secret, shuffles
     where it is not, shuffles followed by another shuffle)."""
-    board = setup_board(g, ProverBehavior.honest(f), CardPool())
+    board = setup_board(g, ProverBehavior.honest(f), ResourceStats())
     good, bad, unrevealed = 0, 0, 0
     for c in g.coords():
         stream = f"zk:{seed}:{c.row},{c.col}"
         start = dict(board)
         t = Transcript()
-        verify_cell(board, g, c, CardPool(), _ForcedRng(stream), t)
+        assert verify_cell(board, g, c, ResourceStats(), _ForcedRng(stream), t)
         widths = [ev["cols"] for ev in t.events if ev["ev"] == "shuffle"]
         for k, q in enumerate(widths):
             positions = set()
             for r in range(q):
                 probe = _StopAfterShuffle(k)
                 with pytest.raises(_Stop):
-                    verify_cell(dict(start), g, c, CardPool(), _ForcedRng(stream, k, r), probe)
+                    verify_cell(dict(start), g, c, ResourceStats(), _ForcedRng(stream, k, r), probe)
                 positions.add(probe.position)
             if positions == {None}:
                 unrevealed += 1
