@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import math
 
-from .cards import Transcript
+from .cards import MARKER, Transcript
 from .grid import Filling, Grid
-from .protocol import MARKER, ProverBehavior, run_protocol
+from .protocol import ProverBehavior, run_protocol
 from .simulator import simulate_transcript
 
 MIN_TRIALS = 1000
@@ -103,7 +103,9 @@ def audit_zk(g: Grid, f: Filling, trials: int, alpha: float, seed: int = 0) -> d
     for i in range(trials):
         accept, transcript, _ = run_protocol(g, ProverBehavior.honest(f), seed=seed * 1_000_003 + i)
         if not accept:
-            raise AuditError("honest run rejected during audit")
+            ev = transcript.events[-1]
+            r, c = ev["cell"]
+            raise AuditError(f"honest run rejected at cell ({r},{c}): {ev['reason']}")
         sim_transcript = simulate_transcript(g, seed=seed * 1_000_003 + i)
         if _structure(transcript) != _structure(sim_transcript):
             raise AuditError(f"simulated event structure differs from the real run (trial {i})")

@@ -1,16 +1,18 @@
-"""Physical card primitives: encodings, pile matrices, shuffles, transcripts.
+"""Physical card primitives: encodings, piles, shuffles, transcripts.
 
 A card is its face character, ``CLUB`` or ``HEART``, and a stack is its face
 string, topmost first: ``"HC"``, ``"CH"``, or a single card ``"C"`` or ``"H"``.
-Cards carry no orientation: every card is face-down except while
-``reveal_row`` copies a row's stacks into the transcript.  A value x in
-[0, q) is a row of q stacks, all alike except one marker stack at position
-x+1: a lone club among hearts, a lone heart among clubs, or a heart-over-club
-pair among club-over-heart pairs.  ``encode`` lays such a row out and
-``locate`` finds its marker, raising unless the row has that format.  A
-shuffle draws its secret from the ``random.Random`` it is given.  The
-verifier's view of a run is a transcript of shuffle/reveal/normalize/verdict
-events; hidden faces and shuffle secrets never appear in it.
+A pile is a list of equal-length rows of stacks; a shuffle moves its columns,
+the same way in every row.  Cards carry no orientation: every card is
+face-down except while ``reveal_row`` copies a row's stacks into the
+transcript.  A value x in [0, q) is a row of q stacks, all ``REST[mark]``
+except one ``mark`` stack at position x+1: a lone club among hearts, a lone
+heart among clubs, or an ``ODD_STACK`` among ``EVEN_STACK`` pairs.
+``encode`` lays such a row out and ``locate`` finds its marker, raising
+unless the row has that format; ``MARKER`` names the marker each reveal site
+locates.  A shuffle draws its secret from the ``random.Random`` it is given.
+The verifier's view of a run is a transcript of shuffle/reveal/normalize/
+verdict events; hidden faces and shuffle secrets never appear in it.
 """
 
 from __future__ import annotations
@@ -20,6 +22,12 @@ import random
 
 CLUB = "C"
 HEART = "H"
+ODD_STACK = "HC"   # heart over club: the position-marking two-card stack
+EVEN_STACK = "CH"
+# each marker's other stack, which fills the rest of its row
+REST = {CLUB: HEART, HEART: CLUB, ODD_STACK: EVEN_STACK}
+# the marker each reveal site locates (one per honest row)
+MARKER = {"copy": ODD_STACK, "setsize": ODD_STACK, "sum": HEART, "compare": CLUB}
 
 
 class CardError(ValueError):
@@ -30,22 +38,23 @@ class MalformedReveal(Exception):
     """A revealed row does not match the expected pattern; the verifier rejects."""
 
 
-def encode(q: int, x: int, mark: str, rest: str) -> list[str]:
-    """q stacks, all ``rest`` except ``mark`` at position x+1."""
+def encode(q: int, x: int, mark: str) -> list[str]:
+    """q stacks, all ``REST[mark]`` except ``mark`` at position x+1."""
     if not 0 <= x < q:
         raise CardError(f"x = {x} out of range [0,{q})")
-    row = [rest] * q
+    row = [REST[mark]] * q
     row[x] = mark
     return row
 
 
-def locate(row: list[str], mark: str, rest: str) -> int:
+def locate(row: list[str], mark: str) -> int:
     """Position of the lone ``mark`` stack in ``row``: the verifier's format
     check.  Raises MalformedReveal unless exactly one stack is ``mark`` and
-    every other stack is ``rest``."""
+    every other stack is ``REST[mark]``."""
     hits = row.count(mark)
     if hits != 1:
         raise MalformedReveal(f"expected exactly one {mark!r} column, found {hits}")
+    rest = REST[mark]
     if row.count(rest) != len(row) - 1:
         bad = [p for p in row if p != mark and p != rest]
         raise MalformedReveal(f"unexpected pattern(s) {bad} beside {mark!r}")
@@ -100,51 +109,37 @@ class Transcript:
         return t
 
 
-class PileMatrix:
-    """Rectangular matrix of card stacks; columns move atomically."""
-
-    def __init__(self, rows: list[list[str]]):
-        if not rows or any(len(r) != len(rows[0]) for r in rows):
-            raise CardError("matrix rows must have equal length")
-        self.n_rows = len(rows)
-        self.n_cols = len(rows[0])
-        # stored column-major: columns[j][i] is the stack at row i, column j
-        self.columns = [list(col) for col in zip(*rows)]
-
-    def row(self, i: int) -> list[str]:
-        return [col[i] for col in self.columns]
-
-
-def pile_shift(m: PileMatrix, rng: random.Random, transcript: Transcript) -> int:
-    """Cyclic shift of the columns by a uniform secret offset; returns it
+def pile_shift(m: list[list[str]], rng: random.Random, transcript: Transcript) -> int:
+    """Cyclic shift of every row by one uniform secret offset; returns it
     (for tests only -- it is never recorded)."""
-    r = rng.randrange(m.n_cols)
-    k = m.n_cols - r   # column j moves to column (j + r) mod n_cols
-    m.columns = m.columns[k:] + m.columns[:k]
-    transcript.shuffle("shift", m.n_rows, m.n_cols)
+    q = len(m[0])
+    r = rng.randrange(q)
+    k = q - r   # column j moves to column (j + r) mod q
+    m[:] = [row[k:] + row[:k] for row in m]
+    transcript.shuffle("shift", len(m), q)
     return r
 
 
-def pile_scramble(m: PileMatrix, rng: random.Random, transcript: Transcript):
-    """Uniform secret permutation of the columns, never recorded."""
-    rng.shuffle(m.columns)
-    transcript.shuffle("scramble", m.n_rows, m.n_cols)
+def pile_scramble(m: list[list[str]], rng: random.Random, transcript: Transcript):
+    """One uniform secret permutation of the columns, applied to every row and
+    never recorded."""
+    order = list(range(len(m[0])))
+    rng.shuffle(order)
+    m[:] = [[row[j] for j in order] for row in m]
+    transcript.shuffle("scramble", len(m), len(order))
 
 
-def reveal_row(m: PileMatrix, i: int, transcript: Transcript, site: str) -> list[str]:
-    """Turn row i face-up and record the observed per-column face patterns."""
-    patterns = [col[i] for col in m.columns]
-    transcript.reveal(site, i, patterns)
-    return patterns
+def reveal_row(m: list[list[str]], i: int, transcript: Transcript, site: str) -> int:
+    """Turn row i face-up, record its stacks, and return where the site's
+    marker lies.  Raises MalformedReveal, after recording, unless ``locate``
+    finds the row well-formed."""
+    faces = list(m[i])   # a copy: set-size swaps stacks in place after a reveal
+    transcript.reveal(site, i, faces)
+    return locate(faces, MARKER[site])
 
 
-def rotate_to_normalize(m: PileMatrix, patterns: list[str], mark: str,
-                        transcript: Transcript, rest: str) -> int:
-    """Cyclically shift columns so the revealed ``mark`` column lands in
-    column 1.  The shift magnitude is public and recorded.  Raises
-    MalformedReveal unless ``locate`` finds the row well-formed."""
-    shift = locate(patterns, mark, rest)
-    m.columns = m.columns[shift:] + m.columns[:shift]
+def rotate_to_normalize(m: list[list[str]], shift: int, transcript: Transcript):
+    """Cyclically shift every row left by the public ``shift``, bringing a
+    revealed marker to column 1, and record the shift."""
+    m[:] = [row[shift:] + row[:shift] for row in m]
     transcript.normalize(shift)
-    return shift
-

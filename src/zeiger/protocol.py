@@ -15,12 +15,12 @@ from typing import Optional
 
 from .cards import (
     CLUB,
+    EVEN_STACK,
     HEART,
+    ODD_STACK,
     MalformedReveal,
-    PileMatrix,
     Transcript,
     encode,
-    locate,
     pile_scramble,
     pile_shift,
     reveal_row,
@@ -28,13 +28,8 @@ from .cards import (
 )
 from .grid import Coord, Filling, Grid, sightline
 
-ODD_STACK = "HC"   # heart over club: the position-marking two-card stack
-EVEN_STACK = "CH"
-# the face pattern whose column each reveal site locates (one per honest row)
-MARKER = {"copy": ODD_STACK, "setsize": ODD_STACK, "sum": HEART, "compare": CLUB}
 
-
-def turn_down_all(m: PileMatrix):
+def turn_down_all(m):
     """Does nothing, and no protocol step calls it: cards carry no
     orientation.  The name stays only because the benchmark's traced run
     (``perfbench/run.py``) and its tests still look it up here."""
@@ -43,7 +38,7 @@ def turn_down_all(m: PileMatrix):
 def _fresh_zero_pair(q: int, pool: ResourceStats) -> list[str]:
     """Publicly built pair encoding of 0: odd stack at position 1."""
     pool.take(q, q)
-    return encode(q, 0, ODD_STACK, EVEN_STACK)
+    return encode(q, 0, ODD_STACK)
 
 
 def copy_protocol(a: list[str], pool: ResourceStats, rng: random.Random,
@@ -56,30 +51,26 @@ def copy_protocol(a: list[str], pool: ResourceStats, rng: random.Random,
     q = len(a)
     # Reversing the q-1 rightmost stacks negates the encoded value mod q.
     reversed_a = [a[0]] + a[1:][::-1]
-    m = PileMatrix([reversed_a, _fresh_zero_pair(q, pool), _fresh_zero_pair(q, pool)])
+    m = [reversed_a, _fresh_zero_pair(q, pool), _fresh_zero_pair(q, pool)]
     pile_shift(m, rng, transcript)
-    patterns = reveal_row(m, 0, transcript, "copy")
-    rotate_to_normalize(m, patterns, ODD_STACK, transcript, rest=EVEN_STACK)
-    pool.discard(m.row(0))
-    return m.row(1), m.row(2)
+    rotate_to_normalize(m, reveal_row(m, 0, transcript, "copy"), transcript)
+    pool.discard(m[0])
+    return m[1], m[2]
 
 
 def set_size_protocol(seqs: list[list[str]], pool: ResourceStats, rng: random.Random,
                       transcript: Transcript) -> list[str]:
     """Count distinct encoded values: returns q two-card stacks whose odd-stack
     count equals the number of different inputs."""
-    p = len(seqs)
-    m = PileMatrix(seqs)
-    for i in range(1, p):
+    m = [list(s) for s in seqs]   # copies: the swaps below act in place
+    for i in range(1, len(m)):
         pile_scramble(m, rng, transcript)
-        patterns = reveal_row(m, i, transcript, "setsize")
-        col = m.columns[locate(patterns, ODD_STACK, EVEN_STACK)]
-        col[0], col[i] = col[i], col[0]
+        j = reveal_row(m, i, transcript, "setsize")
+        m[0][j], m[i][j] = m[i][j], m[0][j]
     pile_scramble(m, rng, transcript)
-    out = m.row(0)
-    for i in range(1, p):
-        pool.discard(m.row(i))
-    return out
+    for row in m[1:]:
+        pool.discard(row)
+    return m[0]
 
 
 def summation_protocol(stacks: list[str], pool: ResourceStats, rng: random.Random,
@@ -93,12 +84,11 @@ def summation_protocol(stacks: list[str], pool: ResourceStats, rng: random.Rando
         a_seq.append(HEART)
         top, bottom = stacks[i - 1]
         b_seq = [bottom] + [CLUB] * (i - 1) + [top]
-        m = PileMatrix([a_seq, b_seq])
+        m = [a_seq, b_seq]
         pile_shift(m, rng, transcript)
-        patterns = reveal_row(m, 1, transcript, "sum")
-        rotate_to_normalize(m, patterns, HEART, transcript, rest=CLUB)
-        a_seq = m.row(0)
-        pool.discard(m.row(1))
+        rotate_to_normalize(m, reveal_row(m, 1, transcript, "sum"), transcript)
+        a_seq = m[0]
+        pool.discard(m[1])
     return a_seq
 
 
@@ -106,13 +96,12 @@ def comparing_protocol(s1: list[str], s2: list[str], pool: ResourceStats, rng: r
                        transcript: Transcript) -> bool:
     """True iff both club encodings hold the same value; reveals everything
     after a scramble, then discards all cards."""
-    m = PileMatrix([s1, s2])
+    m = [s1, s2]
     pile_scramble(m, rng, transcript)
-    p1 = reveal_row(m, 0, transcript, "compare")
-    p2 = reveal_row(m, 1, transcript, "compare")
-    pool.discard(p1)
-    pool.discard(p2)
-    return locate(p1, CLUB, HEART) == locate(p2, CLUB, HEART)
+    same = reveal_row(m, 0, transcript, "compare") == reveal_row(m, 1, transcript, "compare")
+    pool.discard(m[0])
+    pool.discard(m[1])
+    return same
 
 
 @dataclass(frozen=True)

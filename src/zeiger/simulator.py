@@ -11,9 +11,9 @@ from __future__ import annotations
 import functools
 import random
 
-from .cards import Transcript, encode
+from .cards import MARKER, ODD_STACK, Transcript, encode
 from .grid import Grid, sightline
-from .protocol import EVEN_STACK, MARKER, ODD_STACK, ResourceStats, verify_cell
+from .protocol import ResourceStats, verify_cell
 
 
 @functools.lru_cache
@@ -28,8 +28,8 @@ def _skeleton(g: Grid) -> tuple[tuple, ...]:
     unique: dict[tuple, tuple] = {}
     steps, fresh = [], False
     for c in g.coords():
-        board = {cc: encode(b, 0, ODD_STACK, EVEN_STACK) for cc in sightline(g, c)}
-        board[c] = encode(b, 1, ODD_STACK, EVEN_STACK)
+        board = {cc: encode(b, 0, ODD_STACK) for cc in sightline(g, c)}
+        board[c] = encode(b, 1, ODD_STACK)
         run = Transcript()
         verify_cell(board, g, c, ResourceStats(), random.Random(0), run)
         for ev in run.events:

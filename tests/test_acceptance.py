@@ -12,7 +12,8 @@ import numpy as np
 from zeiger.audit import audit_zk
 from zeiger.cards import (
     CLUB,
-    HEART,
+    EVEN_STACK,
+    ODD_STACK,
     Transcript,
     encode,
     locate,
@@ -20,8 +21,6 @@ from zeiger.cards import (
 from zeiger.grid import Coord, parse_filling, sightline, verify
 from zeiger.nae import gen_nae, nae_brute_force
 from zeiger.protocol import (
-    EVEN_STACK,
-    ODD_STACK,
     ProverBehavior,
     ResourceStats,
     comparing_protocol,
@@ -126,14 +125,12 @@ def test_criterion_07_subprotocol_oracles():
     mismatches = 0
     for q in range(2, 7):
         for x in range(q):
-            o1, o2 = copy_protocol(encode(q, x, ODD_STACK, EVEN_STACK), pool, rng, t)
-            mismatches += not (
-                locate(o1, ODD_STACK, EVEN_STACK) == locate(o2, ODD_STACK, EVEN_STACK) == x
-            )
+            o1, o2 = copy_protocol(encode(q, x, ODD_STACK), pool, rng, t)
+            mismatches += not locate(o1, ODD_STACK) == locate(o2, ODD_STACK) == x
         for p in (1, 2, 3):
             for xs in itertools.product(range(q), repeat=p):
                 out = set_size_protocol(
-                    [encode(q, x, ODD_STACK, EVEN_STACK) for x in xs], pool, rng, t
+                    [encode(q, x, ODD_STACK) for x in xs], pool, rng, t
                 )
                 got = sum(
                     1 for st in out if (st[0], st[1]) == ("H", "C")
@@ -142,11 +139,11 @@ def test_criterion_07_subprotocol_oracles():
         for bits in itertools.product((0, 1), repeat=q):
             stacks = [ODD_STACK if b else EVEN_STACK for b in bits]
             out = summation_protocol(stacks, pool, rng, t)
-            mismatches += locate(out, CLUB, HEART) != sum(bits)
+            mismatches += locate(out, CLUB) != sum(bits)
         for x1 in range(q):
             for x2 in range(q):
                 got = comparing_protocol(
-                    encode(q, x1, CLUB, HEART), encode(q, x2, CLUB, HEART), pool, rng, t
+                    encode(q, x1, CLUB), encode(q, x2, CLUB), pool, rng, t
                 )
                 mismatches += got != (x1 == x2)
     report(7, mismatches == 0, f"exhaustive decode-equivalence q <= 6: {mismatches} mismatches")

@@ -7,9 +7,10 @@ import pytest
 from zeiger.cards import (
     CLUB,
     HEART,
+    MARKER,
+    ODD_STACK,
     CardError,
     MalformedReveal,
-    PileMatrix,
     Transcript,
     encode,
     locate,
@@ -21,26 +22,27 @@ from zeiger.cards import (
 from zeiger.protocol import ResourceStats
 
 
-# the three encodings of the protocol, as (marker stack, other stacks)
-CLUB_ENC = (CLUB, HEART)
-HEART_ENC = (HEART, CLUB)
-PAIR_ENC = ("HC", "CH")
-
-
 def faces(seq):
     return "".join(seq)
 
 
+class OffsetOne(random.Random):
+    """A stream whose every offset is 1."""
+
+    def randrange(self, n):
+        return 1
+
+
 def test_encode_club_example():
-    assert faces(encode(4, 1, *CLUB_ENC)) == "HCHH"
+    assert faces(encode(4, 1, CLUB)) == "HCHH"
 
 
 def test_encode_heart_example():
-    assert faces(encode(4, 1, *HEART_ENC)) == "CHCC"
+    assert faces(encode(4, 1, HEART)) == "CHCC"
 
 
 def test_encode_pair_example():
-    ps = encode(4, 1, *PAIR_ENC)
+    ps = encode(4, 1, ODD_STACK)
     assert [faces(st) for st in ps] == ["CH", "HC", "CH", "CH"]
     assert faces([st[0] for st in ps]) == "CHCC"  # tops: heart encoding
     assert faces([st[1] for st in ps]) == "HCHH"  # bottoms: club encoding
@@ -48,46 +50,46 @@ def test_encode_pair_example():
 
 def test_encode_range_check():
     with pytest.raises(CardError):
-        encode(4, 4, *CLUB_ENC)
+        encode(4, 4, CLUB)
     with pytest.raises(CardError):
-        encode(4, -1, *PAIR_ENC)
+        encode(4, -1, ODD_STACK)
 
 
 def test_decode_roundtrip_exhaustive():
     for q in range(1, 9):
         for x in range(q):
-            assert locate(encode(q, x, *CLUB_ENC), *CLUB_ENC) == x
-            assert locate(encode(q, x, *HEART_ENC), *HEART_ENC) == x
-            assert locate(encode(q, x, *PAIR_ENC), *PAIR_ENC) == x
+            assert locate(encode(q, x, CLUB), CLUB) == x
+            assert locate(encode(q, x, HEART), HEART) == x
+            assert locate(encode(q, x, ODD_STACK), ODD_STACK) == x
 
 
 def test_decode_rejects_malformed():
     with pytest.raises(MalformedReveal, match="expected exactly one 'C' column, found 3"):
-        locate(encode(4, 1, *HEART_ENC), *CLUB_ENC)
+        locate(encode(4, 1, HEART), CLUB)
 
 
 def test_pile_shift_is_cyclic_rotation():
     rng = random.Random(1)
     for _ in range(30):
         labels = [chr(ord("A") + i) for i in range(6)]
-        m = PileMatrix([[list(lbl) for lbl in labels]])  # abuse: stacks of strings
+        m = [[list(lbl) for lbl in labels]]  # abuse: stacks of strings
         r = pile_shift(m, rng, Transcript())
         rotated = [labels[(j - r) % 6] for j in range(6)]
-        assert ["".join(st) for st in m.row(0)] == rotated
+        assert ["".join(st) for st in m[0]] == rotated
 
 
 def test_shift_example_offset_one():
-    m = PileMatrix([[["A"], ["B"], ["C"]]])
-    m.columns = [m.columns[(j - 1) % 3] for j in range(3)]
-    assert [st[0] for st in m.row(0)] == ["C", "A", "B"]
+    m = [[["A"], ["B"], ["C"]]]
+    assert pile_shift(m, OffsetOne(), Transcript()) == 1
+    assert [st[0] for st in m[0]] == ["C", "A", "B"]
 
 
 def test_shift_preserves_cyclic_adjacency():
     rng = random.Random(8)
     labels = list("ABCDEFG")
-    m = PileMatrix([[[x] for x in labels]])
+    m = [[[x] for x in labels]]
     pile_shift(m, rng, Transcript())
-    out = [st[0] for st in m.row(0)]
+    out = [st[0] for st in m[0]]
     doubled = "".join(labels) * 2
     assert "".join(out) in doubled
 
@@ -97,9 +99,9 @@ def test_shift_offsets_uniform_4sigma():
     counts = collections.Counter()
     trials, c = 6000, 6
     for _ in range(trials):
-        m = PileMatrix([[[j] for j in range(c)]])
+        m = [[[j] for j in range(c)]]
         pile_shift(m, rng, Transcript())
-        counts[m.row(0).index([0])] += 1
+        counts[m[0].index([0])] += 1
     expected = trials / c
     sigma = math.sqrt(trials * (1 / c) * (1 - 1 / c))
     for offset in range(c):
@@ -111,9 +113,9 @@ def test_scramble_swap_frequency():
     swapped = 0
     trials = 10_000
     for _ in range(trials):
-        m = PileMatrix([[["a"], ["b"]]])
+        m = [[["a"], ["b"]]]
         pile_scramble(m, rng, Transcript())
-        swapped += m.row(0)[0] == ["b"]
+        swapped += m[0][0] == ["b"]
     assert abs(swapped / trials - 0.5) <= 0.02
 
 
@@ -121,46 +123,74 @@ def test_scramble_identity_possible_and_multiset_preserved():
     rng = random.Random(5)
     seen_identity = False
     for _ in range(200):
-        m = PileMatrix([[[j] for j in range(4)]])
+        m = [[[j] for j in range(4)]]
         pile_scramble(m, rng, Transcript())
-        out = [st[0] for st in m.row(0)]
+        out = [st[0] for st in m[0]]
         assert sorted(out) == [0, 1, 2, 3]
         seen_identity |= out == [0, 1, 2, 3]
     assert seen_identity
 
 
+def test_shuffles_move_every_row_alike():
+    rng = random.Random(9)
+    m = [list("abcde"), list("ABCDE")]
+    for shuffle in (pile_shift, pile_scramble, pile_shift):
+        shuffle(m, rng, Transcript())
+        assert sorted(m[0]) == list("abcde")
+        assert m[1] == [a.upper() for a in m[0]]
+
+
 def test_reveal_records_faces_and_flips():
-    m = PileMatrix([encode(4, 2, *CLUB_ENC)])
+    m = [encode(4, 2, CLUB)]
     t = Transcript()
-    patterns = reveal_row(m, 0, t, "copy")
-    assert patterns == ["H", "H", "C", "H"]
-    assert t.events == [{"ev": "reveal", "site": "copy", "row": 0, "faces": patterns}]
+    assert reveal_row(m, 0, t, "compare") == 2
+    faces_seen = ["H", "H", "C", "H"]
+    assert t.events == [{"ev": "reveal", "site": "compare", "row": 0, "faces": faces_seen}]
+
+
+@pytest.mark.parametrize("site", sorted(MARKER))
+def test_reveal_row_locates_each_sites_marker(site):
+    for q in range(1, 6):
+        for x in range(q):
+            row = encode(q, x, MARKER[site])
+            t = Transcript()
+            assert reveal_row([row], 0, t, site) == x
+            assert t.events == [{"ev": "reveal", "site": site, "row": 0, "faces": row}]
+
+
+@pytest.mark.parametrize("site", sorted(MARKER))
+def test_reveal_row_rejects_a_second_marker_after_recording(site):
+    row = encode(4, 1, MARKER[site])
+    row[3] = MARKER[site]
+    t = Transcript()
+    with pytest.raises(MalformedReveal, match="found 2"):
+        reveal_row([row], 0, t, site)
+    assert t.events == [{"ev": "reveal", "site": site, "row": 0, "faces": row}]
 
 
 def test_normalize_rotates_match_to_column_one():
-    m = PileMatrix([encode(4, 2, *CLUB_ENC)])
+    m = [encode(4, 2, CLUB)]
     t = Transcript()
-    patterns = reveal_row(m, 0, t, "copy")
-    shift = rotate_to_normalize(m, patterns, "C", t, rest="H")
+    shift = reveal_row(m, 0, t, "compare")
+    rotate_to_normalize(m, shift, t)
     assert shift == 2
-    assert m.row(0)[0][0] == "C"
+    assert m[0][0][0] == "C"
     assert t.events[-1] == {"ev": "normalize", "shift": 2}
 
 
 def test_normalize_rejects_two_matches():
-    seq = encode(4, 1, *CLUB_ENC)
+    seq = encode(4, 1, CLUB)
     seq[3] = "C"
-    m = PileMatrix([seq])
+    m = [seq]
     t = Transcript()
-    patterns = reveal_row(m, 0, t, "copy")
     with pytest.raises(MalformedReveal):
-        rotate_to_normalize(m, patterns, "C", t, rest="H")
+        reveal_row(m, 0, t, "compare")
 
 
 def test_transcript_never_contains_shuffle_secrets():
     rng = random.Random(3)
     t = Transcript()
-    m = PileMatrix([encode(5, 2, *CLUB_ENC)])
+    m = [encode(5, 2, CLUB)]
     pile_shift(m, rng, t)
     pile_scramble(m, rng, t)
     for ev in t.events:

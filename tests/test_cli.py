@@ -215,6 +215,16 @@ def test_zkp_solution_disagreeing_with_given(tmp_path, capsys):
         assert "(3,4)" in capsys.readouterr().err
 
 
+def test_zkp_audit_names_the_cell_a_non_solution_fails(tmp_path, capsys):
+    bad = tmp_path / "bad.solution"
+    rows = [line.split() for line in (FIXTURES / "fig1.solution").read_text().splitlines()]
+    rows[0][0] = "2"  # (1,1) is unnumbered and holds 3
+    bad.write_text("\n".join(" ".join(r) for r in rows) + "\n")
+    assert main(["zkp", "audit", "--grid", FIG1, "--solution", str(bad)]) == 2
+    assert ("honest run rejected at cell (1,1): cell value differs from its sightline's "
+            "distinct count") in capsys.readouterr().err
+
+
 def test_zkp_run_bad_cheat_spec():
     rc = main(
         ["zkp", "run", "--grid", FIG1, "--solution", FIG1_SOL, "--cheat", "nonsense"]

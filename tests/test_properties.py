@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zeiger.cards import CLUB, HEART, MalformedReveal, encode, locate
+from zeiger.cards import CLUB, HEART, ODD_STACK, REST, MalformedReveal, encode, locate
 from zeiger.grid import (
     Cell,
     Direction,
@@ -20,14 +20,14 @@ from zeiger.grid import (
     verify,
 )
 from zeiger.nae import gen_nae, nae_brute_force
-from zeiger.protocol import EVEN_STACK, ODD_STACK, ProverBehavior, run_protocol
+from zeiger.protocol import ProverBehavior, run_protocol
 from zeiger.reduction import lift_assignment, reduce_instance
 from zeiger.solver import BudgetExhausted, solve
 
 from .conftest import FIXTURES
 
-# (marker stack, other stacks) of the club, heart and pair encodings
-ENCODINGS = [(CLUB, HEART), (HEART, CLUB), (ODD_STACK, EVEN_STACK)]
+# the marker stacks of the club, heart and pair encodings
+MARKS = [CLUB, HEART, ODD_STACK]
 FOREIGN = ["CC", "HH", "C", "H", "HC", "CH"]
 
 seeds = st.integers(0, 2**63 - 1)
@@ -35,32 +35,31 @@ seeds = st.integers(0, 2**63 - 1)
 
 @st.composite
 def encoded(draw):
-    mark, rest = draw(st.sampled_from(ENCODINGS))
+    mark = draw(st.sampled_from(MARKS))
     q = draw(st.integers(1, 40))
     x = draw(st.integers(0, q - 1))
-    return q, x, mark, rest
+    return q, x, mark
 
 
 @settings(max_examples=200)
 @given(encoded())
 def test_locate_inverts_encode(case):
-    q, x, mark, rest = case
-    assert locate(encode(q, x, mark, rest), mark, rest) == x
+    q, x, mark = case
+    assert locate(encode(q, x, mark), mark) == x
 
 
 @settings(max_examples=100)
-@given(st.sampled_from(ENCODINGS), st.integers(1, 40))
-def test_row_without_marker_is_malformed(enc, q):
-    mark, rest = enc
+@given(st.sampled_from(MARKS), st.integers(1, 40))
+def test_row_without_marker_is_malformed(mark, q):
     with pytest.raises(MalformedReveal, match="found 0"):
-        locate([rest] * q, mark, rest)
+        locate([REST[mark]] * q, mark)
 
 
 @settings(max_examples=100)
 @given(encoded(), st.data())
 def test_row_with_several_markers_is_malformed(case, data):
-    q, x, mark, rest = case
-    row = encode(q, x, mark, rest)
+    q, x, mark = case
+    row = encode(q, x, mark)
     others = [i for i in range(q) if i != x]
     if not others:
         row.append(mark)
@@ -68,18 +67,18 @@ def test_row_with_several_markers_is_malformed(case, data):
         for i in data.draw(st.lists(st.sampled_from(others), min_size=1, unique=True)):
             row[i] = mark
     with pytest.raises(MalformedReveal, match="expected exactly one"):
-        locate(row, mark, rest)
+        locate(row, mark)
 
 
 @settings(max_examples=100)
 @given(encoded(), st.data())
 def test_row_with_foreign_pattern_is_malformed(case, data):
-    q, x, mark, rest = case
-    foreign = data.draw(st.sampled_from([p for p in FOREIGN if p not in (mark, rest)]))
-    row = encode(q, x, mark, rest)
+    q, x, mark = case
+    foreign = data.draw(st.sampled_from([p for p in FOREIGN if p not in (mark, REST[mark])]))
+    row = encode(q, x, mark)
     row.insert(data.draw(st.integers(0, q)), foreign)
     with pytest.raises(MalformedReveal, match="unexpected pattern"):
-        locate(row, mark, rest)
+        locate(row, mark)
 
 
 @settings(max_examples=20, deadline=None)

@@ -5,7 +5,7 @@ import pytest
 
 from zeiger.cards import (
     CLUB,
-    HEART,
+    ODD_STACK,
     MalformedReveal,
     Transcript,
     encode,
@@ -14,8 +14,6 @@ from zeiger.cards import (
 from zeiger.grid import Coord, distinct_count, parse_filling, sightline
 from zeiger.nae import gen_nae, nae_brute_force
 from zeiger.protocol import (
-    EVEN_STACK,
-    ODD_STACK,
     ProverBehavior,
     ResourceStats,
     comparing_protocol,
@@ -37,11 +35,6 @@ def env():
     return ResourceStats(), random.Random(1729), Transcript()
 
 
-# (marker stack, other stacks) of the pair encoding and of the club encoding
-PAIR = (ODD_STACK, EVEN_STACK)
-CLUBS = (CLUB, HEART)
-
-
 def bit_stack(b: int) -> str:
     """Two-card stack holding the bit b (the stack form of the 2-card club
     encoding)."""
@@ -57,18 +50,18 @@ class TestCopy:
         pool, rng, t = env
         for q in range(2, 7):
             for x in range(q):
-                o1, o2 = copy_protocol(encode(q, x, *PAIR), pool, rng, t)
-                assert locate(o1, *PAIR) == x
-                assert locate(o2, *PAIR) == x
+                o1, o2 = copy_protocol(encode(q, x, ODD_STACK), pool, rng, t)
+                assert locate(o1, ODD_STACK) == x
+                assert locate(o2, ODD_STACK) == x
 
     def test_reversal_negates_value(self):
-        a = encode(4, 1, *PAIR)
+        a = encode(4, 1, ODD_STACK)
         reversed_a = [a[0]] + a[1:][::-1]
-        assert locate(reversed_a, *PAIR) == 3  # -1 mod 4
+        assert locate(reversed_a, ODD_STACK) == 3  # -1 mod 4
 
     def test_two_markers_rejected(self, env):
         pool, rng, t = env
-        bad = encode(5, 2, *PAIR)
+        bad = encode(5, 2, ODD_STACK)
         bad[4] = "HC"
         with pytest.raises(MalformedReveal):
             copy_protocol(bad, pool, rng, t)
@@ -79,8 +72,8 @@ class TestCopy:
         for _ in range(30):
             q = r.randint(7, 12)
             x = r.randrange(q)
-            o1, o2 = copy_protocol(encode(q, x, *PAIR), pool, rng, t)
-            assert locate(o1, *PAIR) == locate(o2, *PAIR) == x
+            o1, o2 = copy_protocol(encode(q, x, ODD_STACK), pool, rng, t)
+            assert locate(o1, ODD_STACK) == locate(o2, ODD_STACK) == x
 
 
 class TestSetSize:
@@ -90,20 +83,20 @@ class TestSetSize:
             for p in (1, 2, 3):
                 for xs in itertools.product(range(q), repeat=p):
                     out = set_size_protocol(
-                        [encode(q, x, *PAIR) for x in xs], pool, rng, t
+                        [encode(q, x, ODD_STACK) for x in xs], pool, rng, t
                     )
                     assert len(out) == q
                     assert sum(stack_bit(st) for st in out) == distinct_count(xs)
 
     def test_spec_examples(self, env):
         pool, rng, t = env
-        out = set_size_protocol([encode(4, x, *PAIR) for x in (2, 2, 3)], pool, rng, t)
+        out = set_size_protocol([encode(4, x, ODD_STACK) for x in (2, 2, 3)], pool, rng, t)
         assert sum(stack_bit(st) for st in out) == 2
-        out = set_size_protocol([encode(6, 5, *PAIR)], pool, rng, t)
+        out = set_size_protocol([encode(6, 5, ODD_STACK)], pool, rng, t)
         assert sum(stack_bit(st) for st in out) == 1
-        out = set_size_protocol([encode(4, x, *PAIR) for x in range(4)], pool, rng, t)
+        out = set_size_protocol([encode(4, x, ODD_STACK) for x in range(4)], pool, rng, t)
         assert sum(stack_bit(st) for st in out) == 4
-        out = set_size_protocol([encode(5, 2, *PAIR)] * 1 * 5, pool, rng, t)
+        out = set_size_protocol([encode(5, 2, ODD_STACK)] * 1 * 5, pool, rng, t)
         assert sum(stack_bit(st) for st in out) == 1
 
     def test_random_larger(self, env):
@@ -112,7 +105,7 @@ class TestSetSize:
         for _ in range(20):
             q = r.randint(7, 12)
             xs = [r.randrange(q) for _ in range(r.randint(1, 6))]
-            out = set_size_protocol([encode(q, x, *PAIR) for x in xs], pool, rng, t)
+            out = set_size_protocol([encode(q, x, ODD_STACK) for x in xs], pool, rng, t)
             assert sum(stack_bit(st) for st in out) == distinct_count(xs)
 
 
@@ -123,19 +116,19 @@ class TestSummation:
             for bits in itertools.product((0, 1), repeat=q):
                 out = summation_protocol([bit_stack(b) for b in bits], pool, rng, t)
                 assert len(out) == q + 1
-                assert locate(out, *CLUBS) == sum(bits)
+                assert locate(out, CLUB) == sum(bits)
 
     def test_all_zero_and_all_one(self, env):
         pool, rng, t = env
-        assert locate(summation_protocol([bit_stack(0)] * 4, pool, rng, t), *CLUBS) == 0
+        assert locate(summation_protocol([bit_stack(0)] * 4, pool, rng, t), CLUB) == 0
         out = summation_protocol([bit_stack(1)] * 4, pool, rng, t)
-        assert locate(out, *CLUBS) == 4  # club at the rightmost position
+        assert locate(out, CLUB) == 4  # club at the rightmost position
         assert out[-1] == "C"
 
     def test_example_1011(self, env):
         pool, rng, t = env
         out = summation_protocol([bit_stack(b) for b in (1, 0, 1, 1)], pool, rng, t)
-        assert locate(out, *CLUBS) == 3
+        assert locate(out, CLUB) == 3
 
 
 class TestComparing:
@@ -145,22 +138,38 @@ class TestComparing:
             for x1 in range(q):
                 for x2 in range(q):
                     got = comparing_protocol(
-                        encode(q, x1, *CLUBS), encode(q, x2, *CLUBS), pool, rng, t
+                        encode(q, x1, CLUB), encode(q, x2, CLUB), pool, rng, t
                     )
                     assert got == (x1 == x2)
 
     def test_spec_examples(self, env):
         pool, rng, t = env
-        assert comparing_protocol(encode(5, 2, *CLUBS), encode(5, 2, *CLUBS), pool, rng, t)
-        assert not comparing_protocol(encode(5, 2, *CLUBS), encode(5, 3, *CLUBS), pool, rng, t)
+        assert comparing_protocol(encode(5, 2, CLUB), encode(5, 2, CLUB), pool, rng, t)
+        assert not comparing_protocol(encode(5, 2, CLUB), encode(5, 3, CLUB), pool, rng, t)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_subprotocols_leave_their_arguments_unchanged(seed):
+    pool, rng, t = ResourceStats(), random.Random(seed), Transcript()
+    a = encode(5, 3, ODD_STACK)
+    shared = encode(5, 1, ODD_STACK)
+    stacks = [bit_stack(b) for b in (1, 0, 1, 1)]
+    s1, s2 = encode(5, 2, CLUB), encode(5, 4, CLUB)
+    inputs = [a, shared, stacks, s1, s2]
+    before = [list(x) for x in inputs]
+    copy_protocol(a, pool, rng, t)
+    set_size_protocol([shared] * 3, pool, rng, t)
+    summation_protocol(stacks, pool, rng, t)
+    comparing_protocol(s1, s2, pool, rng, t)
+    assert inputs == before
 
 
 class TestBoard:
     def test_setup_board_values(self, fig1_grid, fig1_solution):
         pool = ResourceStats()
         board = setup_board(fig1_grid, ProverBehavior.honest(fig1_solution), pool)
-        assert locate(board[Coord(3, 4)], *PAIR) == 1  # the given cell
-        assert locate(board[Coord(1, 1)], *PAIR) == 3
+        assert locate(board[Coord(3, 4)], ODD_STACK) == 1  # the given cell
+        assert locate(board[Coord(1, 1)], ODD_STACK) == 3
         # 2b cards per cell
         assert pool.in_play == 2 * 5 * 25
 
@@ -184,7 +193,7 @@ class TestVerifyCell:
         board = setup_board(fig1_grid, ProverBehavior.honest(fig1_solution), pool)
         verify_cell(board, fig1_grid, Coord(1, 1), pool, rng, t)
         for c in fig1_grid.coords():
-            assert locate(board[c], *PAIR) == fig1_solution.value(c)
+            assert locate(board[c], ODD_STACK) == fig1_solution.value(c)
 
     def test_forced_cell_accepts_iff_one(self, fig1_grid, fig1_solution):
         # (2,3) has sightline length 1

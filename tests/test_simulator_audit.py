@@ -7,7 +7,8 @@ from scipy import stats as sps
 from zeiger.audit import AuditError, audit_zk, chi2_sf, reveal_histograms, two_sample_p, uniform_p
 from zeiger.grid import parse_grid
 from zeiger import audit
-from zeiger.protocol import MARKER, ProverBehavior, run_protocol
+from zeiger.cards import MARKER
+from zeiger.protocol import ProverBehavior, run_protocol
 from zeiger.simulator import simulate_transcript
 
 

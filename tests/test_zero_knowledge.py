@@ -16,11 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zeiger import protocol
-from zeiger.cards import Transcript
+from zeiger.cards import MARKER, Transcript
 from zeiger.grid import Filling, parse_filling, parse_grid
 from zeiger.nae import gen_nae, nae_brute_force
 from zeiger.protocol import (
-    MARKER,
     ProverBehavior,
     ResourceStats,
     count_resources,
@@ -149,8 +148,8 @@ def test_exact_check_holds_for_any_stream_seed(fig1_grid, fig1_solution, seed):
 
 def test_a_shift_that_ignores_its_secret_fails(fig1_grid, fig1_solution, monkeypatch):
     def lazy_shift(m, rng, transcript):
-        rng.randrange(m.n_cols)
-        transcript.shuffle("shift", m.n_rows, m.n_cols)
+        rng.randrange(len(m[0]))
+        transcript.shuffle("shift", len(m), len(m[0]))
         return 0
 
     monkeypatch.setattr(protocol, "pile_shift", lazy_shift)
