@@ -4,11 +4,15 @@ Search strategy: pick the unassigned cell with the fewest feasible values
 (ties broken row-major), try values in ascending order.  A cell's feasible
 range is [d, d+u] where d is the number of distinct values already assigned
 in its sightline and u the number of still-unassigned sightline cells; the
-same interval test prunes every cell watching an assigned cell.
+same interval test prunes every cell watching an assigned cell.  Each cell
+keeps its d and u (and a count per value in its sightline), updated over the
+cell's watchers as a value is set and unset, so every test is O(1).
 """
 
 from __future__ import annotations
 
+from itertools import compress
+from operator import not_
 from typing import Iterator, Optional
 
 from .grid import Coord, Filling, Grid, sightline, verify
@@ -34,30 +38,49 @@ class _Search:
         # flat index = (row-1)*cols + (col-1)
         self.sight = []
         self.watchers = [[] for _ in range(self.n)]
+        self.values = []  # 0 = unassigned
         for c in g.coords():
             i = (c.row - 1) * l + (c.col - 1)
             line = [(s.row - 1) * l + (s.col - 1) for s in sightline(g, c)]
             self.sight.append(line)
             for j in line:
                 self.watchers[j].append(i)
-        self.values = [0] * self.n  # 0 = unassigned
-        for c in g.coords():
-            given = g.cell(c).given
-            if given is not None:
-                i = (c.row - 1) * l + (c.col - 1)
-                self.values[i] = given
+            self.values.append(g.cell(c).given or 0)
+        # per cell w, over w's sightline: count[w][v] cells hold v, they hold
+        # distinct[w] different values, and unassigned[w] of them are unset;
+        # kept up to date by _set and _unset
+        self.top = [len(line) for line in self.sight]  # no value exceeds it
+        self.count = [[0] * (g.max_value + 1) for _ in range(self.n)]
+        self.distinct = [0] * self.n
+        self.unassigned = self.top[:]
+        for i, v in enumerate(self.values):
+            if v:
+                self._set(i, v)
+
+    def _set(self, i: int, v: int) -> None:
+        self.values[i] = v
+        distinct, unassigned = self.distinct, self.unassigned
+        for w in self.watchers[i]:
+            count = self.count[w]
+            if not count[v]:
+                distinct[w] += 1
+            count[v] += 1
+            unassigned[w] -= 1
+
+    def _unset(self, i: int) -> None:
+        v = self.values[i]
+        self.values[i] = 0
+        distinct, unassigned = self.distinct, self.unassigned
+        for w in self.watchers[i]:
+            count = self.count[w]
+            count[v] -= 1
+            if not count[v]:
+                distinct[w] -= 1
+            unassigned[w] += 1
 
     def _interval(self, i: int) -> tuple[int, int]:
         """(distinct assigned, unassigned count) over cell i's sightline."""
-        seen = 0
-        unassigned = 0
-        for j in self.sight[i]:
-            v = self.values[j]
-            if v == 0:
-                unassigned += 1
-            else:
-                seen |= 1 << v
-        return seen.bit_count(), unassigned
+        return self.distinct[i], self.unassigned[i]
 
     def _consistent(self, i: int) -> bool:
         """Cell i's value (if set) can still equal its sightline distinct count."""
@@ -67,26 +90,24 @@ class _Search:
         d, u = self._interval(i)
         return d <= v <= d + u
 
-    def _feasible_values(self, i: int) -> list[int]:
-        d, u = self._interval(i)
-        lo = max(1, d)
-        hi = min(len(self.sight[i]), d + u)
-        return list(range(lo, hi + 1))
-
-    def _branch(self) -> tuple[int, list[int]]:
+    def _branch(self) -> tuple[int, range]:
         """The unassigned cell with the fewest feasible values (row-major on
         ties) and those values; cell -1 once every cell is assigned."""
-        best_i = -1
-        best_domain: list[int] = []
-        for i in range(self.n):
-            if self.values[i] != 0:
-                continue
-            dom = self._feasible_values(i)
-            if best_i < 0 or len(dom) < len(best_domain):
-                best_i, best_domain = i, dom
-                if not dom:
+        best_i, best_lo, best_hi = -1, 1, self.n  # wider than any domain
+        distinct, unassigned, top = self.distinct, self.unassigned, self.top
+        for i in compress(range(self.n), map(not_, self.values)):
+            # the feasible values: at least the distinct values seen (and 1),
+            # at most that plus the unset cells (and the sightline's length)
+            d = distinct[i]
+            lo = d or 1
+            hi = d + unassigned[i]
+            if hi > top[i]:
+                hi = top[i]
+            if hi - lo < best_hi - best_lo:
+                best_i, best_lo, best_hi = i, lo, hi
+                if hi < lo:
                     break
-        return best_i, best_domain
+        return best_i, range(best_lo, best_hi + 1)
 
     def run(self, cap: int) -> list[Filling]:
         # Givens alone can already be contradictory.
@@ -109,12 +130,14 @@ class _Search:
             if not stack:
                 return found
             i, untried = stack[-1]
-            v = next(untried, 0)   # 0 once exhausted, which unassigns the cell
-            self.values[i] = v
+            if self.values[i]:
+                self._unset(i)
+            v = next(untried, 0)   # 0 once exhausted
             if v:
                 self.nodes += 1
                 if self.nodes > self.budget:
                     raise BudgetExhausted(f"exceeded {self.budget} nodes")
+                self._set(i, v)
                 # the value lies in the cell's own interval; only its
                 # watchers can be broken by it
                 descend = all(self._consistent(w) for w in self.watchers[i])

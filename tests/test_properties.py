@@ -1,5 +1,6 @@
-"""Property tests: the card format over every size and face pair, and the
-protocol's completeness and soundness over drawn seeds, fillings and grids."""
+"""Property tests: the card format over every size and face pair, the
+protocol's completeness and soundness over drawn seeds, fillings and grids,
+and the solver's kept sightline counts over drawn grids."""
 
 from functools import cache
 
@@ -22,7 +23,7 @@ from zeiger.grid import (
 from zeiger.nae import gen_nae, nae_brute_force
 from zeiger.protocol import ProverBehavior, run_protocol
 from zeiger.reduction import lift_assignment, reduce_instance
-from zeiger.solver import BudgetExhausted, solve
+from zeiger.solver import BudgetExhausted, _Search, solve
 
 from .conftest import FIXTURES
 
@@ -190,3 +191,30 @@ def test_run_rejects_exactly_at_the_first_failing_cell_on_random_grids(g, data, 
     except BudgetExhausted:
         solution = None
     assert_rejects_exactly_at_first_failing_cell(g, draw_filling(data, g, solution), seed)
+
+
+class CheckedSearch(_Search):
+    """A search that checks every cell's kept sightline interval against a
+    count from scratch before each branch (a raise, which ``-O`` keeps)."""
+
+    def _branch(self):
+        for i, line in enumerate(self.sight):
+            seen = [self.values[j] for j in line]
+            counted = (len(set(seen) - {0}), seen.count(0))
+            if self._interval(i) != counted:
+                raise AssertionError(f"cell {i}: kept {self._interval(i)}, counted {counted}")
+        return super()._branch()
+
+
+def kept_counts(search: _Search):
+    return search.values, search.count, search.distinct, search.unassigned
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=random_grids())
+def test_solver_keeps_exact_sightline_counts(g):
+    search = CheckedSearch(g, budget=20_000)
+    found = search.run(cap=1000)
+    assert len(found) < 1000  # so the search ran to exhaustion
+    # every value it set is unset again: the tables are back to the givens'
+    assert kept_counts(search) == kept_counts(_Search(g, budget=0))
