@@ -13,7 +13,7 @@ import math
 from .cards import MARKER, Transcript
 from .grid import Filling, Grid
 from .protocol import ProverBehavior, run_protocol
-from .simulator import simulate_transcript
+from .simulator import simulate_transcript, structure
 
 MIN_TRIALS = 1000
 MIN_EXPECTED = 5  # smallest expected count per bin for which a chi-square test is meaningful
@@ -79,13 +79,6 @@ def reveal_histograms(t: Transcript) -> dict[tuple[str, int], list[int]]:
     return hists
 
 
-def _structure(t: Transcript) -> list[tuple]:
-    """Every event's public shape: its kind, reveal site, row and width, and
-    shuffle kind and size.  Only marker positions may differ."""
-    return [(ev["ev"], ev.get("site"), ev.get("row"), len(ev.get("faces", ())),
-             ev.get("kind"), ev.get("rows"), ev.get("cols")) for ev in t.events]
-
-
 def _merge(total: dict, part: dict):
     for key, counts in part.items():
         total[key] = [a + b for a, b in zip(total.get(key, [0] * len(counts)), counts)]
@@ -107,7 +100,7 @@ def audit_zk(g: Grid, f: Filling, trials: int, alpha: float, seed: int = 0) -> d
             r, c = ev["cell"]
             raise AuditError(f"honest run rejected at cell ({r},{c}): {ev['reason']}")
         sim_transcript = simulate_transcript(g, seed=seed * 1_000_003 + i)
-        if _structure(transcript) != _structure(sim_transcript):
+        if structure(transcript) != structure(sim_transcript):
             raise AuditError(f"simulated event structure differs from the real run (trial {i})")
         _merge(real, reveal_histograms(transcript))
         _merge(sim, reveal_histograms(sim_transcript))

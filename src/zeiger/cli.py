@@ -66,14 +66,12 @@ def _parse_nae(text: str):
     return inst
 
 
-def _write(path: str | None, text: str, default_msg: str | None = None):
+def _write(path: str | None, text: str):
     if path:
         try:
             Path(path).write_text(text)
         except OSError as e:
             raise InputError(f"cannot write {path}: {e}") from None
-        if default_msg:
-            print(default_msg)
     else:
         sys.stdout.write(text)
 
@@ -109,7 +107,9 @@ def cmd_verify(args) -> int:
 def cmd_reduce(args) -> int:
     inst = _load(args.nae, _parse_nae)
     g = reduce_instance(inst)
-    _write(args.output, serialize_grid(g), f"wrote {g.rows}x{g.cols} grid to {args.output}")
+    _write(args.output, serialize_grid(g))
+    if args.output:
+        print(f"wrote {g.rows}x{g.cols} grid to {args.output}")
     return 0
 
 

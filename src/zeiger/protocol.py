@@ -62,7 +62,7 @@ def set_size_protocol(seqs: list[list[str]], pool: ResourceStats, rng: random.Ra
                       transcript: Transcript) -> list[str]:
     """Count distinct encoded values: returns q two-card stacks whose odd-stack
     count equals the number of different inputs."""
-    m = [list(s) for s in seqs]   # copies: the swaps below act in place
+    m = list(seqs)
     for i in range(1, len(m)):
         pile_scramble(m, rng, transcript)
         j = reveal_row(m, i, transcript, "setsize")

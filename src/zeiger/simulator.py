@@ -1,9 +1,9 @@
 """Transcript simulator: reproduces the verifier's view without any solution.
 
-The event structure of an accepting run depends only on the grid geometry,
+A check records the same events whatever well-formed values its cards hold,
 and every revealed marker position is uniform thanks to the shuffle before
-it.  The simulator replays the protocol's own accepting run of each cell, on
-a public board, with every marker moved to a uniformly drawn position.
+it.  So the simulator replays the ``structure`` of the protocol's own checks
+on a public board of zeros, each marker at a uniformly drawn position.
 """
 
 from __future__ import annotations
@@ -12,54 +12,49 @@ import functools
 import random
 
 from .cards import MARKER, ODD_STACK, Transcript, encode
-from .grid import Grid, sightline
+from .grid import Grid
 from .protocol import ResourceStats, verify_cell
+
+
+def structure(t: Transcript) -> list[tuple]:
+    """Every event's public shape: its kind, reveal site, row and width, and
+    shuffle kind and size.  Only marker positions may differ."""
+    return [(ev["ev"], ev.get("site"), ev.get("row"), len(ev.get("faces", ())),
+             ev.get("kind"), ev.get("rows"), ev.get("cols")) for ev in t.events]
 
 
 @functools.lru_cache
 def _skeleton(g: Grid) -> tuple[tuple, ...]:
-    """An accepting run's events, verdict left out: ``verify_cell`` on a
-    public board where the cell holds 1 and its sightline 0.  It accepts
-    because ``Grid`` rules out empty sightlines, so its verdict is unread.
-    A reveal keeps q, its faces twice over with the marker first (so any
-    rotation is one slice, and the shuffle stream used here is immaterial),
-    and whether a shuffle came just before it."""
+    """The ``structure`` of every accepting run of ``g``, verdict left out:
+    ``verify_cell`` run for every cell on one board where each cell holds
+    ``encode(b, 0, ODD_STACK)``.  Only a malformed row changes a check's
+    events, so the checks' verdicts are unread."""
     b = g.max_value + 1
-    unique: dict[tuple, tuple] = {}
-    steps, fresh = [], False
-    for c in g.coords():
-        board = {cc: encode(b, 0, ODD_STACK) for cc in sightline(g, c)}
-        board[c] = encode(b, 1, ODD_STACK)
+    board = {c: encode(b, 0, ODD_STACK) for c in g.coords()}
+    pool, rng, unique, steps = ResourceStats(), random.Random(0), {}, []
+    for c in g.coords():  # one short transcript per cell keeps the build's peak memory small
         run = Transcript()
-        verify_cell(board, g, c, ResourceStats(), random.Random(0), run)
-        for ev in run.events:
-            if ev["ev"] == "reveal":
-                faces = ev["faces"]
-                i = faces.index(MARKER[ev["site"]])
-                twice = tuple(2 * (faces[i:] + faces[:i]))
-                step = ("reveal", ev["site"], ev["row"], len(faces), twice, fresh)
-            else:
-                step = (ev["ev"], ev.get("kind"), ev.get("rows"), ev.get("cols"))
-            fresh = ev["ev"] == "shuffle"
-            steps.append(unique.setdefault(step, step))  # one copy of equal steps
+        verify_cell(board, g, c, pool, rng, run)
+        steps += (unique.setdefault(s, s) for s in structure(run))  # one copy of equal shapes
     return tuple(steps)
 
 
 def simulate_transcript(g: Grid, seed: int) -> Transcript:
     """Simulated accepting-run transcript for ``g``; no filling involved.
     A reveal right after a shuffle draws a uniform marker position, which the
-    comparing protocol's second row keeps and a normalize shifts by."""
+    comparing protocol's second row keeps and a normalize shifts by.  Each
+    reveal is ``encode`` of its position, the one row ``locate`` accepts."""
     rng = random.Random(f"sim:{seed}")
     t = Transcript()
-    pos = 0
-    for step in _skeleton(g):
-        if step[0] == "shuffle":
-            t.shuffle(*step[1:])
-        elif step[0] == "reveal":
-            _, site, row, q, twice, fresh = step
+    pos, fresh = 0, False
+    for ev, site, row, q, kind, rows, cols in _skeleton(g):
+        if ev == "shuffle":
+            t.shuffle(kind, rows, cols)
+        elif ev == "reveal":
             pos = rng.randrange(q) if fresh else pos
-            t.reveal(site, row, list(twice[q - pos:2 * q - pos]))
+            t.reveal(site, row, encode(q, pos, MARKER[site]))
         else:
             t.normalize(pos)
+        fresh = ev == "shuffle"
     t.verdict(True)
     return t

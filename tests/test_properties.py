@@ -1,14 +1,26 @@
 """Property tests: the card format over every size and face pair, the
 protocol's completeness and soundness over drawn seeds, fillings and grids,
-and the solver's kept sightline counts over drawn grids."""
+the public shape of real and simulated runs and the verifier's rules on
+their reveals, and the solver's kept sightline counts over drawn grids."""
 
+import random
 from functools import cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zeiger.cards import CLUB, HEART, ODD_STACK, REST, MalformedReveal, encode, locate
+from zeiger.cards import (
+    CLUB,
+    HEART,
+    MARKER,
+    ODD_STACK,
+    REST,
+    MalformedReveal,
+    Transcript,
+    encode,
+    locate,
+)
 from zeiger.grid import (
     Cell,
     Direction,
@@ -21,8 +33,9 @@ from zeiger.grid import (
     verify,
 )
 from zeiger.nae import gen_nae, nae_brute_force
-from zeiger.protocol import ProverBehavior, run_protocol
+from zeiger.protocol import ProverBehavior, ResourceStats, run_protocol, verify_cell
 from zeiger.reduction import lift_assignment, reduce_instance
+from zeiger.simulator import _skeleton, simulate_transcript, structure
 from zeiger.solver import BudgetExhausted, _Search, solve
 
 from .conftest import FIXTURES
@@ -183,14 +196,69 @@ def test_run_rejects_exactly_at_the_first_failing_cell(name, data, seed):
     assert_rejects_exactly_at_first_failing_cell(g, draw_filling(data, g, solution), seed)
 
 
+def solve_or_none(g: Grid):
+    try:
+        return solve(g, budget=2_000)
+    except BudgetExhausted:
+        return None
+
+
 @settings(max_examples=100, deadline=None)
 @given(g=random_grids(), data=st.data(), seed=seeds)
 def test_run_rejects_exactly_at_the_first_failing_cell_on_random_grids(g, data, seed):
-    try:
-        solution = solve(g, budget=2_000)
-    except BudgetExhausted:
-        solution = None
-    assert_rejects_exactly_at_first_failing_cell(g, draw_filling(data, g, solution), seed)
+    assert_rejects_exactly_at_first_failing_cell(g, draw_filling(data, g, solve_or_none(g)), seed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=random_grids(), data=st.data(), seed=seeds)
+def test_a_checks_events_do_not_depend_on_the_boards_values(g, data, seed):
+    b = g.max_value + 1
+    board = {c: encode(b, data.draw(st.integers(0, b - 1)), ODD_STACK) for c in g.coords()}
+    t, pool, rng = Transcript(), ResourceStats(), random.Random(seed)
+    for c in g.coords():
+        verify_cell(board, g, c, pool, rng, t)
+    assert structure(t) == list(_skeleton(g))
+
+
+def assert_keeps_the_verifiers_rules(t: Transcript):
+    """``locate`` accepts every reveal, each normalize shifts by the position
+    revealed just before it, and each cell's two compare rows agree."""
+    last = None  # (site, position) of the event just before, if a reveal
+    for ev in t.events:
+        if ev["ev"] == "reveal":
+            pos = locate(ev["faces"], MARKER[ev["site"]])
+            if ev["site"] == "compare" and ev["row"] == 1:
+                assert last == ("compare", pos)
+            last = ev["site"], pos
+            continue
+        if ev["ev"] == "normalize":
+            assert last is not None and last[1] == ev["shift"]
+        last = None
+
+
+def assert_runs_have_the_skeleton_and_keep_the_rules(g: Grid, solution, seed):
+    """An honest run (if there is a solution) and a simulated run both
+    accept, with the skeleton's structure, and keep the verifier's rules."""
+    runs = [simulate_transcript(g, seed)]
+    if solution is not None:
+        runs.append(run_protocol(g, ProverBehavior.honest(solution), seed)[1])
+    for t in runs:
+        assert t.events[-1] == {"ev": "verdict", "accept": True}
+        assert structure(t)[:-1] == list(_skeleton(g))
+        assert_keeps_the_verifiers_rules(t)
+
+
+@pytest.mark.parametrize("name", ["fig1", "gen_nae(4, 6, 0)"])
+@settings(max_examples=20, deadline=None)
+@given(seed=seeds)
+def test_runs_keep_the_skeleton_and_the_verifiers_rules(name, seed):
+    assert_runs_have_the_skeleton_and_keep_the_rules(*solved_grid(name), seed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=random_grids(), seed=seeds)
+def test_runs_on_random_grids_keep_the_skeleton_and_the_verifiers_rules(g, seed):
+    assert_runs_have_the_skeleton_and_keep_the_rules(g, solve_or_none(g), seed)
 
 
 class CheckedSearch(_Search):

@@ -9,17 +9,13 @@ from zeiger.grid import parse_grid
 from zeiger import audit
 from zeiger.cards import MARKER
 from zeiger.protocol import ProverBehavior, run_protocol
-from zeiger.simulator import simulate_transcript
-
-
-def event_skeleton(t):
-    return [(ev["ev"], ev.get("site"), ev.get("row")) for ev in t.events]
+from zeiger.simulator import simulate_transcript, structure
 
 
 def test_simulator_structure_matches_real_run(fig1_grid, fig1_solution):
     _, real, _ = run_protocol(fig1_grid, ProverBehavior.honest(fig1_solution), seed=11)
     sim = simulate_transcript(fig1_grid, seed=999)
-    assert event_skeleton(real) == event_skeleton(sim)
+    assert structure(real) == structure(sim)
 
 
 def test_simulator_structure_for_degenerate_sightlines():
@@ -29,7 +25,7 @@ def test_simulator_structure_for_degenerate_sightlines():
     f = Filling([[1, 1], [1, 1]])
     _, real, _ = run_protocol(g, ProverBehavior.honest(f), seed=0)
     sim = simulate_transcript(g, seed=0)
-    assert event_skeleton(real) == event_skeleton(sim)
+    assert structure(real) == structure(sim)
 
 
 def test_simulator_deterministic(fig1_grid):
