@@ -1,18 +1,32 @@
 """Backtracking solver for Zeiger grids, used as the solvability oracle.
 
-Search strategy: pick the unassigned cell with the fewest feasible values
-(ties broken row-major), try values in ascending order.  A cell's feasible
-range is [d, d+u] where d is the number of distinct values already assigned
-in its sightline and u the number of still-unassigned sightline cells; the
-same interval test prunes every cell watching an assigned cell.  Each cell
-keeps its d and u (and a count per value in its sightline), updated over the
-cell's watchers as a value is set and unset, so every test is O(1).
+Search strategy: forward checking (Haralick & Elliott, 1980).  Every unset
+cell has a domain of feasible values, held as an int bitmask (bit v for
+value v).  It starts as the interval [max(d, 1), min(d+u, t)], where d is
+the number of distinct values set in the cell's sightline, u the number of
+its sightline cells still unset and t the sightline's length.  Each set
+watcher w (a cell whose sightline holds the cell) with value v, seeing d
+distinct values and u unset cells, then narrows it when w is tight:
+
+- if d == v, every unset cell w sees must repeat a value w already sees, so
+  the domain is ANDed with w's seen-values mask;
+- if d + u == v, every one must add a value w does not yet see, so it is
+  ANDed with that mask's complement.
+
+A value from its cell's domain therefore never pushes a set cell's distinct
+count out of reach, and a full assignment reached this way is a solution.
+The search picks the unset cell with the fewest values (ties broken
+row-major) and tries them in ascending order.  Each cell keeps its
+sightline's counts, seen mask and, once set, the mask its tight case leaves
+(``cut``); setting or unsetting a value updates them over the cell's
+watchers and recounts only the domains they bear on, so choosing a cell is
+a minimum over one list.
 """
 
 from __future__ import annotations
 
-from itertools import compress
-from operator import not_
+from functools import reduce
+from operator import and_
 from typing import Iterator, Optional
 
 from .grid import Coord, Filling, Grid, sightline, verify
@@ -38,81 +52,104 @@ class _Search:
         # flat index = (row-1)*cols + (col-1)
         self.sight = []
         self.watchers = [[] for _ in range(self.n)]
-        self.values = []  # 0 = unassigned
         for c in g.coords():
-            i = (c.row - 1) * l + (c.col - 1)
             line = [(s.row - 1) * l + (s.col - 1) for s in sightline(g, c)]
-            self.sight.append(line)
             for j in line:
-                self.watchers[j].append(i)
-            self.values.append(g.cell(c).given or 0)
+                self.watchers[j].append(len(self.sight))
+            self.sight.append(line)
         # per cell w, over w's sightline: count[w][v] cells hold v, they hold
-        # distinct[w] different values, and unassigned[w] of them are unset;
-        # kept up to date by _set and _unset
+        # distinct[w] different values (bit v of seen[w] set for each), and
+        # unassigned[w] of them are unset; cut[w] is the mask an assigned,
+        # tight w leaves each unset cell it sees (-1 when it leaves all);
+        # size[i] is how many values unset cell i's domain holds (more than
+        # any domain once i is set); kept up to date by _set and _unset
         self.top = [len(line) for line in self.sight]  # no value exceeds it
-        self.count = [[0] * (g.max_value + 1) for _ in range(self.n)]
+        self.full = g.max_value + 1  # more values than any domain holds
+        self.values = [0] * self.n  # 0 = unassigned
+        self.count = [[0] * self.full for _ in range(self.n)]
         self.distinct = [0] * self.n
+        self.seen = [0] * self.n
         self.unassigned = self.top[:]
-        for i, v in enumerate(self.values):
+        self.cut = [-1] * self.n
+        self.size = [0] * self.n
+        for i, c in enumerate(g.coords()):
+            v = g.cell(c).given
             if v:
-                self._set(i, v)
+                self.values[i] = v
+                self._count(i, v, 1)
+        self._resize(range(self.n))
+
+    def _domain(self, i: int) -> int:
+        """Unset cell i's feasible values as a bitmask: at least the distinct
+        values it sees (and 1), at most that plus its unset cells (and its
+        sightline's length), and only what every tight watcher leaves."""
+        d = self.distinct[i]
+        hi = d + self.unassigned[i]
+        if hi > self.top[i]:
+            hi = self.top[i]
+        span = (2 << hi) - (1 << (d or 1))  # bits max(d, 1) to hi
+        return reduce(and_, map(self.cut.__getitem__, self.watchers[i]), span)
+
+    def _tighten(self, w: int) -> bool:
+        """Recompute cut[w] from w's value and its sightline's counts;
+        whether it changed."""
+        v, d, old = self.values[w], self.distinct[w], self.cut[w]
+        if v and d == v:  # each unset cell w sees must repeat a value it sees
+            self.cut[w] = self.seen[w]
+        elif v and d + self.unassigned[w] == v:  # ... must add a new one
+            self.cut[w] = ~self.seen[w]
+        else:
+            self.cut[w] = -1
+        return self.cut[w] != old
+
+    def _count(self, i: int, v: int, step: int) -> list[int]:
+        """Count cell i's value v into (step 1) or out of (step -1) its
+        watchers' sightlines; the cells whose domains this can change."""
+        distinct, seen, unassigned = self.distinct, self.seen, self.unassigned
+        moved = self.watchers[i] + [i]
+        for w in self.watchers[i]:
+            count = self.count[w]
+            count[v] += step
+            if count[v] == (step > 0):  # went from 0 to 1 or from 1 to 0
+                distinct[w] += step
+                seen[w] ^= 1 << v
+            unassigned[w] -= step
+            if self._tighten(w):
+                moved += self.sight[w]
+        if self._tighten(i):
+            moved += self.sight[i]
+        return moved
+
+    def _resize(self, cells) -> None:
+        values, size, domain = self.values, self.size, self._domain
+        for j in cells:
+            size[j] = self.full if values[j] else domain(j).bit_count()
 
     def _set(self, i: int, v: int) -> None:
         self.values[i] = v
-        distinct, unassigned = self.distinct, self.unassigned
-        for w in self.watchers[i]:
-            count = self.count[w]
-            if not count[v]:
-                distinct[w] += 1
-            count[v] += 1
-            unassigned[w] -= 1
+        self._resize(self._count(i, v, 1))
 
     def _unset(self, i: int) -> None:
         v = self.values[i]
         self.values[i] = 0
-        distinct, unassigned = self.distinct, self.unassigned
-        for w in self.watchers[i]:
-            count = self.count[w]
-            count[v] -= 1
-            if not count[v]:
-                distinct[w] -= 1
-            unassigned[w] += 1
+        self._resize(self._count(i, v, -1))
 
-    def _interval(self, i: int) -> tuple[int, int]:
-        """(distinct assigned, unassigned count) over cell i's sightline."""
-        return self.distinct[i], self.unassigned[i]
-
-    def _consistent(self, i: int) -> bool:
-        """Cell i's value (if set) can still equal its sightline distinct count."""
-        v = self.values[i]
-        if v == 0:
-            return True
-        d, u = self._interval(i)
-        return d <= v <= d + u
-
-    def _branch(self) -> tuple[int, range]:
+    def _branch(self) -> tuple[int, int]:
         """The unassigned cell with the fewest feasible values (row-major on
-        ties) and those values; cell -1 once every cell is assigned."""
-        best_i, best_lo, best_hi = -1, 1, self.n  # wider than any domain
-        distinct, unassigned, top = self.distinct, self.unassigned, self.top
-        for i in compress(range(self.n), map(not_, self.values)):
-            # the feasible values: at least the distinct values seen (and 1),
-            # at most that plus the unset cells (and the sightline's length)
-            d = distinct[i]
-            lo = d or 1
-            hi = d + unassigned[i]
-            if hi > top[i]:
-                hi = top[i]
-            if hi - lo < best_hi - best_lo:
-                best_i, best_lo, best_hi = i, lo, hi
-                if hi < lo:
-                    break
-        return best_i, range(best_lo, best_hi + 1)
+        ties) and those values as a bitmask; cell -1 once every cell is
+        assigned."""
+        fewest = min(self.size)
+        if fewest == self.full:
+            return -1, 0
+        i = self.size.index(fewest)
+        return i, self._domain(i)
 
     def run(self, cap: int) -> list[Filling]:
-        # Givens alone can already be contradictory.
-        if any(not self._consistent(i) for i in range(self.n)):
-            return []
+        # Givens alone can already be contradictory; after them, every value
+        # tried lies in its cell's domain, so no assigned cell's count breaks.
+        for i, v in enumerate(self.values):
+            if v and not self.distinct[i] <= v <= self.distinct[i] + self.unassigned[i]:
+                return []
         found: list[Filling] = []
         # One (cell, untried values) frame per branching cell, deepest last:
         # a loop, not recursion, so no grid outgrows Python's call stack.
@@ -126,7 +163,7 @@ class _Search:
                     if len(found) >= cap:
                         return found
                 else:
-                    stack.append((i, iter(dom)))
+                    stack.append((i, iter([v for v in range(dom.bit_length()) if dom >> v & 1])))
             if not stack:
                 return found
             i, untried = stack[-1]
@@ -138,9 +175,7 @@ class _Search:
                 if self.nodes > self.budget:
                     raise BudgetExhausted(f"exceeded {self.budget} nodes")
                 self._set(i, v)
-                # the value lies in the cell's own interval; only its
-                # watchers can be broken by it
-                descend = all(self._consistent(w) for w in self.watchers[i])
+                descend = True
             else:
                 stack.pop()
                 descend = False

@@ -1,10 +1,12 @@
 """Property tests: the card format over every size and face pair, the
 protocol's completeness and soundness over drawn seeds, fillings and grids,
 the public shape of real and simulated runs and the verifier's rules on
-their reveals, and the solver's kept sightline counts over drawn grids."""
+their reveals, and the solver's kept state and lossless pruning over drawn
+grids."""
 
 import random
 from functools import cache
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from zeiger.cards import (
 )
 from zeiger.grid import (
     Cell,
+    Coord,
     Direction,
     Filling,
     Grid,
@@ -36,7 +39,7 @@ from zeiger.nae import gen_nae, nae_brute_force
 from zeiger.protocol import ProverBehavior, ResourceStats, run_protocol, verify_cell
 from zeiger.reduction import lift_assignment, reduce_instance
 from zeiger.simulator import _skeleton, simulate_transcript, structure
-from zeiger.solver import BudgetExhausted, _Search, solve
+from zeiger.solver import BudgetExhausted, _Search, enumerate_solutions, solve
 
 from .conftest import FIXTURES
 
@@ -262,20 +265,49 @@ def test_runs_on_random_grids_keep_the_skeleton_and_the_verifiers_rules(g, seed)
 
 
 class CheckedSearch(_Search):
-    """A search that checks every cell's kept sightline interval against a
-    count from scratch before each branch (a raise, which ``-O`` keeps)."""
+    """A search that checks, before each branch, every cell's kept state
+    against a recount over Python sets: its sightline's distinct values,
+    unset cells and seen mask, the mask its tight case leaves, its domain's
+    size, and the cell and values chosen (raises, which ``-O`` keeps)."""
 
     def _branch(self):
-        for i, line in enumerate(self.sight):
-            seen = [self.values[j] for j in line]
-            counted = (len(set(seen) - {0}), seen.count(0))
-            if self._interval(i) != counted:
-                raise AssertionError(f"cell {i}: kept {self._interval(i)}, counted {counted}")
-        return super()._branch()
+        values = self.values
+        seen = [{values[j] for j in line} - {0} for line in self.sight]
+        unset = [sum(not values[j] for j in line) for line in self.sight]
+        domains = []
+        for i in range(self.n):
+            mask = sum(1 << v for v in seen[i])
+            kept = (self.distinct[i], self.unassigned[i], self.seen[i])
+            if kept != (len(seen[i]), unset[i], mask):
+                raise AssertionError(f"cell {i}: kept {kept}, counted {(len(seen[i]), unset[i], mask)}")
+            cut = -1
+            if values[i] and values[i] == len(seen[i]):
+                cut = mask
+            elif values[i] and values[i] == len(seen[i]) + unset[i]:
+                cut = ~mask
+            if self.cut[i] != cut:
+                raise AssertionError(f"cell {i}: kept cut {self.cut[i]}, counted {cut}")
+            dom = set(range(max(len(seen[i]), 1), min(len(seen[i]) + unset[i], self.top[i]) + 1))
+            for w in self.watchers[i]:
+                if values[w] and values[w] == len(seen[w]):
+                    dom &= seen[w]
+                elif values[w] and values[w] == len(seen[w]) + unset[w]:
+                    dom -= seen[w]
+            domains.append(None if values[i] else dom)
+        for i, dom in enumerate(domains):
+            if self.size[i] != (self.full if dom is None else len(dom)):
+                raise AssertionError(f"cell {i}: kept size {self.size[i]}, counted {dom}")
+        open_cells = [i for i, dom in enumerate(domains) if dom is not None]
+        want = min(open_cells, key=lambda i: len(domains[i]), default=-1)
+        i, mask = super()._branch()
+        if i != want or (i >= 0 and mask != sum(1 << v for v in domains[i])):
+            raise AssertionError(f"branched on cell {i} ({mask:b}), expected {want}")
+        return i, mask
 
 
 def kept_counts(search: _Search):
-    return search.values, search.count, search.distinct, search.unassigned
+    return (search.values, search.count, search.distinct, search.unassigned,
+            search.seen, search.cut, search.size)
 
 
 @settings(max_examples=200, deadline=None)
@@ -286,3 +318,48 @@ def test_solver_keeps_exact_sightline_counts(g):
     assert len(found) < 1000  # so the search ran to exhaustion
     # every value it set is unset again: the tables are back to the givens'
     assert kept_counts(search) == kept_counts(_Search(g, budget=0))
+
+
+@st.composite
+def sparse_grids(draw):
+    """A grid of random_grids' arrows with at most 8 unnumbered cells.  The
+    others are numbered from a solution of the arrows alone, if one is found
+    and the draw asks for it (so some grids are solvable), else at random."""
+    arrows = Grid([[Cell(cell.direction) for cell in row] for row in draw(random_grids()).cells])
+    solution = solve_or_none(arrows) if draw(st.booleans()) else None
+    free = draw(st.lists(st.sampled_from(list(arrows.coords())), min_size=1, max_size=8, unique=True))
+    cells = []
+    for r, row in enumerate(arrows.cells, start=1):
+        cells.append([])
+        for c, cell in enumerate(row, start=1):
+            if Coord(r, c) in free:
+                given = None
+            elif solution is not None:
+                given = solution.value(Coord(r, c))
+            else:
+                given = draw(st.integers(1, arrows.max_value))
+            cells[-1].append(Cell(cell.direction, given))
+    return Grid(cells)
+
+
+def brute_force_solutions(g: Grid) -> set[Filling]:
+    """Every filling that verifies, found by trying each value from 1 to its
+    sightline's length in every unnumbered cell."""
+    free = [c for c in g.coords() if g.cell(c).given is None]
+    values = [[cell.given for cell in row] for row in g.cells]
+    found = set()
+    for tried in product(*(range(1, len(sightline(g, c)) + 1) for c in free)):
+        for c, v in zip(free, tried):
+            values[c.row - 1][c.col - 1] = v
+        f = Filling(values)
+        if not verify(g, f):
+            found.add(f)
+    return found
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=sparse_grids())
+def test_solver_pruning_loses_no_solution(g):
+    found = enumerate_solutions(g, cap=10_000)
+    assert len(set(found)) == len(found)
+    assert set(found) == brute_force_solutions(g)

@@ -197,3 +197,21 @@ def test_sat_equivalence_quick():
         inst = gen_nae(rng.choice([3, 4]), rng.randint(1, 4), rng.getrandbits(32))
         sat = nae_brute_force(inst) is not None
         assert sat == (solve(reduce_instance(inst)) is not None)
+
+
+def test_sat_equivalence_near_the_nae_threshold():
+    # ten seeds at each of three sizes with about 2.1 clauses per variable,
+    # where gen_nae gives unsatisfiable instances as well as satisfiable ones
+    answers = []
+    for n, m in [(10, 21), (12, 25), (14, 29)]:
+        for seed in range(10):
+            inst = gen_nae(n, m, seed)
+            a = nae_brute_force(inst)
+            g = reduce_instance(inst)
+            f = solve(g)
+            assert (f is None) == (a is None), (n, m, seed)
+            if a is not None:
+                assert nae_check(inst, extract_assignment(inst, f))
+                assert verify(g, lift_assignment(inst, a)) == []
+            answers.append(a is not None)
+    assert True in answers and False in answers
