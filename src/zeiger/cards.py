@@ -62,20 +62,14 @@ def locate(row: list[str], mark: str) -> int:
 
 
 class Transcript:
-    """Ordered verifier-visible events.  Never records hidden faces or the
-    secret offset/permutation of a shuffle."""
+    """Ordered verifier-visible events, and nothing else: a run's counts are
+    kept in its ``ResourceStats``.  Never records hidden faces or the secret
+    offset/permutation of a shuffle."""
 
     def __init__(self):
         self.events: list[dict] = []
-        # running counts of the shuffles recorded, so a run reads its totals
-        # without rescanning the events
-        self.shifts = 0
-        self.scrambles = 0
 
     def record(self, ev: dict):
-        if ev["ev"] == "shuffle":
-            self.shifts += ev["kind"] == "shift"
-            self.scrambles += ev["kind"] != "shift"
         self.events.append(ev)
 
     def shuffle(self, kind: str, rows: int, cols: int):

@@ -30,7 +30,7 @@ from .grid import (
     serialize_grid,
     verify,
 )
-from .protocol import ProverBehavior, count_resources, run_protocol
+from .protocol import ProverBehavior, ResourceStats, count_resources, run_protocol, setup_board
 from .reduction import (
     ReductionError,
     extract_assignment,
@@ -154,6 +154,8 @@ def _parse_cheat(spec: str, g, f):
     if g.cell(cell).given is not None:
         raise InputError(f"cheat cell {cell} is a given cell, which the verifier lays out publicly")
     if kind == "wrong-value":
+        # the filling must fit the grid before one of its values can change
+        setup_board(g, ProverBehavior.honest(f), ResourceStats())
         wrong = f.value(cell) % g.max_value + 1
         if wrong == f.value(cell):
             raise InputError(f"cheat cell {cell} has no wrong value: the grid allows only 1")
@@ -165,21 +167,9 @@ def _parse_cheat(spec: str, g, f):
     raise InputError(f"unknown cheat kind {kind!r}")
 
 
-def _load_proof_inputs(args):
-    """The grid and the prover's solution for ``zkp run``/``zkp audit``; the
-    solution must fit the grid and keep every given."""
+def cmd_zkp_run(args) -> int:
     g = _load(args.grid, parse_grid)
     f = _load(args.solution, parse_filling)
-    for v in verify(g, f):
-        if v.kind == "given":
-            raise InputError(
-                f"solution has {v.actual} at given cell {v.coord}, which holds {v.expected}"
-            )
-    return g, f
-
-
-def cmd_zkp_run(args) -> int:
-    g, f = _load_proof_inputs(args)
     if args.cheat:
         behavior = _parse_cheat(args.cheat, g, f)
     else:
@@ -199,7 +189,8 @@ def cmd_zkp_run(args) -> int:
 
 
 def cmd_zkp_audit(args) -> int:
-    g, f = _load_proof_inputs(args)
+    g = _load(args.grid, parse_grid)
+    f = _load(args.solution, parse_filling)
     report = audit_mod.audit_zk(g, f, trials=args.trials, alpha=args.alpha, seed=args.seed)
     if args.report:
         _write(args.report, json.dumps(report, indent=2) + "\n")

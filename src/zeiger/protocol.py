@@ -26,7 +26,7 @@ from .cards import (
     reveal_row,
     rotate_to_normalize,
 )
-from .grid import Coord, Filling, Grid, sightline
+from .grid import Coord, Filling, Grid, GridError, sightline
 
 
 def turn_down_all(m):
@@ -127,23 +127,31 @@ Board = dict[Coord, list[str]]
 def setup_board(g: Grid, behavior: ProverBehavior, pool: ResourceStats) -> Board:
     """Place a pair encoding of the (claimed) value on every cell.
 
-    Given cells are laid out publicly from the grid, so no cheat reaches
-    them: the filling must agree with every given, and a malformed cell
-    only breaks an unnumbered cell's sequence.
+    The one check of the prover's inputs.  Given cells are laid out publicly
+    from the grid, so no cheat reaches them: raises GridError unless the
+    filling has the grid's size and agrees with every given, and the
+    malformed cell, if any, is an unnumbered cell of the board.
     """
     f = behavior.filling
     if (f.rows, f.cols) != (g.rows, g.cols):
-        raise ValueError("filling does not match grid dimensions")
+        raise GridError(
+            f"dimension mismatch: grid is {g.rows}x{g.cols}, filling is {f.rows}x{f.cols}"
+        )
+    bad = behavior.malformed_cell
+    if bad is not None and not (1 <= bad.row <= g.rows and 1 <= bad.col <= g.cols):
+        raise GridError(f"malformed cell {bad} is off the {g.rows}x{g.cols} board")
+    if bad is not None and g.cell(bad).given is not None:
+        raise GridError(f"malformed cell {bad} is a given cell, laid out publicly by the verifier")
     b = g.max_value + 1
     board: Board = {}
     for c in g.coords():
         v = f.value(c)
         given = g.cell(c).given
         if given is not None and v != given:
-            raise ValueError(f"filling disagrees with given at {c}")
+            raise GridError(f"filling disagrees with given at {c}")
         pool.take(b, b)
         ps = [ODD_STACK if i == v else EVEN_STACK for i in range(b)]
-        if c == behavior.malformed_cell and given is None:
+        if c == bad:
             # a second marker stack: caught by the copy protocol's format check
             ps[(v + 1) % b] = ODD_STACK
         board[c] = ps
@@ -152,7 +160,7 @@ def setup_board(g: Grid, behavior: ProverBehavior, pool: ResourceStats) -> Board
 
 @dataclass
 class ResourceStats:
-    """A run's ledger of shuffles and cards.  The subprotocols take it as
+    """A run's only ledger of shuffles and cards.  The subprotocols take it as
     ``pool``; it hands out no cards, callers lay out the faces they took."""
 
     shifts: int = 0
@@ -223,22 +231,22 @@ def run_protocol(g: Grid, behavior: ProverBehavior, seed: int
     stats = ResourceStats()
     board = setup_board(g, behavior, stats)
     for c in g.coords():
-        before = transcript.shifts + transcript.scrambles
+        start = len(transcript.events)
         try:
-            if not verify_cell(board, g, c, stats, rng, transcript):
-                transcript.verdict(False, "cell value differs from its sightline's distinct count", c)
-                break
+            ok = verify_cell(board, g, c, stats, rng, transcript)
+            reason = "cell value differs from its sightline's distinct count"
         except MalformedReveal as e:
-            transcript.verdict(False, str(e), c)
+            ok, reason = False, str(e)
+        # the cell's shuffles, counted once; a rejected cell's count too
+        kinds = [ev["kind"] for ev in transcript.events[start:] if ev["ev"] == "shuffle"]
+        stats.shifts += kinds.count("shift")
+        stats.scrambles += kinds.count("scramble")
+        if not ok:
+            transcript.verdict(False, reason, c)
             break
-        stats.per_cell.append(
-            {"cell": [c.row, c.col],
-             "shuffles": transcript.shifts + transcript.scrambles - before}
-        )
+        stats.per_cell.append({"cell": [c.row, c.col], "shuffles": len(kinds)})
     else:
         transcript.verdict(True)
-    stats.shifts = transcript.shifts
-    stats.scrambles = transcript.scrambles
     return transcript.events[-1]["accept"], transcript, stats
 
 
@@ -246,9 +254,10 @@ def count_resources(g: Grid) -> ResourceStats:
     """Closed-form shuffle and card counts for a full run (no execution).
 
     Per cell with sightline length t: t+1 copy shifts, b-1 summation shifts,
-    t set-size scrambles, 1 comparing scramble.  Peak cards: the 2b*k*l board
-    plus the held copies (2b each, t_max+1 of them) plus the 4b freshly drawn
-    cards inside the last copy.
+    t set-size scrambles, 1 comparing scramble.  Cards drawn: b+b on the board,
+    2b+2b per copy, b(b-1)/2 clubs and b-1 hearts to sum, 1 heart to compare.
+    Peak cards: the 2b*k*l board plus the held copies (2b each, t_max+1 of
+    them) plus the 4b freshly drawn cards inside the last copy.
     """
     b = g.max_value + 1
     t_vals = [len(sightline(g, c)) for c in g.coords()]
@@ -256,6 +265,8 @@ def count_resources(g: Grid) -> ResourceStats:
     for c, t in zip(g.coords(), t_vals):
         stats.shifts += (t + 1) + (b - 1)
         stats.scrambles += t + 1
+        stats.clubs_drawn += b + 2 * b * (t + 1) + b * (b - 1) // 2
+        stats.hearts_drawn += b + 2 * b * (t + 1) + b
         stats.per_cell.append({"cell": [c.row, c.col], "shuffles": 2 * t + b + 1})
     t_max = max(t_vals)
     stats.peak_cards = 2 * b * g.rows * g.cols + 2 * b * t_max + 4 * b

@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+from zeiger.audit import audit_zk
 from zeiger.grid import Coord, Filling, parse_filling, parse_grid
 from zeiger.nae import parse_nae
 
@@ -24,6 +25,13 @@ def fig1_grid():
 @pytest.fixture(scope="session")
 def fig1_solution():
     return parse_filling((FIXTURES / "fig1.solution").read_text())
+
+
+@pytest.fixture(scope="session")
+def fig1_audit_report(fig1_grid, fig1_solution):
+    """One 2000-trial audit of fig1, shared by every test that reads a full
+    report: an audit is the slowest step of the suite."""
+    return audit_zk(fig1_grid, fig1_solution, trials=2000, alpha=0.001, seed=10)
 
 
 @pytest.fixture(scope="session")

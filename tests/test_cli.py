@@ -285,8 +285,9 @@ def test_short_assignment_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["zkp", "run"], ["zkp", "run", "--cheat", "malformed:1,1"], ["zkp", "audit"]],
-    ids=["run", "run-malformed", "audit"],
+    [["zkp", "run"], ["zkp", "run", "--cheat", "malformed:1,1"],
+     ["zkp", "run", "--cheat", "wrong-value:5,5"], ["zkp", "audit"]],
+    ids=["run", "run-malformed", "run-wrong-value", "audit"],
 )
 def test_zkp_wrong_size_solution_exits_2(argv, tmp_path, capsys):
     small = tmp_path / "small.solution"
@@ -294,6 +295,7 @@ def test_zkp_wrong_size_solution_exits_2(argv, tmp_path, capsys):
     assert main([*argv, "--grid", FIG1, "--solution", str(small)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert "2x2" in err and "5x5" in err
 
 
 def test_negative_answers_exit_1_on_stdout(tmp_path, capsys):
@@ -328,6 +330,11 @@ def test_stats_command(tmp_path):
     data = json.loads(out.read_text())
     assert data["total_shuffles"] == 304
     assert data["peak_cards"] == 310
+    assert (data["clubs_drawn"], data["hearts_drawn"]) == (1395, 1270)
+    # the closed form is the whole ledger of an honest run
+    run = tmp_path / "run.json"
+    assert main(["zkp", "run", "--grid", FIG1, "--solution", FIG1_SOL, "--stats", str(run)]) == 0
+    assert run.read_text() == out.read_text()
 
 
 @pytest.mark.parametrize(

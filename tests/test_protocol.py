@@ -11,7 +11,15 @@ from zeiger.cards import (
     encode,
     locate,
 )
-from zeiger.grid import Coord, distinct_count, parse_filling, sightline
+from zeiger.grid import (
+    Coord,
+    Filling,
+    GridError,
+    distinct_count,
+    parse_filling,
+    parse_grid,
+    sightline,
+)
 from zeiger.nae import gen_nae, nae_brute_force
 from zeiger.protocol import (
     ProverBehavior,
@@ -246,16 +254,21 @@ class TestRunProtocol:
             "reason": "cell value differs from its sightline's distinct count",
         }
 
-    def test_cheat_at_given_cell_has_no_effect(self, fig1_grid, fig1_solution):
-        # (3,4) is given as 1: the verifier lays it out from the grid
-        _, honest, honest_stats = run_protocol(
-            fig1_grid, ProverBehavior.honest(fig1_solution), seed=9
-        )
-        behavior = ProverBehavior.malformed(fig1_solution, Coord(3, 4))
-        accept, transcript, stats = run_protocol(fig1_grid, behavior, seed=9)
-        assert accept
-        assert transcript.to_json_lines() == honest.to_json_lines()
-        assert stats == honest_stats
+    def test_cheat_the_board_cannot_hold_raises(self, fig1_grid, fig1_solution):
+        # (3,4) is given as 1: the verifier lays it out from the grid, so a
+        # cheat there, off the board or on a board of another size is no
+        # run of the protocol at all
+        cases = [
+            (ProverBehavior.malformed(fig1_solution, Coord(3, 4)),
+             r"^malformed cell \(3,4\) is a given cell"),
+            (ProverBehavior.malformed(fig1_solution, Coord(6, 1)),
+             r"^malformed cell \(6,1\) is off the 5x5 board$"),
+            (ProverBehavior.honest(Filling([[1, 1], [1, 1]])),
+             r"^dimension mismatch: grid is 5x5, filling is 2x2$"),
+        ]
+        for behavior, match in cases:
+            with pytest.raises(GridError, match=match):
+                run_protocol(fig1_grid, behavior, seed=9)
 
     def test_value_above_max_value_rejected(self, fig1_grid, fig1_solution):
         # setup_board lays the value out itself: encode would raise
@@ -303,15 +316,17 @@ class TestRunProtocol:
 
 class TestResources:
     def test_measured_equals_closed_form(self, fig1_grid, fig1_solution):
-        _, _, measured = run_protocol(
-            fig1_grid, ProverBehavior.honest(fig1_solution), seed=1
-        )
-        closed = count_resources(fig1_grid)
-        assert measured.shifts == closed.shifts
-        assert measured.scrambles == closed.scrambles
-        assert measured.total_shuffles == closed.total_shuffles
-        assert measured.peak_cards == closed.peak_cards
-        assert measured.per_cell == closed.per_cell
+        # the closed form is the whole ledger: every shuffle, card and cell
+        cases = [(fig1_grid, fig1_solution),
+                 (parse_grid("R. L.\nR. L."), Filling([[1, 1], [1, 1]]))]
+        for n, m in ((3, 4), (4, 6)):
+            inst = gen_nae(n, m, 0)
+            cases.append((reduce_instance(inst), lift_assignment(inst, nae_brute_force(inst))))
+        for g, f in cases:
+            _, _, measured = run_protocol(g, ProverBehavior.honest(f), seed=1)
+            closed = count_resources(g)
+            assert measured.total_shuffles == closed.total_shuffles
+            assert measured.to_dict() == closed.to_dict()
 
     def test_per_cell_formula(self, fig1_grid):
         b = fig1_grid.max_value + 1

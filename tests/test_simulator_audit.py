@@ -96,8 +96,8 @@ def test_audit_checks_structure_of_every_trial(fig1_grid, fig1_solution, monkeyp
     assert len(calls) == 2
 
 
-def test_audit_report_shape(fig1_grid, fig1_solution):
-    report = audit_zk(fig1_grid, fig1_solution, trials=1000, alpha=0.001, seed=7)
+def test_audit_report_shape(fig1_audit_report):
+    report = fig1_audit_report
     assert report["pass"] is True
     sites = {s["site"] for s in report["sites"]}
     assert sites == {"copy", "setsize", "sum", "compare"}

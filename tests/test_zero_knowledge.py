@@ -65,18 +65,17 @@ class _StopAfterShuffle(Transcript):
     def __init__(self, k: int):
         super().__init__()
         self.k = k
+        self.shuffles = 0
         self.position = None
 
-    def _past_k(self) -> bool:
-        return self.shifts + self.scrambles > self.k
-
     def shuffle(self, kind, rows, cols):
-        if self._past_k():
+        if self.shuffles > self.k:
             raise _Stop
+        self.shuffles += 1
         super().shuffle(kind, rows, cols)
 
     def reveal(self, site, row, faces):
-        if self._past_k():
+        if self.shuffles > self.k:
             self.position = faces.index(MARKER[site])
             raise _Stop
         super().reveal(site, row, faces)
