@@ -2,7 +2,11 @@
 
 An instance with m clauses and n variables maps to an (m+3) x (n+5) grid
 whose first m rows encode clauses and first n columns encode variables;
-values 2 and 3 stand for TRUE and FALSE.
+values 2 and 3 stand for TRUE and FALSE.  The grid has two kinds of row,
+written in ``.puzzle`` tokens (variable columns 1..n, then five fixed ones):
+
+    clause p       D. if q is in clause p, else R4    R4 L3 R2 R1 L4
+    rows m+1..m+3  R4, then U2, then U.               R4 R3 R2 R1 L4
 """
 
 from __future__ import annotations
@@ -10,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .grid import Cell, Coord, Direction, Filling, Grid, sightline, verify
+from .grid import Coord, Direction, Filling, Grid, parse_grid, sightline, verify
 from .nae import Assignment, NaeInstance, nae_check
 
 
@@ -20,41 +24,15 @@ class ReductionError(ValueError):
 
 
 def reduce_instance(inst: NaeInstance) -> Grid:
-    """Build the (m+3) x (n+5) Zeiger grid encoding ``inst``."""
-    m, n = inst.m, inst.n
-    members = [set(cl) for cl in inst.clauses]
-    cells = []
-    for p in range(1, m + 4):
-        row = []
-        for q in range(1, n + 6):
-            if q <= n:
-                if p <= m:
-                    if q in members[p - 1]:
-                        cell = Cell(Direction.DOWN)
-                    else:
-                        cell = Cell(Direction.RIGHT, 4)
-                elif p == m + 1:
-                    cell = Cell(Direction.RIGHT, 4)
-                elif p == m + 2:
-                    cell = Cell(Direction.UP, 2)
-                else:  # p == m + 3
-                    cell = Cell(Direction.UP)
-            elif q == n + 1:
-                cell = Cell(Direction.RIGHT, 4)
-            elif q == n + 2:
-                if p <= m:
-                    cell = Cell(Direction.LEFT, 3)
-                else:
-                    cell = Cell(Direction.RIGHT, 3)
-            elif q == n + 3:
-                cell = Cell(Direction.RIGHT, 2)
-            elif q == n + 4:
-                cell = Cell(Direction.RIGHT, 1)
-            else:  # q == n + 5
-                cell = Cell(Direction.LEFT, 4)
-            row.append(cell)
-        cells.append(row)
-    return Grid(cells)
+    """The (m+3) x (n+5) grid encoding ``inst``, parsed from two row templates:
+    a clause row is ``D.`` or ``R4`` per variable, then ``R4 L3 R2 R1 L4``; the
+    three rows below are ``R4``, ``U2``, ``U.`` each, then ``R4 R3 R2 R1 L4``."""
+    clause_rows = [
+        ["D." if q in cl else "R4" for q in range(1, inst.n + 1)] + ["R4 L3 R2 R1 L4"]
+        for cl in inst.clauses
+    ]
+    lower_rows = [[token] * inst.n + ["R4 R3 R2 R1 L4"] for token in ("R4", "U2", "U.")]
+    return parse_grid("\n".join(" ".join(row) for row in clause_rows + lower_rows))
 
 
 def lift_assignment(inst: NaeInstance, a: Assignment) -> Filling:

@@ -103,6 +103,8 @@ def test_reduce_and_roundtrip(tmp_path, capsys):
 
     g = parse_grid(out.read_text())
     assert (g.rows, g.cols) == (7, 10)
+    # the paper's Figure 2 grid, pinned byte for byte
+    assert out.read_bytes() == (FIXTURES / "fig2.puzzle").read_bytes()
 
 
 def test_lift_extract_nae_check(tmp_path, capsys):

@@ -52,7 +52,12 @@ def check_placement_rules(inst, g):
 def test_fig2_reduction_size_and_rules(fig2_instance):
     g = reduce_instance(fig2_instance)
     assert (g.rows, g.cols) == (7, 10)
-    check_placement_rules(fig2_instance, g)
+    # the smallest instance, the benchmark's three families and CI's unsat 43x25
+    specs = [(3, 1, 0), (12, 20, 0), (16, 30, 0), (8, 24, 0), (20, 40, 1)]
+    rng = random.Random(7)
+    specs += [(rng.randint(3, 24), rng.randint(1, 40), rng.getrandbits(32)) for _ in range(10)]
+    for inst in [fig2_instance] + [gen_nae(n, m, seed) for n, m, seed in specs]:
+        check_placement_rules(inst, reduce_instance(inst))
 
 
 def test_fig2_sample_cells(fig2_instance):
