@@ -4,6 +4,11 @@ A puzzle is a k x l grid where every cell carries an arrow (up, down, left or
 right) and optionally a given number.  A filling assigns a positive integer to
 every cell; it solves the puzzle when each cell's number equals the count of
 distinct numbers among the cells its arrow points at.
+
+A grid computes each cell's sightline once, on construction, as a ``range``
+of flat indices (cell (r, c) is ``(r-1)*cols + (c-1)``, row-major), nearest
+cell first; the checker, the solver, the protocol and the reduction read
+``Grid.sightlines`` and none of them walks the board.
 """
 
 from __future__ import annotations
@@ -27,15 +32,6 @@ class Direction(IntEnum):
     @property
     def letter(self) -> str:
         return "UDLR"[self.value]
-
-
-# (drow, dcol) step for each direction, rows growing downward.
-_STEP = {
-    Direction.UP: (-1, 0),
-    Direction.DOWN: (1, 0),
-    Direction.LEFT: (0, -1),
-    Direction.RIGHT: (0, 1),
-}
 
 
 @dataclass(frozen=True)
@@ -75,6 +71,12 @@ class Grid:
         self.rows = k
         self.cols = l
         self.cells = tuple(tuple(row) for row in cells)
+        # ranges, not Coord tuples, which raise peak memory by megabytes
+        self.sightlines = tuple(
+            (range(i - l, i % l - l, -l), range(i + l, k * l, l),
+             range(i - 1, i - i % l - 1, -1), range(i + 1, i - i % l + l))[cell.direction]
+            for i, cell in enumerate(cell for row in self.cells for cell in row)
+        )
         self._validate()
 
     @property
@@ -92,13 +94,13 @@ class Grid:
                 yield Coord(r, c)
 
     def _validate(self):
-        for c in self.coords():
+        for c, line in zip(self.coords(), self.sightlines):
             cell = self.cell(c)
             if cell.given is not None and cell.given > self.max_value:
                 raise GridError(
                     f"given out of range at {c}: {cell.given} > {self.max_value}"
                 )
-            if not sightline(self, c):
+            if not line:
                 raise GridError(
                     f"empty sightline at {c}: {cell.direction.letter} arrow "
                     "points off the board"
@@ -193,14 +195,10 @@ def serialize_filling(f: Filling) -> str:
 
 def sightline(g: Grid, c: Coord) -> list[Coord]:
     """Cells strictly beyond ``c`` in its arrow's direction, nearest first."""
-    dr, dc = _STEP[g.cells[c.row - 1][c.col - 1].direction]
-    out = []
-    r, col = c.row + dr, c.col + dc
-    while 1 <= r <= g.rows and 1 <= col <= g.cols:
-        out.append(Coord(r, col))
-        r += dr
-        col += dc
-    return out
+    if not (1 <= c.row <= g.rows and 1 <= c.col <= g.cols):
+        raise GridError(f"{c} is off the {g.rows}x{g.cols} board")
+    l = g.cols
+    return [Coord(j // l + 1, j % l + 1) for j in g.sightlines[(c.row - 1) * l + c.col - 1]]
 
 
 def distinct_count(vs) -> int:
@@ -232,8 +230,9 @@ def verify(g: Grid, f: Filling) -> list[Violation]:
         given = g.cell(c).given
         if given is not None and f.value(c) != given:
             violations.append(Violation(c, given, f.value(c), kind="given"))
-    for c in g.coords():
-        expected = distinct_count(f.value(s) for s in sightline(g, c))
-        if f.value(c) != expected:
-            violations.append(Violation(c, expected, f.value(c)))
+    values = [v for row in f.values for v in row]
+    for c, v, line in zip(g.coords(), values, g.sightlines):
+        expected = distinct_count(values[j] for j in line)
+        if v != expected:
+            violations.append(Violation(c, expected, v))
     return violations

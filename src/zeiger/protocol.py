@@ -260,7 +260,7 @@ def count_resources(g: Grid) -> ResourceStats:
     them) plus the 4b freshly drawn cards inside the last copy.
     """
     b = g.max_value + 1
-    t_vals = [len(sightline(g, c)) for c in g.coords()]
+    t_vals = [len(line) for line in g.sightlines]
     stats = ResourceStats()
     for c, t in zip(g.coords(), t_vals):
         stats.shifts += (t + 1) + (b - 1)

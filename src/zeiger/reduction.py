@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .grid import Coord, Direction, Filling, Grid, parse_grid, sightline, verify
+from .grid import Coord, Direction, Filling, Grid, parse_grid, verify
 from .nae import Assignment, NaeInstance, nae_check
 
 
@@ -67,25 +67,26 @@ def column_fillings(inst: NaeInstance, q: int) -> list[tuple[int, ...]]:
     if not 1 <= q <= inst.n:
         raise ReductionError(f"column {q} out of range [1,{inst.n}]")
     g = reduce_instance(inst)
-    column = [g.cell(Coord(p, q)) for p in range(1, g.rows + 1)]
-    values = [cell.given or 0 for cell in column]
-    unknown = [i for i, cell in enumerate(column) if cell.given is None]
+    cells = [cell for row in g.cells for cell in row]
+    values = [cell.given or 0 for cell in cells]
+    column = range(q - 1, len(cells), g.cols)  # column q's flat indices, top to bottom
+    unknown = [i for i in column if cells[i].given is None]
     # a cell counts the distinct values it sees, so it holds 1..(its sightline length)
-    choices = [range(1, len(sightline(g, Coord(i + 1, q))) + 1) for i in unknown]
+    choices = [range(1, len(g.sightlines[i]) + 1) for i in unknown]
     n_cand = math.prod(len(c) for c in choices)
     if n_cand > 5_000_000:
         raise ReductionError(f"too many candidates to enumerate: {n_cand}")
-    # (row, the rows it sees) for each up or down arrow
+    # (cell, the cells it sees) for each up or down arrow
     arrows = [
-        (i, slice(i + 1, None) if cell.direction == Direction.DOWN else slice(0, i))
-        for i, cell in enumerate(column)
-        if cell.direction in (Direction.UP, Direction.DOWN)
+        (i, g.sightlines[i])
+        for i in column
+        if cells[i].direction in (Direction.UP, Direction.DOWN)
     ]
 
     found = []
     for combo in itertools.product(*choices):
         for i, v in zip(unknown, combo):
             values[i] = v
-        if all(len(set(values[seen])) == values[i] for i, seen in arrows):
+        if all(len({values[j] for j in seen}) == values[i] for i, seen in arrows):
             found.append(combo)
     return found

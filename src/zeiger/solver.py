@@ -29,7 +29,7 @@ from functools import reduce
 from operator import and_
 from typing import Iterator, Optional
 
-from .grid import Coord, Filling, Grid, sightline, verify
+from .grid import Filling, Grid, verify
 
 DEFAULT_BUDGET = 10**7
 
@@ -47,16 +47,14 @@ class _Search:
         self.g = g
         self.budget = budget
         self.nodes = 0
-        k, l = g.rows, g.cols
-        self.n = k * l
-        # flat index = (row-1)*cols + (col-1)
-        self.sight = []
+        self.n = g.rows * g.cols
+        # cells are flat indices, as in g.sightlines: (row-1)*cols + (col-1);
+        # watchers[j] lists the cells whose sightlines hold j
+        self.sight = g.sightlines
         self.watchers = [[] for _ in range(self.n)]
-        for c in g.coords():
-            line = [(s.row - 1) * l + (s.col - 1) for s in sightline(g, c)]
+        for w, line in enumerate(self.sight):
             for j in line:
-                self.watchers[j].append(len(self.sight))
-            self.sight.append(line)
+                self.watchers[j].append(w)
         # per cell w, over w's sightline: count[w][v] cells hold v, they hold
         # distinct[w] different values (bit v of seen[w] set for each), and
         # unassigned[w] of them are unset; cut[w] is the mask an assigned,

@@ -118,17 +118,26 @@ def test_sightline_lengths_by_direction():
                 row.append(rng.choice(choices) + ".")
             rows.append(" ".join(row))
         g = parse_grid("\n".join(rows))
-        for c in g.coords():
+        assert len(g.sightlines) == k * l
+        for i, c in enumerate(g.coords()):
             line = sightline(g, c)
             assert c not in line
+            r, col = c.row, c.col
             d = g.cell(c).direction
             expected = {
-                Direction.RIGHT: l - c.col,
-                Direction.LEFT: c.col - 1,
-                Direction.UP: c.row - 1,
-                Direction.DOWN: k - c.row,
+                Direction.RIGHT: [Coord(r, j) for j in range(col + 1, l + 1)],
+                Direction.LEFT: [Coord(r, j) for j in range(col - 1, 0, -1)],
+                Direction.UP: [Coord(j, col) for j in range(r - 1, 0, -1)],
+                Direction.DOWN: [Coord(j, col) for j in range(r + 1, k + 1)],
             }[d]
-            assert len(line) == expected
+            assert line == expected
+            assert list(g.sightlines[i]) == [(s.row - 1) * l + (s.col - 1) for s in expected]
+
+
+@pytest.mark.parametrize("c", [Coord(0, 1), Coord(6, 1), Coord(1, 0), Coord(1, 6), Coord(-1, 3)])
+def test_sightline_off_the_board_raises(fig1_grid, c):
+    with pytest.raises(GridError, match=rf"\({c.row},{c.col}\) is off the 5x5 board"):
+        sightline(fig1_grid, c)
 
 
 def test_distinct_count():
