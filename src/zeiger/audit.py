@@ -1,9 +1,10 @@
 """Statistical zero-knowledge audit: revealed positions must look uniform.
 
-Aggregates, per reveal site, the histogram of marker positions over many
-seeded real runs and as many simulated transcripts, then applies chi-square
-uniformity tests to each and a two-sample test between them, whose p-values
-come from the chi-square law's closed-form upper tail.
+Checks every seeded real run, and as many simulated transcripts, against the
+grid's one event schedule (``simulator._skeleton``) and aggregates, per reveal
+site, the histogram of marker positions; then applies chi-square uniformity
+tests to each and a two-sample test between them, whose p-values come from
+the chi-square law's closed-form upper tail.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 from .cards import MARKER, Transcript
 from .grid import Filling, Grid
 from .protocol import ProverBehavior, run_protocol
-from .simulator import simulate_transcript, structure
+from .simulator import _skeleton, simulate_transcript, structure
 
 MIN_TRIALS = 1000
 MIN_EXPECTED = 5  # smallest expected count per bin for which a chi-square test is meaningful
@@ -60,28 +61,21 @@ def two_sample_p(r: list[int], s: list[int]) -> float:
     return chi2_sf(stat, len(r) - 1)
 
 
-def reveal_histograms(t: Transcript) -> dict[tuple[str, int], list[int]]:
-    """Marker-position counts keyed by (site, number of columns).
+def reveal_histograms(g: Grid, t: Transcript, hists: dict[tuple[str, int], list[int]]):
+    """Check that ``t`` is an accepting run of ``g``'s schedule, then add its
+    marker positions to ``hists``, keyed by the schedule's (site, number of
+    columns) for each reveal.
 
     The comparing protocol's two rows always agree, so only its first row is
     counted (the second would duplicate every sample).
     """
-    hists: dict[tuple[str, int], list[int]] = {}
-    for ev in t.events:
-        if ev["ev"] != "reveal":
-            continue
-        site = ev["site"]
-        if site == "compare" and ev["row"] != 0:
-            continue
-        faces = ev["faces"]
-        pos = faces.index(MARKER[site])
-        hists.setdefault((site, len(faces)), [0] * len(faces))[pos] += 1
-    return hists
-
-
-def _merge(total: dict, part: dict):
-    for key, counts in part.items():
-        total[key] = [a + b for a, b in zip(total.get(key, [0] * len(counts)), counts)]
+    steps = _skeleton(g)
+    if t.events[-1:] != [{"ev": "verdict", "accept": True}] or structure(t)[:-1] != list(steps):
+        raise AuditError("event structure differs from the grid's schedule")
+    for ev, step in zip(t.events, steps):
+        if step[0] == "reveal" and (step[1] != "compare" or step[2] == 0):
+            site, q = step[1], step[3]
+            hists.setdefault((site, q), [0] * q)[ev["faces"].index(MARKER[site])] += 1
 
 
 def audit_zk(g: Grid, f: Filling, trials: int, alpha: float, seed: int = 0) -> dict:
@@ -99,11 +93,8 @@ def audit_zk(g: Grid, f: Filling, trials: int, alpha: float, seed: int = 0) -> d
             ev = transcript.events[-1]
             r, c = ev["cell"]
             raise AuditError(f"honest run rejected at cell ({r},{c}): {ev['reason']}")
-        sim_transcript = simulate_transcript(g, seed=seed * 1_000_003 + i)
-        if structure(transcript) != structure(sim_transcript):
-            raise AuditError(f"simulated event structure differs from the real run (trial {i})")
-        _merge(real, reveal_histograms(transcript))
-        _merge(sim, reveal_histograms(sim_transcript))
+        reveal_histograms(g, transcript, real)
+        reveal_histograms(g, simulate_transcript(g, seed=seed * 1_000_003 + i), sim)
 
     sites = []
     all_pass = True

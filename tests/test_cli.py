@@ -59,21 +59,92 @@ def test_solve_enumerate_cap_below_one_exits_2(cap, capsys):
     assert f"--enumerate-cap must be at least 1, got {cap}" in capsys.readouterr().err
 
 
-def test_runs_on_the_standard_library_alone():
-    # -S leaves site-packages off sys.path, so numpy and scipy cannot be found
+def python(*args, cwd=None):
+    """A subprocess ``python -S``: -S leaves site-packages off sys.path, so
+    numpy and scipy cannot be found."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run(
+        [sys.executable, "-S", *args], env=env, cwd=cwd, capture_output=True, text=True
+    )
 
-    def python(*args):
-        return subprocess.run(
-            [sys.executable, "-S", *args], env=env, capture_output=True, text=True
-        )
 
+def test_runs_on_the_standard_library_alone():
     code = "import sys, zeiger.cli; print(sorted({'numpy', 'scipy'} & set(sys.modules)))"
     imported = python("-c", code)
     assert (imported.returncode, imported.stdout) == (0, "[]\n"), imported.stderr
     for args in (["zkp", "run", "--grid", FIG1, "--solution", FIG1_SOL], ["solve", FIG1]):
         run = python("-m", "zeiger.cli", *args)
         assert run.returncode == 0, (args, run.stderr)
+
+
+def fig1_solve_verify(zeiger, d, _):
+    # the paper's Figure 1 has arrows in all four directions and one solution
+    zeiger("solve", FIG1, "-o", "f1.solution")
+    assert (d / "f1.solution").read_bytes() == (FIXTURES / "fig1.solution").read_bytes()
+    assert zeiger("solve", FIG1, "--enumerate-cap", "2", "-o", "f1.solution") == "1 solution(s) found (cap 2)\n"
+    zeiger("verify", FIG1, "f1.solution")
+
+
+def reduced(zeiger, spec):
+    zeiger("gen-nae", *spec.split(), "-o", "r.nae")
+    zeiger("reduce", "r.nae", "-o", "r.puzzle")
+
+
+def stats_equal_a_run(zeiger, d, spec):
+    # the closed form equals a measured run, on fig1 or on a reduced grid
+    grid, solution = FIG1, FIG1_SOL
+    if spec:
+        reduced(zeiger, spec)
+        grid, solution = "r.puzzle", "r.solution"
+        zeiger("solve", grid, "-o", solution)
+    zeiger("stats", grid, "-o", "closed.json")
+    zeiger("zkp", "run", "--grid", grid, "--solution", solution, "--stats", "measured.json")
+    assert (d / "closed.json").read_bytes() == (d / "measured.json").read_bytes()
+
+
+def unsat(zeiger, d, spec):
+    reduced(zeiger, spec)
+    assert "unsatisfiable" in zeiger("solve", "r.puzzle", code=1).splitlines()
+
+
+def sat(zeiger, d, spec):
+    reduced(zeiger, spec)
+    zeiger("solve", "r.puzzle", "-o", "r.solution")
+    zeiger("extract", "r.nae", "r.solution", "-o", "r.assignment")
+    zeiger("nae-check", "r.nae", "r.assignment")
+
+
+def fig2_end_to_end(zeiger, d, _):
+    zeiger("reduce", FIG2, "-o", "fig2.puzzle")
+    assert (d / "fig2.puzzle").read_bytes() == (FIXTURES / "fig2.puzzle").read_bytes()
+    zeiger("solve", "fig2.puzzle", "-o", "fig2.solution")
+    zeiger("extract", FIG2, "fig2.solution", "-o", "fig2.assignment")
+    zeiger("nae-check", FIG2, "fig2.assignment")
+
+
+@pytest.mark.parametrize(
+    "pipeline, spec",
+    [
+        (fig1_solve_verify, None),
+        (stats_equal_a_run, None),
+        (stats_equal_a_run, "4 6 --seed 0"),
+        (unsat, "8 24 --seed 1"),
+        (unsat, "20 40 --seed 1"),
+        (sat, "16 30 --seed 1"),
+        (fig2_end_to_end, None),
+    ],
+    ids=["fig1", "stats-fig1", "stats-9x9", "unsat-27x13", "unsat-43x25", "sat-33x21", "fig2"],
+)
+def test_pipeline_on_the_standard_library_alone(pipeline, spec, tmp_path):
+    """Each pipeline runs ``zeiger`` under ``python -S -W error`` in its own
+    directory: no site-packages, and any warning is an error."""
+
+    def zeiger(*args, code=0):
+        run = python("-W", "error", "-m", "zeiger.cli", *args, cwd=tmp_path)
+        assert run.returncode == code, (args, run.stdout, run.stderr)
+        return run.stdout
+
+    pipeline(zeiger, tmp_path, spec)
 
 
 def test_verify_ok(capsys):

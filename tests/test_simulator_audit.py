@@ -36,7 +36,8 @@ def test_simulator_deterministic(fig1_grid):
 
 def test_reveal_histograms_sites(fig1_grid, fig1_solution):
     _, t, _ = run_protocol(fig1_grid, ProverBehavior.honest(fig1_solution), seed=2)
-    hists = reveal_histograms(t)
+    hists = {}
+    reveal_histograms(fig1_grid, t, hists)
     b = fig1_grid.max_value + 1
     assert set(hists) == {
         ("copy", b),
@@ -50,8 +51,8 @@ def test_reveal_histograms_sites(fig1_grid, fig1_solution):
 
 
 def test_compare_counts_only_first_row(fig1_grid):
-    sim = simulate_transcript(fig1_grid, seed=1)
-    hists = reveal_histograms(sim)
+    hists = {}
+    reveal_histograms(fig1_grid, simulate_transcript(fig1_grid, seed=1), hists)
     assert sum(hists[("compare", 6)]) == 25
 
 
@@ -69,8 +70,7 @@ def test_real_reveal_positions_uniform_many_runs(fig1_grid, fig1_solution):
     total = {}
     for i in range(60):
         _, t, _ = run_protocol(fig1_grid, ProverBehavior.honest(fig1_solution), seed=5000 + i)
-        for key, counts in reveal_histograms(t).items():
-            total[key] = [a + b for a, b in zip(total.get(key, [0] * len(counts)), counts)]
+        reveal_histograms(fig1_grid, t, total)
     for key, counts in total.items():
         assert sps.chisquare(counts).pvalue >= 0.001, key
 
@@ -80,17 +80,32 @@ def test_audit_requires_enough_trials(fig1_grid, fig1_solution):
         audit_zk(fig1_grid, fig1_solution, trials=10, alpha=0.001)
 
 
-def test_audit_checks_structure_of_every_trial(fig1_grid, fig1_solution, monkeypatch):
-    calls = []
+def extra_event(t):
+    t.events.insert(-1, {"ev": "normalize", "shift": 0})
 
-    def deviating(g, seed):
-        t = simulate_transcript(g, seed)
-        calls.append(seed)
+
+def verdict_to_normalize(t):
+    t.events[-1] = {"ev": "normalize", "shift": 0}
+
+
+@pytest.mark.parametrize(
+    "target, deviate",
+    [("simulate_transcript", extra_event), ("run_protocol", extra_event),
+     ("simulate_transcript", verdict_to_normalize)],
+    ids=["simulated-extra-event", "real-extra-event", "simulated-verdict-to-normalize"],
+)
+def test_audit_checks_structure_of_every_trial(target, deviate, fig1_grid, fig1_solution, monkeypatch):
+    # trial 2's real run or simulated transcript deviates from the schedule
+    calls, original = [], getattr(audit, target)
+
+    def deviating(*args, **kwargs):
+        result = original(*args, **kwargs)
+        calls.append(result)
         if len(calls) == 2:
-            t.events.insert(-1, {"ev": "normalize", "shift": 0})
-        return t
+            deviate(result[1] if target == "run_protocol" else result)
+        return result
 
-    monkeypatch.setattr(audit, "simulate_transcript", deviating)
+    monkeypatch.setattr(audit, target, deviating)
     with pytest.raises(AuditError, match="structure differs"):
         audit_zk(fig1_grid, fig1_solution, trials=1000, alpha=0.001)
     assert len(calls) == 2
@@ -104,6 +119,22 @@ def test_audit_report_shape(fig1_audit_report):
     for s in report["sites"]:
         assert s["samples_real"] == s["samples_sim"]
         assert sum(s["real_counts"]) == s["samples_real"]
+
+
+def test_audit_counts_are_pinned(fig1_audit_report):
+    # every site's counts at seed 10, 2000 trials: any change to how the
+    # audit walks, bins or seeds its trials must reproduce them exactly
+    counts = {(s["site"], s["columns"]): (s["real_counts"], s["sim_counts"])
+              for s in fig1_audit_report["sites"]}
+    assert counts == {
+        ("compare", 6): ([8366, 8278, 8349, 8259, 8338, 8410], [8229, 8502, 8280, 8182, 8418, 8389]),
+        ("copy", 5): ([40864, 40613, 40491, 41112, 40920], [40842, 40951, 40810, 40512, 40885]),
+        ("setsize", 5): ([20716, 20847, 20536, 20954, 20947], [20702, 20902, 20591, 20932, 20873]),
+        ("sum", 3): ([16638, 16647, 16715], [16768, 16647, 16585]),
+        ("sum", 4): ([12367, 12674, 12491, 12468], [12523, 12607, 12359, 12511]),
+        ("sum", 5): ([10097, 9892, 9940, 10107, 9964], [10046, 10053, 9984, 9941, 9976]),
+        ("sum", 6): ([8439, 8352, 8197, 8175, 8499, 8338], [8190, 8368, 8298, 8358, 8423, 8363]),
+    }
 
 
 def test_audit_checks_reveal_widths(fig1_grid, fig1_solution, monkeypatch):
