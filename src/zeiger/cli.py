@@ -30,7 +30,7 @@ from .grid import (
     serialize_grid,
     verify,
 )
-from .protocol import ProverBehavior, ResourceStats, count_resources, run_protocol, setup_board
+from .protocol import ProverBehavior, count_resources, run_protocol
 from .reduction import (
     ReductionError,
     extract_assignment,
@@ -149,13 +149,11 @@ def _parse_cheat(spec: str, g, f):
     except ValueError:
         raise InputError(f"bad --cheat spec {spec!r}; expected KIND:ROW,COL") from None
     cell = Coord(r, c)
-    if not (1 <= r <= g.rows and 1 <= c <= g.cols):
-        raise InputError(f"cheat cell {cell} out of bounds")
-    if g.cell(cell).given is not None:
-        raise InputError(f"cheat cell {cell} is a given cell, which the verifier lays out publicly")
     if kind == "wrong-value":
+        if g.cell(cell).given is not None:
+            raise InputError(f"cheat cell {cell} is a given cell, which the verifier lays out publicly")
         # the filling must fit the grid before one of its values can change
-        setup_board(g, ProverBehavior.honest(f), ResourceStats())
+        g.check_size(f)
         wrong = f.value(cell) % g.max_value + 1
         if wrong == f.value(cell):
             raise InputError(f"cheat cell {cell} has no wrong value: the grid allows only 1")

@@ -8,7 +8,9 @@ distinct numbers among the cells its arrow points at.
 A grid computes each cell's sightline once, on construction, as a ``range``
 of flat indices (cell (r, c) is ``(r-1)*cols + (c-1)``, row-major), nearest
 cell first; the checker, the solver, the protocol and the reduction read
-``Grid.sightlines`` and none of them walks the board.
+``Grid.sightlines`` and none of them walks the board.  ``Grid.cell``,
+``Filling.value`` and ``sightline`` raise ``GridError`` off the board, and
+``Grid.check_size`` on a filling of another size; no other module checks either.
 """
 
 from __future__ import annotations
@@ -55,6 +57,12 @@ class Cell:
             raise GridError(f"given must be positive, got {self.given}")
 
 
+def _at(table: tuple, rows: int, cols: int, c: Coord):
+    if not (1 <= c.row <= rows and 1 <= c.col <= cols):
+        raise GridError(f"{c} is off the {rows}x{cols} board")
+    return table[c.row - 1][c.col - 1]
+
+
 _TOKEN_RE = re.compile(r"^([UDLR])(\.|[1-9][0-9]*)$")
 
 
@@ -85,7 +93,13 @@ class Grid:
         return max(self.rows, self.cols) - 1
 
     def cell(self, c: Coord) -> Cell:
-        return self.cells[c.row - 1][c.col - 1]
+        return _at(self.cells, self.rows, self.cols, c)
+
+    def check_size(self, f: Filling):
+        """Raise GridError unless ``f`` has this grid's size."""
+        if (f.rows, f.cols) != (self.rows, self.cols):
+            raise GridError(f"dimension mismatch: grid is {self.rows}x{self.cols}, "
+                            f"filling is {f.rows}x{f.cols}")
 
     def coords(self):
         """All coordinates in row-major order."""
@@ -131,7 +145,7 @@ class Filling:
                     raise GridError(f"filling values must be positive integers, got {v!r}")
 
     def value(self, c: Coord) -> int:
-        return self.values[c.row - 1][c.col - 1]
+        return _at(self.values, self.rows, self.cols, c)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Filling) and self.values == other.values
@@ -195,8 +209,7 @@ def serialize_filling(f: Filling) -> str:
 
 def sightline(g: Grid, c: Coord) -> list[Coord]:
     """Cells strictly beyond ``c`` in its arrow's direction, nearest first."""
-    if not (1 <= c.row <= g.rows and 1 <= c.col <= g.cols):
-        raise GridError(f"{c} is off the {g.rows}x{g.cols} board")
+    g.cell(c)  # raises off the board
     l = g.cols
     return [Coord(j // l + 1, j % l + 1) for j in g.sightlines[(c.row - 1) * l + c.col - 1]]
 
@@ -221,10 +234,7 @@ class Violation:
 
 def verify(g: Grid, f: Filling) -> list[Violation]:
     """Check a filling against the grid; empty list means it is a solution."""
-    if (f.rows, f.cols) != (g.rows, g.cols):
-        raise GridError(
-            f"dimension mismatch: grid is {g.rows}x{g.cols}, filling is {f.rows}x{f.cols}"
-        )
+    g.check_size(f)
     violations = []
     for c in g.coords():
         given = g.cell(c).given

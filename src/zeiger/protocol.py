@@ -127,19 +127,13 @@ Board = dict[Coord, list[str]]
 def setup_board(g: Grid, behavior: ProverBehavior, pool: ResourceStats) -> Board:
     """Place a pair encoding of the (claimed) value on every cell.
 
-    The one check of the prover's inputs.  Given cells are laid out publicly
-    from the grid, so no cheat reaches them: raises GridError unless the
-    filling has the grid's size and agrees with every given, and the
-    malformed cell, if any, is an unnumbered cell of the board.
+    The one check of the prover's values: raises GridError unless the filling
+    agrees with every given, which the verifier lays out publicly, and the
+    malformed cell, if any, is unnumbered.
     """
     f = behavior.filling
-    if (f.rows, f.cols) != (g.rows, g.cols):
-        raise GridError(
-            f"dimension mismatch: grid is {g.rows}x{g.cols}, filling is {f.rows}x{f.cols}"
-        )
+    g.check_size(f)
     bad = behavior.malformed_cell
-    if bad is not None and not (1 <= bad.row <= g.rows and 1 <= bad.col <= g.cols):
-        raise GridError(f"malformed cell {bad} is off the {g.rows}x{g.cols} board")
     if bad is not None and g.cell(bad).given is not None:
         raise GridError(f"malformed cell {bad} is a given cell, laid out publicly by the verifier")
     b = g.max_value + 1

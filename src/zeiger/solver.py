@@ -2,11 +2,12 @@
 
 Search strategy: forward checking (Haralick & Elliott, 1980).  Every unset
 cell has a domain of feasible values, held as an int bitmask (bit v for
-value v).  It starts as the interval [max(d, 1), min(d+u, t)], where d is
-the number of distinct values set in the cell's sightline, u the number of
-its sightline cells still unset and t the sightline's length.  Each set
-watcher w (a cell whose sightline holds the cell) with value v, seeing d
-distinct values and u unset cells, then narrows it when w is tight:
+value v).  It starts as the interval [max(d, 1), d+u], where d is the
+number of distinct values set in the cell's sightline and u the number of
+its sightline cells still unset; d+u never exceeds the sightline's length,
+as d counts only set cells.  Each set watcher w (a cell whose sightline
+holds the cell) with value v, seeing d distinct values and u unset cells,
+then narrows it when w is tight:
 
 - if d == v, every unset cell w sees must repeat a value w already sees, so
   the domain is ANDed with w's seen-values mask;
@@ -61,13 +62,12 @@ class _Search:
         # tight w leaves each unset cell it sees (-1 when it leaves all);
         # size[i] is how many values unset cell i's domain holds (more than
         # any domain once i is set); kept up to date by _set and _unset
-        self.top = [len(line) for line in self.sight]  # no value exceeds it
         self.full = g.max_value + 1  # more values than any domain holds
         self.values = [0] * self.n  # 0 = unassigned
         self.count = [[0] * self.full for _ in range(self.n)]
         self.distinct = [0] * self.n
         self.seen = [0] * self.n
-        self.unassigned = self.top[:]
+        self.unassigned = [len(line) for line in self.sight]
         self.cut = [-1] * self.n
         self.size = [0] * self.n
         for i, c in enumerate(g.coords()):
@@ -79,13 +79,10 @@ class _Search:
 
     def _domain(self, i: int) -> int:
         """Unset cell i's feasible values as a bitmask: at least the distinct
-        values it sees (and 1), at most that plus its unset cells (and its
-        sightline's length), and only what every tight watcher leaves."""
+        values it sees (and 1), at most that plus its unset cells, and only
+        what every tight watcher leaves."""
         d = self.distinct[i]
-        hi = d + self.unassigned[i]
-        if hi > self.top[i]:
-            hi = self.top[i]
-        span = (2 << hi) - (1 << (d or 1))  # bits max(d, 1) to hi
+        span = (2 << (d + self.unassigned[i])) - (1 << (d or 1))  # bits max(d, 1) to d+u
         return reduce(and_, map(self.cut.__getitem__, self.watchers[i]), span)
 
     def _tighten(self, w: int) -> bool:

@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
+from zeiger.audit import audit_zk
 from zeiger.cli import main
+from zeiger.grid import parse_filling, parse_grid
 
 from .conftest import FIXTURES
 
@@ -14,6 +16,8 @@ SRC = FIXTURES.parent.parent / "src"
 FIG1 = str(FIXTURES / "fig1.puzzle")
 FIG1_SOL = str(FIXTURES / "fig1.solution")
 FIG2 = str(FIXTURES / "fig2.nae")
+# every cell sees the one other cell of its column: all ones solve it
+TWO_BY_TWO = "D. D.\nU. U.\n"
 
 
 def test_solve_fig1(tmp_path, capsys):
@@ -114,6 +118,14 @@ def sat(zeiger, d, spec):
     zeiger("nae-check", "r.nae", "r.assignment")
 
 
+def audit_2x2(zeiger, d, _):
+    (d / "g.puzzle").write_text(TWO_BY_TWO)
+    (d / "ones.solution").write_text("1 1\n1 1\n")
+    out = zeiger("zkp", "audit", "--grid", "g.puzzle", "--solution", "ones.solution",
+                 "--trials", "1000")
+    assert out.endswith("\npass\n")
+
+
 def fig2_end_to_end(zeiger, d, _):
     zeiger("reduce", FIG2, "-o", "fig2.puzzle")
     assert (d / "fig2.puzzle").read_bytes() == (FIXTURES / "fig2.puzzle").read_bytes()
@@ -132,8 +144,10 @@ def fig2_end_to_end(zeiger, d, _):
         (unsat, "20 40 --seed 1"),
         (sat, "16 30 --seed 1"),
         (fig2_end_to_end, None),
+        (audit_2x2, None),
     ],
-    ids=["fig1", "stats-fig1", "stats-9x9", "unsat-27x13", "unsat-43x25", "sat-33x21", "fig2"],
+    ids=["fig1", "stats-fig1", "stats-9x9", "unsat-27x13", "unsat-43x25", "sat-33x21", "fig2",
+         "audit-2x2"],
 )
 def test_pipeline_on_the_standard_library_alone(pipeline, spec, tmp_path):
     """Each pipeline runs ``zeiger`` under ``python -S -W error`` in its own
@@ -161,6 +175,15 @@ def test_verify_violations(tmp_path, capsys):
     assert "(1,1)" in capsys.readouterr().out
 
 
+def test_verify_names_a_given_mismatch(tmp_path, capsys):
+    bad = tmp_path / "bad.solution"
+    rows = [line.split() for line in (FIXTURES / "fig1.solution").read_text().splitlines()]
+    rows[2][3] = "2"  # (3,4) is given as 1
+    bad.write_text("\n".join(" ".join(r) for r in rows) + "\n")
+    assert main(["verify", FIG1, str(bad)]) == 1
+    assert capsys.readouterr().out.splitlines()[0] == "given mismatch at (3,4): expected 1, got 2"
+
+
 def test_verify_dimension_mismatch(tmp_path):
     small = tmp_path / "small.solution"
     small.write_text("1 1\n1 1\n")
@@ -170,8 +193,6 @@ def test_verify_dimension_mismatch(tmp_path):
 def test_reduce_and_roundtrip(tmp_path, capsys):
     out = tmp_path / "fig2.puzzle"
     assert main(["reduce", FIG2, "-o", str(out)]) == 0
-    from zeiger.grid import parse_grid
-
     g = parse_grid(out.read_text())
     assert (g.rows, g.cols) == (7, 10)
     # the paper's Figure 2 grid, pinned byte for byte
@@ -298,11 +319,36 @@ def test_zkp_audit_names_the_cell_a_non_solution_fails(tmp_path, capsys):
             "distinct count") in capsys.readouterr().err
 
 
-def test_zkp_run_bad_cheat_spec():
-    rc = main(
-        ["zkp", "run", "--grid", FIG1, "--solution", FIG1_SOL, "--cheat", "nonsense"]
-    )
+def test_zkp_run_bad_cheat_spec(capsys):
+    for spec, message in [("nonsense", "bad --cheat spec 'nonsense'; expected KIND:ROW,COL"),
+                          ("bogus:1,1", "unknown cheat kind 'bogus'")]:
+        rc = main(["zkp", "run", "--grid", FIG1, "--solution", FIG1_SOL, "--cheat", spec])
+        assert rc == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("spec", ["wrong-value:0,1", "malformed:6,1", "wrong-value:1,0"])
+def test_zkp_run_cheat_off_the_board_exits_2(spec, capsys):
+    # the grid checks the cell's place, for either kind of cheat
+    rc = main(["zkp", "run", "--grid", FIG1, "--solution", FIG1_SOL, "--cheat", spec])
     assert rc == 2
+    cell = spec.partition(":")[2]
+    assert capsys.readouterr() == ("", f"error: ({cell}) is off the 5x5 board\n")
+
+
+def test_zkp_audit_passes_and_reports(tmp_path, capsys):
+    grid, ones, report = tmp_path / "g.puzzle", tmp_path / "ones.solution", tmp_path / "r.json"
+    grid.write_text(TWO_BY_TWO)
+    ones.write_text("1 1\n1 1\n")
+    assert main(["zkp", "audit", "--grid", str(grid), "--solution", str(ones),
+                 "--trials", "1000", "--report", str(report)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0].strip() for line in lines[:-1]] == [
+        "compare q=3", "copy q=2", "sum q=3"]
+    assert all(line.endswith(" pass") for line in lines[:-1])
+    assert lines[-1] == "pass"
+    g, f = parse_grid(TWO_BY_TWO), parse_filling("1 1\n1 1\n")
+    assert json.loads(report.read_text()) == audit_zk(g, f, 1000, 0.001)
 
 
 def test_zkp_audit_rejects_few_trials():

@@ -3,8 +3,11 @@ import random
 import pytest
 
 from zeiger.grid import (
+    Cell,
     Coord,
     Direction,
+    Filling,
+    Grid,
     GridError,
     distinct_count,
     parse_filling,
@@ -135,9 +138,12 @@ def test_sightline_lengths_by_direction():
 
 
 @pytest.mark.parametrize("c", [Coord(0, 1), Coord(6, 1), Coord(1, 0), Coord(1, 6), Coord(-1, 3)])
-def test_sightline_off_the_board_raises(fig1_grid, c):
-    with pytest.raises(GridError, match=rf"\({c.row},{c.col}\) is off the 5x5 board"):
-        sightline(fig1_grid, c)
+def test_sightline_off_the_board_raises(fig1_grid, fig1_solution, c):
+    # every lookup by coordinate checks the coordinate's place, so a 0 or a
+    # negative index cannot wrap round to the far side of the board
+    for lookup in (lambda c: sightline(fig1_grid, c), fig1_grid.cell, fig1_solution.value):
+        with pytest.raises(GridError, match=rf"^\({c.row},{c.col}\) is off the 5x5 board$"):
+            lookup(c)
 
 
 def test_distinct_count():
@@ -171,3 +177,21 @@ def test_verify_given_mismatch(fig1_grid, fig1_solution):
 def test_verify_dimension_mismatch(fig1_grid):
     with pytest.raises(GridError, match="dimension mismatch"):
         verify(fig1_grid, parse_filling("1 1\n1 1"))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Cell(Direction.UP, 0), "given must be positive, got 0"),
+        (lambda: Grid([[Cell(Direction.DOWN)], [Cell(Direction.UP)]]),
+         "grid must have at least 2 columns"),
+        (lambda: Filling([[1, 1], [1]]), "filling must be rectangular"),
+        (lambda: Filling([[1, 0]]), "filling values must be positive integers, got 0"),
+        (lambda: parse_grid("\n  \n"), "empty grid file"),
+        (lambda: parse_filling(""), "empty filling file"),
+    ],
+    ids=["given-zero", "one-column", "ragged-filling", "zero-value", "empty-grid", "empty-filling"],
+)
+def test_malformed_input_raises(build, message):
+    with pytest.raises(GridError, match=f"^{message}$"):
+        build()

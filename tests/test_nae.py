@@ -120,3 +120,25 @@ def test_assignment_roundtrip():
     assert parse_assignment(serialize_assignment(a)) == a
     with pytest.raises(NaeError):
         parse_assignment("T\nX\n")
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: NaeInstance(3, ((1, 2, 2),)), r"repeated variable in clause \(1, 2, 2\)"),
+        (lambda: NaeInstance(3, ((1, 2, 4),)), r"variable index 4 out of range \[1,3\]"),
+        (lambda: NaeInstance(4, ((1, 2, 3),)), r"unused variables \[4\]; normalize first"),
+        (lambda: parse_nae("\n\n"), "empty instance file"),
+        (lambda: parse_nae("nae3sat 3 1\n1 2 3"), "bad header 'nae3sat 3 1'"),
+        (lambda: parse_nae("nae3sat+ 3 one\n1 2 3"), "bad header 'nae3sat\\+ 3 one'"),
+        (lambda: parse_nae("nae3sat+ 4 1\n1 2 3 4"), "clause '1 2 3 4' must have 3 variables"),
+        (lambda: parse_assignment("\n \n"), "empty assignment file"),
+        (lambda: gen_nae(25, 1, seed=0), "n must be <= 24"),
+        (lambda: gen_nae(3, 0, seed=0), "need m >= 1"),
+    ],
+    ids=["repeated", "out-of-range", "unused", "empty-file", "header-word", "header-count",
+         "four-variables", "empty-assignment", "gen-too-many-vars", "gen-no-clauses"],
+)
+def test_malformed_input_raises(build, message):
+    with pytest.raises(NaeError, match=f"^{message}$"):
+        build()

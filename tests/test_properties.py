@@ -287,7 +287,7 @@ class CheckedSearch(_Search):
                 cut = ~mask
             if self.cut[i] != cut:
                 raise AssertionError(f"cell {i}: kept cut {self.cut[i]}, counted {cut}")
-            dom = set(range(max(len(seen[i]), 1), min(len(seen[i]) + unset[i], self.top[i]) + 1))
+            dom = set(range(max(len(seen[i]), 1), min(len(seen[i]) + unset[i], len(self.sight[i])) + 1))
             for w in self.watchers[i]:
                 if values[w] and values[w] == len(seen[w]):
                     dom &= seen[w]

@@ -262,7 +262,7 @@ class TestRunProtocol:
             (ProverBehavior.malformed(fig1_solution, Coord(3, 4)),
              r"^malformed cell \(3,4\) is a given cell"),
             (ProverBehavior.malformed(fig1_solution, Coord(6, 1)),
-             r"^malformed cell \(6,1\) is off the 5x5 board$"),
+             r"^\(6,1\) is off the 5x5 board$"),
             (ProverBehavior.honest(Filling([[1, 1], [1, 1]])),
              r"^dimension mismatch: grid is 5x5, filling is 2x2$"),
         ]

@@ -155,6 +155,12 @@ def test_column_fillings_fig2_all_columns(fig2_instance):
         assert sorted(fillings) == sorted([(2,) * u, (3,) * u])
 
 
+@pytest.mark.parametrize("q", [0, 6])
+def test_column_fillings_column_off_the_instance_raises(fig2_instance, q):
+    with pytest.raises(ReductionError, match=rf"^column {q} out of range \[1,5\]$"):
+        column_fillings(fig2_instance, q)
+
+
 def test_column_fillings_single_down_arrow():
     inst = gen_nae(3, 1, seed=0)  # one clause: each column has one down arrow
     for q in (1, 2, 3):

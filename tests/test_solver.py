@@ -60,6 +60,12 @@ def test_budget_exhaustion_is_distinct(fig1_grid):
         solve(fig1_grid, budget=3)
 
 
+@pytest.mark.parametrize("cap", [0, -1])
+def test_enumerate_cap_below_one_raises(fig1_grid, cap):
+    with pytest.raises(ValueError, match="^cap must be positive$"):
+        enumerate_solutions(fig1_grid, cap=cap)
+
+
 def test_invalid_solver_result_raises(fig1_grid, monkeypatch):
     # a real exception, not an assert, so the check survives python -O
     monkeypatch.setattr(solver, "verify", lambda g, f: ["forced violation"])
