@@ -136,12 +136,14 @@ class Filling:
     def __init__(self, values: list[list[int]]):
         if not values or any(len(row) != len(values[0]) for row in values):
             raise GridError("filling must be rectangular")
+        if not values[0]:
+            raise GridError("filling must have at least one column")
         self.rows = len(values)
         self.cols = len(values[0])
         self.values = tuple(tuple(row) for row in values)
         for row in self.values:
             for v in row:
-                if not isinstance(v, int) or v < 1:
+                if type(v) is not int or v < 1:  # bool is an int subclass
                     raise GridError(f"filling values must be positive integers, got {v!r}")
 
     def value(self, c: Coord) -> int:
@@ -235,12 +237,13 @@ class Violation:
 def verify(g: Grid, f: Filling) -> list[Violation]:
     """Check a filling against the grid; empty list means it is a solution."""
     g.check_size(f)
-    violations = []
-    for c in g.coords():
-        given = g.cell(c).given
-        if given is not None and f.value(c) != given:
-            violations.append(Violation(c, given, f.value(c), kind="given"))
     values = [v for row in f.values for v in row]
+    cells = [cell for row in g.cells for cell in row]
+    violations = [
+        Violation(c, cell.given, v, kind="given")
+        for c, cell, v in zip(g.coords(), cells, values)
+        if cell.given is not None and v != cell.given
+    ]
     for c, v, line in zip(g.coords(), values, g.sightlines):
         expected = distinct_count(values[j] for j in line)
         if v != expected:

@@ -126,6 +126,11 @@ def audit_2x2(zeiger, d, _):
     assert out.endswith("\npass\n")
 
 
+def audit_fig1(zeiger, d, _):
+    out = zeiger("zkp", "audit", "--grid", FIG1, "--solution", FIG1_SOL, "--trials", "1000")
+    assert out.endswith("\npass\n")
+
+
 def fig2_end_to_end(zeiger, d, _):
     zeiger("reduce", FIG2, "-o", "fig2.puzzle")
     assert (d / "fig2.puzzle").read_bytes() == (FIXTURES / "fig2.puzzle").read_bytes()
@@ -145,9 +150,10 @@ def fig2_end_to_end(zeiger, d, _):
         (sat, "16 30 --seed 1"),
         (fig2_end_to_end, None),
         (audit_2x2, None),
+        (audit_fig1, None),
     ],
     ids=["fig1", "stats-fig1", "stats-9x9", "unsat-27x13", "unsat-43x25", "sat-33x21", "fig2",
-         "audit-2x2"],
+         "audit-2x2", "audit-fig1"],
 )
 def test_pipeline_on_the_standard_library_alone(pipeline, spec, tmp_path):
     """Each pipeline runs ``zeiger`` under ``python -S -W error`` in its own

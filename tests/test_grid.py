@@ -187,10 +187,13 @@ def test_verify_dimension_mismatch(fig1_grid):
          "grid must have at least 2 columns"),
         (lambda: Filling([[1, 1], [1]]), "filling must be rectangular"),
         (lambda: Filling([[1, 0]]), "filling values must be positive integers, got 0"),
+        (lambda: Filling([[]]), "filling must have at least one column"),
+        (lambda: Filling([[1, True]]), "filling values must be positive integers, got True"),
         (lambda: parse_grid("\n  \n"), "empty grid file"),
         (lambda: parse_filling(""), "empty filling file"),
     ],
-    ids=["given-zero", "one-column", "ragged-filling", "zero-value", "empty-grid", "empty-filling"],
+    ids=["given-zero", "one-column", "ragged-filling", "zero-value", "no-columns", "bool-value",
+         "empty-grid", "empty-filling"],
 )
 def test_malformed_input_raises(build, message):
     with pytest.raises(GridError, match=f"^{message}$"):

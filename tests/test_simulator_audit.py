@@ -1,3 +1,4 @@
+import os
 import random
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from scipy import stats as sps
 
 from zeiger.audit import AuditError, audit_zk, chi2_sf, reveal_histograms, two_sample_p, uniform_p
-from zeiger.grid import parse_grid
+from zeiger.grid import Filling, GridError, parse_grid
 from zeiger import audit
 from zeiger.cards import MARKER
 from zeiger.protocol import ProverBehavior, run_protocol
@@ -20,8 +21,6 @@ def test_simulator_structure_matches_real_run(fig1_grid, fig1_solution):
 
 def test_simulator_structure_for_degenerate_sightlines():
     g = parse_grid("R. L.\nR. L.")
-    from zeiger.grid import Filling
-
     f = Filling([[1, 1], [1, 1]])
     _, real, _ = run_protocol(g, ProverBehavior.honest(f), seed=0)
     sim = simulate_transcript(g, seed=0)
@@ -88,14 +87,18 @@ def verdict_to_normalize(t):
     t.events[-1] = {"ev": "normalize", "shift": 0}
 
 
-@pytest.mark.parametrize(
+DEVIATIONS = pytest.mark.parametrize(
     "target, deviate",
     [("simulate_transcript", extra_event), ("run_protocol", extra_event),
      ("simulate_transcript", verdict_to_normalize)],
     ids=["simulated-extra-event", "real-extra-event", "simulated-verdict-to-normalize"],
 )
+
+
+@DEVIATIONS
 def test_audit_checks_structure_of_every_trial(target, deviate, fig1_grid, fig1_solution, monkeypatch):
-    # trial 2's real run or simulated transcript deviates from the schedule
+    # run serially, the audit stops at trial 1, whose real run or simulated
+    # transcript deviates from the schedule
     calls, original = [], getattr(audit, target)
 
     def deviating(*args, **kwargs):
@@ -105,10 +108,80 @@ def test_audit_checks_structure_of_every_trial(target, deviate, fig1_grid, fig1_
             deviate(result[1] if target == "run_protocol" else result)
         return result
 
+    monkeypatch.setattr(audit, "_cpus", lambda: 1)
     monkeypatch.setattr(audit, target, deviating)
     with pytest.raises(AuditError, match="structure differs"):
         audit_zk(fig1_grid, fig1_solution, trials=1000, alpha=0.001)
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("position", ["first", "middle", "last"])
+@DEVIATIONS
+def test_audit_checks_structure_in_every_span(target, deviate, position, fig1_grid, fig1_solution,
+                                              monkeypatch):
+    # over three spans of 12 trials ([0, 4), [4, 8), [8, 12)), the first,
+    # a mid-span and the last trial deviate, chosen by its seed
+    trials = 12
+    bad = {"first": 0, "middle": trials // 2, "last": trials - 1}[position]
+    original = getattr(audit, target)
+
+    def deviating(g, *args, seed):
+        result = original(g, *args, seed=seed)
+        if seed == bad:
+            deviate(result[1] if target == "run_protocol" else result)
+        return result
+
+    monkeypatch.setattr(audit, "_cpus", lambda: 3)
+    monkeypatch.setattr(audit, "MIN_TRIALS", trials)
+    monkeypatch.setattr(audit, target, deviating)
+    with pytest.raises(AuditError, match="structure differs"):
+        audit_zk(fig1_grid, fig1_solution, trials=trials, alpha=0.001)
+
+
+def test_pooled_audit_equals_the_serial_one(monkeypatch):
+    # 1000 trials over 3 CPUs split 333/333/334
+    g, f = parse_grid("D. D.\nU. U.\n"), Filling([[1, 1], [1, 1]])
+    reports = []
+    for cpus in (1, 3):
+        monkeypatch.setattr(audit, "_cpus", lambda: cpus)
+        reports.append(audit_zk(g, f, 1000, 0.001, seed=4))
+    assert reports[0] == reports[1]
+
+
+def test_a_child_that_dies_is_reported_and_reaped(fig1_grid, fig1_solution, monkeypatch):
+    original = audit.run_protocol
+
+    def dying(g, behavior, seed):
+        if seed == 6:
+            os._exit(3)
+        return original(g, behavior, seed=seed)
+
+    monkeypatch.setattr(audit, "_cpus", lambda: 3)
+    monkeypatch.setattr(audit, "MIN_TRIALS", 12)
+    monkeypatch.setattr(audit, "run_protocol", dying)
+    with pytest.raises(AuditError, match=r"^the child running trials 4-7 gave no result "
+                                         r"\(exit status 3\)$"):
+        audit_zk(fig1_grid, fig1_solution, trials=12, alpha=0.001)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_the_lowest_failing_spans_exception_reaches_the_caller(fig1_grid, fig1_solution, monkeypatch):
+    # trials 5 and 9 fail, in the second and the third of three spans
+    original = audit.run_protocol
+
+    def failing(g, behavior, seed):
+        if seed in (5, 9):
+            raise GridError(f"trial {seed}")
+        return original(g, behavior, seed=seed)
+
+    monkeypatch.setattr(audit, "_cpus", lambda: 3)
+    monkeypatch.setattr(audit, "MIN_TRIALS", 12)
+    monkeypatch.setattr(audit, "run_protocol", failing)
+    with pytest.raises(GridError, match="^trial 5$"):
+        audit_zk(fig1_grid, fig1_solution, trials=12, alpha=0.001)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_audit_report_shape(fig1_audit_report):
