@@ -2,17 +2,19 @@
 
 A card is its face character, ``CLUB`` or ``HEART``, and a stack is its face
 string, topmost first: ``"HC"``, ``"CH"``, or a single card ``"C"`` or ``"H"``.
-A pile is a list of equal-length rows of stacks; a shuffle moves its columns,
-the same way in every row.  Cards carry no orientation: every card is
-face-down except while ``reveal_row`` copies a row's stacks into the
-transcript.  A value x in [0, q) is a row of q stacks, all ``REST[mark]``
-except one ``mark`` stack at position x+1: a lone club among hearts, a lone
-heart among clubs, or an ``ODD_STACK`` among ``EVEN_STACK`` pairs.
-``encode`` lays such a row out and ``locate`` finds its marker, raising
-unless the row has that format; ``MARKER`` names the marker each reveal site
-locates.  A shuffle draws its secret from the ``random.Random`` it is given.
-The verifier's view of a run is a transcript of shuffle/reveal/normalize/
-verdict events; hidden faces and shuffle secrets never appear in it.
+A ``Pile`` is equal-length rows of stacks, laid once, and one column order
+that every shuffle permutes: a shuffle moves the columns the same way in
+every row, so no row is re-laid until it is read.  Cards carry no
+orientation: every card is face-down except while ``reveal_row`` lays a
+row's stacks out into the transcript.  A value x in [0, q) is a row of q
+stacks, all ``REST[mark]`` except one ``mark`` stack at position x+1: a lone
+club among hearts, a lone heart among clubs, or an ``ODD_STACK`` among
+``EVEN_STACK`` pairs.  ``encode`` lays such a row out and ``locate`` finds
+its marker, raising unless the row has that format; ``MARKER`` names the
+marker each reveal site locates.  A shuffle draws its secret from the
+``random.Random`` it is given.  The verifier's view of a run is a transcript
+of shuffle/reveal/normalize/verdict events; hidden faces and shuffle secrets
+never appear in it.
 """
 
 from __future__ import annotations
@@ -103,37 +105,55 @@ class Transcript:
         return t
 
 
-def pile_shift(m: list[list[str]], rng: random.Random, transcript: Transcript) -> int:
+class Pile:
+    """Rows of stacks, laid once and never re-laid, and ``order``: the column
+    that now sits at each position.  A shuffle moves the columns the same way
+    in every row, so it permutes ``order`` alone."""
+
+    __slots__ = ("rows", "order")
+
+    def __init__(self, rows: list[list[str]]):
+        self.rows = rows
+        self.order = list(range(len(rows[0])))
+
+    def row(self, i: int) -> list[str]:
+        """Row i's stacks as they now lie, in a fresh list."""
+        row = self.rows[i]
+        return [row[k] for k in self.order]
+
+
+def pile_shift(m: Pile, rng: random.Random, transcript: Transcript) -> int:
     """Cyclic shift of every row by one uniform secret offset; returns it
     (for tests only -- it is never recorded)."""
-    q = len(m[0])
+    order = m.order
+    q = len(order)
     r = rng.randrange(q)
     k = q - r   # column j moves to column (j + r) mod q
-    m[:] = [row[k:] + row[:k] for row in m]
-    transcript.shuffle("shift", len(m), q)
+    m.order = order[k:] + order[:k]
+    transcript.shuffle("shift", len(m.rows), q)
     return r
 
 
-def pile_scramble(m: list[list[str]], rng: random.Random, transcript: Transcript):
-    """One uniform secret permutation of the columns, applied to every row and
-    never recorded."""
-    order = list(range(len(m[0])))
-    rng.shuffle(order)
-    m[:] = [[row[j] for j in order] for row in m]
-    transcript.shuffle("scramble", len(m), len(order))
+def pile_scramble(m: Pile, rng: random.Random, transcript: Transcript):
+    """One uniform secret permutation of the columns, the same in every row
+    and never recorded.  Shuffling ``order`` draws what shuffling
+    ``range(q)`` would and composes with the columns' present order."""
+    rng.shuffle(m.order)
+    transcript.shuffle("scramble", len(m.rows), len(m.order))
 
 
-def reveal_row(m: list[list[str]], i: int, transcript: Transcript, site: str) -> int:
+def reveal_row(m: Pile, i: int, transcript: Transcript, site: str) -> int:
     """Turn row i face-up, record its stacks, and return where the site's
     marker lies.  Raises MalformedReveal, after recording, unless ``locate``
     finds the row well-formed."""
-    faces = list(m[i])   # a copy: set-size swaps stacks in place after a reveal
+    faces = m.row(i)
     transcript.reveal(site, i, faces)
     return locate(faces, MARKER[site])
 
 
-def rotate_to_normalize(m: list[list[str]], shift: int, transcript: Transcript):
+def rotate_to_normalize(m: Pile, shift: int, transcript: Transcript):
     """Cyclically shift every row left by the public ``shift``, bringing a
     revealed marker to column 1, and record the shift."""
-    m[:] = [row[shift:] + row[:shift] for row in m]
+    order = m.order
+    m.order = order[shift:] + order[:shift]
     transcript.normalize(shift)

@@ -19,6 +19,7 @@ from .cards import (
     HEART,
     ODD_STACK,
     MalformedReveal,
+    Pile,
     Transcript,
     encode,
     pile_scramble,
@@ -51,26 +52,31 @@ def copy_protocol(a: list[str], pool: ResourceStats, rng: random.Random,
     q = len(a)
     # Reversing the q-1 rightmost stacks negates the encoded value mod q.
     reversed_a = [a[0]] + a[1:][::-1]
-    m = [reversed_a, _fresh_zero_pair(q, pool), _fresh_zero_pair(q, pool)]
+    m = Pile([reversed_a, _fresh_zero_pair(q, pool), _fresh_zero_pair(q, pool)])
     pile_shift(m, rng, transcript)
     rotate_to_normalize(m, reveal_row(m, 0, transcript, "copy"), transcript)
-    pool.discard(m[0])
-    return m[1], m[2]
+    pool.discard(reversed_a)
+    kept = m.row(1)   # row 2 was laid as row 1 and every shuffle moved both alike
+    return kept, kept[:]
 
 
 def set_size_protocol(seqs: list[list[str]], pool: ResourceStats, rng: random.Random,
                       transcript: Transcript) -> list[str]:
     """Count distinct encoded values: returns q two-card stacks whose odd-stack
-    count equals the number of different inputs."""
-    m = list(seqs)
-    for i in range(1, len(m)):
+    count equals the number of different inputs.  A swap finds the two
+    stacks at the revealed position through the pile's column order, so no
+    row but the revealed one is laid out until the end."""
+    m = Pile([list(row) for row in seqs])   # copies: the swaps move stacks in place
+    top = m.rows[0]
+    for i in range(1, len(m.rows)):
         pile_scramble(m, rng, transcript)
-        j = reveal_row(m, i, transcript, "setsize")
-        m[0][j], m[i][j] = m[i][j], m[0][j]
+        k = m.order[reveal_row(m, i, transcript, "setsize")]
+        row = m.rows[i]
+        top[k], row[k] = row[k], top[k]
     pile_scramble(m, rng, transcript)
-    for row in m[1:]:
+    for row in m.rows[1:]:
         pool.discard(row)
-    return m[0]
+    return m.row(0)
 
 
 def summation_protocol(stacks: list[str], pool: ResourceStats, rng: random.Random,
@@ -84,11 +90,11 @@ def summation_protocol(stacks: list[str], pool: ResourceStats, rng: random.Rando
         a_seq.append(HEART)
         top, bottom = stacks[i - 1]
         b_seq = [bottom] + [CLUB] * (i - 1) + [top]
-        m = [a_seq, b_seq]
+        m = Pile([a_seq, b_seq])
         pile_shift(m, rng, transcript)
         rotate_to_normalize(m, reveal_row(m, 1, transcript, "sum"), transcript)
-        a_seq = m[0]
-        pool.discard(m[1])
+        a_seq = m.row(0)
+        pool.discard(b_seq)
     return a_seq
 
 
@@ -96,11 +102,11 @@ def comparing_protocol(s1: list[str], s2: list[str], pool: ResourceStats, rng: r
                        transcript: Transcript) -> bool:
     """True iff both club encodings hold the same value; reveals everything
     after a scramble, then discards all cards."""
-    m = [s1, s2]
+    m = Pile([s1, s2])
     pile_scramble(m, rng, transcript)
     same = reveal_row(m, 0, transcript, "compare") == reveal_row(m, 1, transcript, "compare")
-    pool.discard(m[0])
-    pool.discard(m[1])
+    pool.discard(s1)
+    pool.discard(s2)
     return same
 
 

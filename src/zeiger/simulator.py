@@ -17,10 +17,12 @@ from .protocol import ResourceStats, verify_cell
 
 
 def structure(t: Transcript) -> list[tuple]:
-    """Every event's public shape: its kind, reveal site, row and width, and
-    shuffle kind and size.  Only marker positions may differ."""
+    """Every event's public shape: its kind, reveal site, row and width,
+    shuffle kind and size, and how many keys it has, so that an event
+    carrying anything more has another shape.  Only marker positions may
+    differ."""
     return [(ev["ev"], ev.get("site"), ev.get("row"), len(ev.get("faces", ())),
-             ev.get("kind"), ev.get("rows"), ev.get("cols")) for ev in t.events]
+             ev.get("kind"), ev.get("rows"), ev.get("cols"), len(ev)) for ev in t.events]
 
 
 @functools.lru_cache
@@ -47,12 +49,14 @@ def simulate_transcript(g: Grid, seed: int) -> Transcript:
     rng = random.Random(f"sim:{seed}")
     t = Transcript()
     pos, fresh = 0, False
-    for ev, site, row, q, kind, rows, cols in _skeleton(g):
+    for step in _skeleton(g):
+        ev = step[0]
         if ev == "shuffle":
-            t.shuffle(kind, rows, cols)
+            t.shuffle(step[4], step[5], step[6])
         elif ev == "reveal":
+            q = step[3]
             pos = rng.randrange(q) if fresh else pos
-            t.reveal(site, row, encode(q, pos, MARKER[site]))
+            t.reveal(step[1], step[2], encode(q, pos, MARKER[step[1]]))
         else:
             t.normalize(pos)
         fresh = ev == "shuffle"

@@ -11,6 +11,7 @@ from zeiger.cards import (
     ODD_STACK,
     CardError,
     MalformedReveal,
+    Pile,
     Transcript,
     encode,
     locate,
@@ -72,24 +73,24 @@ def test_pile_shift_is_cyclic_rotation():
     rng = random.Random(1)
     for _ in range(30):
         labels = [chr(ord("A") + i) for i in range(6)]
-        m = [[list(lbl) for lbl in labels]]  # abuse: stacks of strings
+        m = Pile([[list(lbl) for lbl in labels]])  # abuse: stacks of strings
         r = pile_shift(m, rng, Transcript())
         rotated = [labels[(j - r) % 6] for j in range(6)]
-        assert ["".join(st) for st in m[0]] == rotated
+        assert ["".join(st) for st in m.row(0)] == rotated
 
 
 def test_shift_example_offset_one():
-    m = [[["A"], ["B"], ["C"]]]
+    m = Pile([[["A"], ["B"], ["C"]]])
     assert pile_shift(m, OffsetOne(), Transcript()) == 1
-    assert [st[0] for st in m[0]] == ["C", "A", "B"]
+    assert [st[0] for st in m.row(0)] == ["C", "A", "B"]
 
 
 def test_shift_preserves_cyclic_adjacency():
     rng = random.Random(8)
     labels = list("ABCDEFG")
-    m = [[[x] for x in labels]]
+    m = Pile([[[x] for x in labels]])
     pile_shift(m, rng, Transcript())
-    out = [st[0] for st in m[0]]
+    out = [st[0] for st in m.row(0)]
     doubled = "".join(labels) * 2
     assert "".join(out) in doubled
 
@@ -99,9 +100,9 @@ def test_shift_offsets_uniform_4sigma():
     counts = collections.Counter()
     trials, c = 6000, 6
     for _ in range(trials):
-        m = [[[j] for j in range(c)]]
+        m = Pile([[[j] for j in range(c)]])
         pile_shift(m, rng, Transcript())
-        counts[m[0].index([0])] += 1
+        counts[m.row(0).index([0])] += 1
     expected = trials / c
     sigma = math.sqrt(trials * (1 / c) * (1 - 1 / c))
     for offset in range(c):
@@ -113,9 +114,9 @@ def test_scramble_swap_frequency():
     swapped = 0
     trials = 10_000
     for _ in range(trials):
-        m = [[["a"], ["b"]]]
+        m = Pile([[["a"], ["b"]]])
         pile_scramble(m, rng, Transcript())
-        swapped += m[0][0] == ["b"]
+        swapped += m.row(0)[0] == ["b"]
     assert abs(swapped / trials - 0.5) <= 0.02
 
 
@@ -123,9 +124,9 @@ def test_scramble_identity_possible_and_multiset_preserved():
     rng = random.Random(5)
     seen_identity = False
     for _ in range(200):
-        m = [[[j] for j in range(4)]]
+        m = Pile([[[j] for j in range(4)]])
         pile_scramble(m, rng, Transcript())
-        out = [st[0] for st in m[0]]
+        out = [st[0] for st in m.row(0)]
         assert sorted(out) == [0, 1, 2, 3]
         seen_identity |= out == [0, 1, 2, 3]
     assert seen_identity
@@ -133,15 +134,78 @@ def test_scramble_identity_possible_and_multiset_preserved():
 
 def test_shuffles_move_every_row_alike():
     rng = random.Random(9)
-    m = [list("abcde"), list("ABCDE")]
+    m = Pile([list("abcde"), list("ABCDE")])
     for shuffle in (pile_shift, pile_scramble, pile_shift):
         shuffle(m, rng, Transcript())
-        assert sorted(m[0]) == list("abcde")
-        assert m[1] == [a.upper() for a in m[0]]
+        assert sorted(m.row(0)) == list("abcde")
+        assert m.row(1) == [a.upper() for a in m.row(0)]
+
+
+# The list engine that ``Pile`` replaced, kept as its reference: every
+# shuffle and normalize re-lays every row.
+def _list_shift(m, rng, transcript):
+    q = len(m[0])
+    r = rng.randrange(q)
+    m[:] = [row[q - r:] + row[:q - r] for row in m]
+    transcript.shuffle("shift", len(m), q)
+    return r
+
+
+def _list_scramble(m, rng, transcript):
+    order = list(range(len(m[0])))
+    rng.shuffle(order)
+    m[:] = [[row[j] for j in order] for row in m]
+    transcript.shuffle("scramble", len(m), len(order))
+
+
+def _list_reveal(m, i, transcript, site):
+    faces = list(m[i])
+    transcript.reveal(site, i, faces)
+    return locate(faces, MARKER[site])
+
+
+def _list_normalize(m, shift, transcript):
+    m[:] = [row[shift:] + row[:shift] for row in m]
+    transcript.normalize(shift)
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_pile_matches_the_list_engine(seed):
+    draw = random.Random(f"ops:{seed}")
+    q = draw.randint(2, 9)
+    sites = [draw.choice(sorted(MARKER)) for _ in range(draw.randint(1, 5))]
+    rows = [encode(q, draw.randrange(q), MARKER[site]) for site in sites]
+    bad = encode(q, 0, MARKER[sites[0]])
+    bad[draw.randrange(1, q)] = MARKER[sites[0]]  # a second marker
+    rows.append(bad)
+    listed, pile = [list(row) for row in rows], Pile([list(row) for row in rows])
+    ours, theirs = random.Random(seed), random.Random(seed)
+    t_list, t_pile = Transcript(), Transcript()
+    for _ in range(draw.randint(1, 30)):
+        op = draw.choice(("shift", "scramble", "reveal", "normalize"))
+        if op == "shift":
+            assert _list_shift(listed, theirs, t_list) == pile_shift(pile, ours, t_pile)
+        elif op == "scramble":
+            _list_scramble(listed, theirs, t_list)
+            pile_scramble(pile, ours, t_pile)
+        elif op == "reveal":
+            i = draw.randrange(len(sites))
+            assert _list_reveal(listed, i, t_list, sites[i]) == reveal_row(pile, i, t_pile, sites[i])
+        else:
+            shift = draw.randrange(q)
+            _list_normalize(listed, shift, t_list)
+            rotate_to_normalize(pile, shift, t_pile)
+        assert [pile.row(i) for i in range(len(rows))] == listed
+    for m, reveal, t in ((listed, _list_reveal, t_list), (pile, reveal_row, t_pile)):
+        with pytest.raises(MalformedReveal, match="found 2"):
+            reveal(m, len(sites), t, sites[0])
+    assert t_list.events == t_pile.events
+    assert t_pile.events[-1]["faces"] == listed[-1]   # recorded before the raise
+    assert pile.rows == rows   # no row of the pile was ever re-laid
 
 
 def test_reveal_records_faces_and_flips():
-    m = [encode(4, 2, CLUB)]
+    m = Pile([encode(4, 2, CLUB)])
     t = Transcript()
     assert reveal_row(m, 0, t, "compare") == 2
     faces_seen = ["H", "H", "C", "H"]
@@ -154,7 +218,7 @@ def test_reveal_row_locates_each_sites_marker(site):
         for x in range(q):
             row = encode(q, x, MARKER[site])
             t = Transcript()
-            assert reveal_row([row], 0, t, site) == x
+            assert reveal_row(Pile([row]), 0, t, site) == x
             assert t.events == [{"ev": "reveal", "site": site, "row": 0, "faces": row}]
 
 
@@ -164,24 +228,24 @@ def test_reveal_row_rejects_a_second_marker_after_recording(site):
     row[3] = MARKER[site]
     t = Transcript()
     with pytest.raises(MalformedReveal, match="found 2"):
-        reveal_row([row], 0, t, site)
+        reveal_row(Pile([row]), 0, t, site)
     assert t.events == [{"ev": "reveal", "site": site, "row": 0, "faces": row}]
 
 
 def test_normalize_rotates_match_to_column_one():
-    m = [encode(4, 2, CLUB)]
+    m = Pile([encode(4, 2, CLUB)])
     t = Transcript()
     shift = reveal_row(m, 0, t, "compare")
     rotate_to_normalize(m, shift, t)
     assert shift == 2
-    assert m[0][0][0] == "C"
+    assert m.row(0)[0][0] == "C"
     assert t.events[-1] == {"ev": "normalize", "shift": 2}
 
 
 def test_normalize_rejects_two_matches():
     seq = encode(4, 1, CLUB)
     seq[3] = "C"
-    m = [seq]
+    m = Pile([seq])
     t = Transcript()
     with pytest.raises(MalformedReveal):
         reveal_row(m, 0, t, "compare")
@@ -190,7 +254,7 @@ def test_normalize_rejects_two_matches():
 def test_transcript_never_contains_shuffle_secrets():
     rng = random.Random(3)
     t = Transcript()
-    m = [encode(5, 2, CLUB)]
+    m = Pile([encode(5, 2, CLUB)])
     pile_shift(m, rng, t)
     pile_scramble(m, rng, t)
     for ev in t.events:

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zeiger import protocol
+from zeiger.audit import AuditError, audit_zk
 from zeiger.cards import MARKER, Transcript
 from zeiger.grid import Filling, parse_filling, parse_grid
 from zeiger.nae import gen_nae, nae_brute_force
@@ -27,6 +28,7 @@ from zeiger.protocol import (
     verify_cell,
 )
 from zeiger.reduction import lift_assignment, reduce_instance
+from zeiger.simulator import _skeleton
 
 from .conftest import FIXTURES
 
@@ -147,11 +149,28 @@ def test_exact_check_holds_for_any_stream_seed(fig1_grid, fig1_solution, seed):
 
 def test_a_shift_that_ignores_its_secret_fails(fig1_grid, fig1_solution, monkeypatch):
     def lazy_shift(m, rng, transcript):
-        rng.randrange(len(m[0]))
-        transcript.shuffle("shift", len(m), len(m[0]))
+        rng.randrange(len(m.order))
+        transcript.shuffle("shift", len(m.rows), len(m.order))
         return 0
 
     monkeypatch.setattr(protocol, "pile_shift", lazy_shift)
     good, bad, unrevealed = exact_check(fig1_grid, fig1_solution, 0)
     assert bad == count_resources(fig1_grid).shifts == 202
     assert (good, unrevealed) == (279 - 202, 25)
+
+
+def test_a_shift_that_records_its_secret_fails_the_audit(fig1_grid, fig1_solution, monkeypatch):
+    """Its marker positions stay uniform, so only the event's shape gives it
+    away: a shuffle event with one key more than the schedule's."""
+    def leaky_shift(m, rng, transcript):
+        q = len(m.order)
+        r = rng.randrange(q)
+        m.order[:] = m.order[q - r:] + m.order[:q - r]
+        transcript.record({"ev": "shuffle", "kind": "shift", "rows": len(m.rows), "cols": q,
+                           "offset": r})
+        return r
+
+    _skeleton(fig1_grid)  # the schedule of the honest engine, built before the mutant goes in
+    monkeypatch.setattr(protocol, "pile_shift", leaky_shift)
+    with pytest.raises(AuditError, match="structure differs"):
+        audit_zk(fig1_grid, fig1_solution, 1000, 0.001, seed=2)
