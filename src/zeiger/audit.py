@@ -1,7 +1,8 @@
 """Statistical zero-knowledge audit: revealed positions must look uniform.
 
 Checks every seeded real run, and as many simulated transcripts, against the
-grid's one event schedule (``simulator._skeleton``) and aggregates, per reveal
+grid's one event schedule (``simulator._skeleton``), checks each counted
+reveal's format and each normalize's shift, and aggregates, per reveal
 site, the histogram of marker positions; then applies chi-square uniformity
 tests to each and a two-sample test between them, whose p-values come from
 the chi-square law's closed-form upper tail.
@@ -16,11 +17,12 @@ fail, the lowest span's, which is the serial run's first failure.
 
 from __future__ import annotations
 
+import functools
 import marshal
 import math
 import os
 
-from .cards import MARKER, Transcript
+from .cards import MARKER, MalformedReveal, Transcript, locate
 from .grid import Filling, Grid
 from .protocol import ProverBehavior, run_protocol
 from .simulator import _skeleton, simulate_transcript, structure
@@ -76,15 +78,39 @@ def reveal_histograms(g: Grid, t: Transcript, hists: dict[tuple[str, int], list[
     columns) for each reveal.
 
     The comparing protocol's two rows always agree, so only its first row is
-    counted (the second would duplicate every sample).
+    counted (the second would duplicate every sample).  Each counted reveal
+    must pass the verifier's format check, ``locate``, and each normalize
+    must shift by the marker position revealed just before it, as the
+    verifier watching it would check: a shift recording anything else could
+    carry a secret while every shape and histogram stays the same.
     """
-    steps = _skeleton(g)
-    if t.events[-1:] != [{"ev": "verdict", "accept": True}] or structure(t)[:-1] != list(steps):
+    events = t.events
+    if (events[-1:] != [{"ev": "verdict", "accept": True}]
+            or structure(t)[:-1] != list(_skeleton(g))):
         raise AuditError("event structure differs from the grid's schedule")
-    for ev, step in zip(t.events, steps):
-        if step[0] == "reveal" and (step[1] != "compare" or step[2] == 0):
-            site, q = step[1], step[3]
-            hists.setdefault((site, q), [0] * q)[ev["faces"].index(MARKER[site])] += 1
+    for n, key, normalized in _counted(g):
+        site = key[0]
+        try:
+            pos = locate(events[n]["faces"], MARKER[site])
+        except MalformedReveal as e:
+            raise AuditError(f"event {n + 1}: malformed {site} reveal: {e}") from None
+        counts = hists.get(key)
+        if counts is None:
+            counts = hists[key] = [0] * key[1]
+        counts[pos] += 1
+        if normalized and events[n + 1]["shift"] != pos:
+            raise AuditError(f"event {n + 2}: normalize shifts by {events[n + 1]['shift']!r}, "
+                             f"not by the marker position {pos} revealed just before it")
+
+
+@functools.lru_cache
+def _counted(g: Grid) -> tuple[tuple[int, tuple[str, int], bool], ...]:
+    """The counted reveals of ``g``'s schedule: each one's place among the
+    events, its (site, number of columns), and whether a normalize follows."""
+    steps = _skeleton(g)
+    return tuple((n, (site, q), steps[n + 1][0] == "normalize")
+                 for n, (kind, site, row, q, _, _, _, _) in enumerate(steps)
+                 if kind == "reveal" and (site != "compare" or row == 0))
 
 
 def _trials(g: Grid, f: Filling, seed: int, lo: int, hi: int):
@@ -124,7 +150,7 @@ def _spans(g: Grid, f: Filling, seed: int, trials: int) -> list:
     n = min(_cpus(), trials)
     if n == 1:
         return [_trials(g, f, seed, 0, trials)]
-    _skeleton(g)  # built once here, not once per child
+    _counted(g)  # the schedule and its counted reveals, built once here, not once per child
     bounds = [trials * k // n for k in range(n + 1)]
     children = []  # (pid, the pipe's read end, first trial, last trial + 1)
     try:

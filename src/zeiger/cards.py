@@ -53,14 +53,17 @@ def locate(row: list[str], mark: str) -> int:
     """Position of the lone ``mark`` stack in ``row``: the verifier's format
     check.  Raises MalformedReveal unless exactly one stack is ``mark`` and
     every other stack is ``REST[mark]``."""
+    rest = REST[mark]
+    if row.count(rest) == len(row) - 1:  # all stacks but one are the rest ...
+        try:
+            return row.index(mark)  # ... and that one is the marker
+        except ValueError:
+            pass
     hits = row.count(mark)
     if hits != 1:
         raise MalformedReveal(f"expected exactly one {mark!r} column, found {hits}")
-    rest = REST[mark]
-    if row.count(rest) != len(row) - 1:
-        bad = [p for p in row if p != mark and p != rest]
-        raise MalformedReveal(f"unexpected pattern(s) {bad} beside {mark!r}")
-    return row.index(mark)
+    bad = [p for p in row if p != mark and p != rest]
+    raise MalformedReveal(f"unexpected pattern(s) {bad} beside {mark!r}")
 
 
 class Transcript:
@@ -75,15 +78,16 @@ class Transcript:
         self.events.append(ev)
 
     def shuffle(self, kind: str, rows: int, cols: int):
-        self.record({"ev": "shuffle", "kind": kind, "rows": rows, "cols": cols})
+        self.events.append({"ev": "shuffle", "kind": kind, "rows": rows, "cols": cols})
 
     def reveal(self, site: str, row: int, faces: list[str]):
-        self.record({"ev": "reveal", "site": site, "row": row, "faces": faces})
+        self.events.append({"ev": "reveal", "site": site, "row": row, "faces": faces})
 
     def normalize(self, shift: int):
         # The verifier watches the cyclic shift happen, so its magnitude is
-        # public; it must be (and is audited to be) uniform.
-        self.record({"ev": "normalize", "shift": shift})
+        # public; it must be (and is audited to be) uniform, and equal to
+        # the marker position revealed just before it.
+        self.events.append({"ev": "normalize", "shift": shift})
 
     def verdict(self, accept: bool, reason: str = "", cell=None):
         """A reject names its reason and the cell being verified."""
@@ -98,10 +102,18 @@ class Transcript:
 
     @classmethod
     def from_json_lines(cls, text: str) -> "Transcript":
+        """Read ``to_json_lines`` back; blank lines are skipped, and a line
+        that is not a JSON object raises CardError naming its number."""
         t = cls()
-        for line in text.splitlines():
+        for n, line in enumerate(text.splitlines(), 1):
             if line.strip():
-                t.record(json.loads(line))
+                try:
+                    ev = json.loads(line)
+                except json.JSONDecodeError as e:
+                    raise CardError(f"line {n}: not JSON: {e.msg} at column {e.colno}") from None
+                if not isinstance(ev, dict):
+                    raise CardError(f"line {n}: not a JSON object: {line.strip()[:40]!r}")
+                t.record(ev)
         return t
 
 
@@ -146,7 +158,8 @@ def reveal_row(m: Pile, i: int, transcript: Transcript, site: str) -> int:
     """Turn row i face-up, record its stacks, and return where the site's
     marker lies.  Raises MalformedReveal, after recording, unless ``locate``
     finds the row well-formed."""
-    faces = m.row(i)
+    row = m.rows[i]
+    faces = [row[k] for k in m.order]
     transcript.reveal(site, i, faces)
     return locate(faces, MARKER[site])
 

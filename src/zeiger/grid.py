@@ -8,9 +8,12 @@ distinct numbers among the cells its arrow points at.
 A grid computes each cell's sightline once, on construction, as a ``range``
 of flat indices (cell (r, c) is ``(r-1)*cols + (c-1)``, row-major), nearest
 cell first; the checker, the solver, the protocol and the reduction read
-``Grid.sightlines`` and none of them walks the board.  ``Grid.cell``,
-``Filling.value`` and ``sightline`` raise ``GridError`` off the board, and
-``Grid.check_size`` on a filling of another size; no other module checks either.
+``Grid.sightlines`` and none of them walks the board.  The protocol's board
+is a list of the cells' card rows in the same flat order, and a check copies
+cell i and then the cells of ``Grid.sightlines[i]``.  ``Grid.cell``,
+``Grid.index``, ``Filling.value`` and ``sightline`` raise ``GridError`` off
+the board, and ``Grid.check_size`` on a filling of another size; no other
+module checks either.
 """
 
 from __future__ import annotations
@@ -94,6 +97,11 @@ class Grid:
 
     def cell(self, c: Coord) -> Cell:
         return _at(self.cells, self.rows, self.cols, c)
+
+    def index(self, c: Coord) -> int:
+        """``c``'s flat index, ``(row-1)*cols + (col-1)``; raises off the board."""
+        self.cell(c)
+        return (c.row - 1) * self.cols + c.col - 1
 
     def check_size(self, f: Filling):
         """Raise GridError unless ``f`` has this grid's size."""
@@ -211,9 +219,8 @@ def serialize_filling(f: Filling) -> str:
 
 def sightline(g: Grid, c: Coord) -> list[Coord]:
     """Cells strictly beyond ``c`` in its arrow's direction, nearest first."""
-    g.cell(c)  # raises off the board
     l = g.cols
-    return [Coord(j // l + 1, j % l + 1) for j in g.sightlines[(c.row - 1) * l + c.col - 1]]
+    return [Coord(j // l + 1, j % l + 1) for j in g.sightlines[g.index(c)]]
 
 
 def distinct_count(vs) -> int:

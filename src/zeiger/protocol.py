@@ -27,19 +27,13 @@ from .cards import (
     reveal_row,
     rotate_to_normalize,
 )
-from .grid import Coord, Filling, Grid, GridError, sightline
+from .grid import Coord, Filling, Grid, GridError
 
 
 def turn_down_all(m):
     """Does nothing, and no protocol step calls it: cards carry no
     orientation.  The name stays only because the benchmark's traced run
     (``perfbench/run.py``) and its tests still look it up here."""
-
-
-def _fresh_zero_pair(q: int, pool: ResourceStats) -> list[str]:
-    """Publicly built pair encoding of 0: odd stack at position 1."""
-    pool.take(q, q)
-    return encode(q, 0, ODD_STACK)
 
 
 def copy_protocol(a: list[str], pool: ResourceStats, rng: random.Random,
@@ -51,12 +45,16 @@ def copy_protocol(a: list[str], pool: ResourceStats, rng: random.Random,
     """
     q = len(a)
     # Reversing the q-1 rightmost stacks negates the encoded value mod q.
-    reversed_a = [a[0]] + a[1:][::-1]
-    m = Pile([reversed_a, _fresh_zero_pair(q, pool), _fresh_zero_pair(q, pool)])
+    reversed_a = a[:1] + a[:0:-1]
+    # two publicly built encodings of 0 (odd stack at position 1), drawn
+    # together; they lie alike, so one laid row serves as both
+    pool.take(2 * q, 2 * q)
+    zero = encode(q, 0, ODD_STACK)
+    m = Pile([reversed_a, zero, zero])
     pile_shift(m, rng, transcript)
     rotate_to_normalize(m, reveal_row(m, 0, transcript, "copy"), transcript)
     pool.discard(reversed_a)
-    kept = m.row(1)   # row 2 was laid as row 1 and every shuffle moved both alike
+    kept = m.row(1)   # every shuffle moved rows 2 and 3 alike
     return kept, kept[:]
 
 
@@ -127,7 +125,8 @@ class ProverBehavior:
         return cls(filling=f, malformed_cell=cell)
 
 
-Board = dict[Coord, list[str]]
+# each cell's row of stacks, at its flat index (row-1)*cols + (col-1)
+Board = list[list[str]]
 
 
 def setup_board(g: Grid, behavior: ProverBehavior, pool: ResourceStats) -> Board:
@@ -135,26 +134,33 @@ def setup_board(g: Grid, behavior: ProverBehavior, pool: ResourceStats) -> Board
 
     The one check of the prover's values: raises GridError unless the filling
     agrees with every given, which the verifier lays out publicly, and the
-    malformed cell, if any, is unnumbered.
+    malformed cell, if any, is on the board and unnumbered.  A value above
+    b-1 lays out a row with no odd stack, which the cell's first copy rejects.
     """
     f = behavior.filling
     g.check_size(f)
-    bad = behavior.malformed_cell
-    if bad is not None and g.cell(bad).given is not None:
-        raise GridError(f"malformed cell {bad} is a given cell, laid out publicly by the verifier")
+    bad = -1
+    if behavior.malformed_cell is not None:
+        c = behavior.malformed_cell
+        if g.cell(c).given is not None:
+            raise GridError(f"malformed cell {c} is a given cell, "
+                            "laid out publicly by the verifier")
+        bad = g.index(c)
     b = g.max_value + 1
-    board: Board = {}
-    for c in g.coords():
-        v = f.value(c)
-        given = g.cell(c).given
-        if given is not None and v != given:
-            raise GridError(f"filling disagrees with given at {c}")
-        pool.take(b, b)
-        ps = [ODD_STACK if i == v else EVEN_STACK for i in range(b)]
-        if c == bad:
-            # a second marker stack: caught by the copy protocol's format check
-            ps[(v + 1) % b] = ODD_STACK
-        board[c] = ps
+    board: Board = []
+    for cells, values in zip(g.cells, f.values):
+        for cell, v in zip(cells, values):
+            if cell.given is not None and v != cell.given:
+                r, col = divmod(len(board), g.cols)
+                raise GridError(f"filling disagrees with given at {Coord(r + 1, col + 1)}")
+            ps = [EVEN_STACK] * b
+            if v < b:
+                ps[v] = ODD_STACK
+            if len(board) == bad:
+                # a second marker stack: caught by the copy protocol's format check
+                ps[(v + 1) % b] = ODD_STACK
+            board.append(ps)
+    pool.take(b * len(board), b * len(board))
     return board
 
 
@@ -205,13 +211,21 @@ def verify_cell(board: Board, g: Grid, c: Coord, pool: ResourceStats, rng: rando
                 transcript: Transcript) -> bool:
     """True iff cell c's value equals its sightline's distinct count; a
     malformed sequence raises MalformedReveal when its row is turned over."""
+    i = g.index(c)
+    return _check(board, (i, *g.sightlines[i]), pool, rng, transcript)
+
+
+def _check(board: Board, cells: tuple[int, ...], pool: ResourceStats, rng: random.Random,
+           transcript: Transcript) -> bool:
+    """``verify_cell`` of the cell at flat index ``cells[0]``, whose
+    sightline is ``cells[1:]``: copy each, count the sightline's distinct
+    values and compare the count with the cell's."""
     copies = []
-    for cc in [c] + sightline(g, c):
-        kept, out = copy_protocol(board[cc], pool, rng, transcript)
-        board[cc] = kept
+    for j in cells:
+        board[j], out = copy_protocol(board[j], pool, rng, transcript)
         copies.append(out)
-    cell_copy, sight_copies = copies[0], copies[1:]
-    y_stacks = set_size_protocol(sight_copies, pool, rng, transcript)
+    cell_copy = copies[0]
+    y_stacks = set_size_protocol(copies[1:], pool, rng, transcript)
     z_seq = summation_protocol(y_stacks, pool, rng, transcript)
     # the bottom cards of the retained copy form the club encoding of d
     d_seq = [stack[1] for stack in cell_copy]
@@ -228,26 +242,30 @@ def run_protocol(g: Grid, behavior: ProverBehavior, seed: int
     every shuffle secret, so a run is deterministic per seed."""
     rng = random.Random(f"run:{seed}")
     transcript = Transcript()
+    events = transcript.events
     stats = ResourceStats()
     board = setup_board(g, behavior, stats)
-    for c in g.coords():
-        start = len(transcript.events)
+    for i, line in enumerate(g.sightlines):
+        start = len(events)
         try:
-            ok = verify_cell(board, g, c, stats, rng, transcript)
+            ok = _check(board, (i, *line), stats, rng, transcript)
             reason = "cell value differs from its sightline's distinct count"
         except MalformedReveal as e:
             ok, reason = False, str(e)
-        # the cell's shuffles, counted once; a rejected cell's count too
-        kinds = [ev["kind"] for ev in transcript.events[start:] if ev["ev"] == "shuffle"]
-        stats.shifts += kinds.count("shift")
-        stats.scrambles += kinds.count("scramble")
+        # the cell's shuffles, counted once; a rejected cell's count too (only
+        # a shuffle event has a kind)
+        kinds = [ev.get("kind") for ev in events[start:]]
+        shifts, scrambles = kinds.count("shift"), kinds.count("scramble")
+        stats.shifts += shifts
+        stats.scrambles += scrambles
+        r, c = divmod(i, g.cols)
         if not ok:
-            transcript.verdict(False, reason, c)
+            transcript.verdict(False, reason, Coord(r + 1, c + 1))
             break
-        stats.per_cell.append({"cell": [c.row, c.col], "shuffles": len(kinds)})
+        stats.per_cell.append({"cell": [r + 1, c + 1], "shuffles": shifts + scrambles})
     else:
         transcript.verdict(True)
-    return transcript.events[-1]["accept"], transcript, stats
+    return events[-1]["accept"], transcript, stats
 
 
 def count_resources(g: Grid) -> ResourceStats:

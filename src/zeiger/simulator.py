@@ -32,7 +32,7 @@ def _skeleton(g: Grid) -> tuple[tuple, ...]:
     ``encode(b, 0, ODD_STACK)``.  Only a malformed row changes a check's
     events, so the checks' verdicts are unread."""
     b = g.max_value + 1
-    board = {c: encode(b, 0, ODD_STACK) for c in g.coords()}
+    board = [encode(b, 0, ODD_STACK)] * (g.rows * g.cols)  # no check changes a row it copies
     pool, rng, unique, steps = ResourceStats(), random.Random(0), {}, []
     for c in g.coords():  # one short transcript per cell keeps the build's peak memory small
         run = Transcript()
@@ -46,19 +46,19 @@ def simulate_transcript(g: Grid, seed: int) -> Transcript:
     A reveal right after a shuffle draws a uniform marker position, which the
     comparing protocol's second row keeps and a normalize shifts by.  Each
     reveal is ``encode`` of its position, the one row ``locate`` accepts."""
-    rng = random.Random(f"sim:{seed}")
+    randrange = random.Random(f"sim:{seed}").randrange
     t = Transcript()
+    shuffle, reveal, normalize = t.shuffle, t.reveal, t.normalize
     pos, fresh = 0, False
-    for step in _skeleton(g):
-        ev = step[0]
-        if ev == "shuffle":
-            t.shuffle(step[4], step[5], step[6])
-        elif ev == "reveal":
-            q = step[3]
-            pos = rng.randrange(q) if fresh else pos
-            t.reveal(step[1], step[2], encode(q, pos, MARKER[step[1]]))
-        else:
-            t.normalize(pos)
-        fresh = ev == "shuffle"
+    for ev, site, row, q, kind, rows, cols, _ in _skeleton(g):
+        if ev == "reveal":
+            if fresh:
+                pos, fresh = randrange(q), False
+            reveal(site, row, encode(q, pos, MARKER[site]))
+        elif ev == "shuffle":
+            shuffle(kind, rows, cols)
+            fresh = True
+        else:  # a normalize, which follows a reveal
+            normalize(pos)
     t.verdict(True)
     return t

@@ -274,6 +274,17 @@ def test_transcript_json_roundtrip():
     assert back.events == t.events
 
 
+@pytest.mark.parametrize("text, error", [
+    ('{"ev": "normalize", "shift": 1}\n\n{"ev": "verdict"', r"^line 3: not JSON: "),
+    ('{"ev": "normalize", "shift": 1}\nnot json\n', r"^line 2: not JSON: "),
+    ('[1, 2]\n', r"^line 1: not a JSON object: "),
+    ('{"ev": "verdict", "accept": true}\n"verdict"\n', r"^line 2: not a JSON object: "),
+])
+def test_transcript_from_json_lines_names_a_bad_line(text, error):
+    with pytest.raises(CardError, match=error):
+        Transcript.from_json_lines(text)
+
+
 def test_card_pool_accounting():
     pool = ResourceStats()
     pool.take(3, 1)

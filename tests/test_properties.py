@@ -216,7 +216,7 @@ def test_run_rejects_exactly_at_the_first_failing_cell_on_random_grids(g, data, 
 @given(g=random_grids(), data=st.data(), seed=seeds)
 def test_a_checks_events_do_not_depend_on_the_boards_values(g, data, seed):
     b = g.max_value + 1
-    board = {c: encode(b, data.draw(st.integers(0, b - 1)), ODD_STACK) for c in g.coords()}
+    board = [encode(b, data.draw(st.integers(0, b - 1)), ODD_STACK) for c in g.coords()]
     t, pool, rng = Transcript(), ResourceStats(), random.Random(seed)
     for c in g.coords():
         verify_cell(board, g, c, pool, rng, t)

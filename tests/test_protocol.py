@@ -176,8 +176,8 @@ class TestBoard:
     def test_setup_board_values(self, fig1_grid, fig1_solution):
         pool = ResourceStats()
         board = setup_board(fig1_grid, ProverBehavior.honest(fig1_solution), pool)
-        assert locate(board[Coord(3, 4)], ODD_STACK) == 1  # the given cell
-        assert locate(board[Coord(1, 1)], ODD_STACK) == 3
+        assert locate(board[fig1_grid.index(Coord(3, 4))], ODD_STACK) == 1  # the given cell
+        assert locate(board[fig1_grid.index(Coord(1, 1))], ODD_STACK) == 3
         # 2b cards per cell
         assert pool.in_play == 2 * 5 * 25
 
@@ -200,8 +200,8 @@ class TestVerifyCell:
         pool, rng, t = ResourceStats(), random.Random(2), Transcript()
         board = setup_board(fig1_grid, ProverBehavior.honest(fig1_solution), pool)
         verify_cell(board, fig1_grid, Coord(1, 1), pool, rng, t)
-        for c in fig1_grid.coords():
-            assert locate(board[c], ODD_STACK) == fig1_solution.value(c)
+        for i, c in enumerate(fig1_grid.coords()):
+            assert locate(board[i], ODD_STACK) == fig1_solution.value(c)
 
     def test_forced_cell_accepts_iff_one(self, fig1_grid, fig1_solution):
         # (2,3) has sightline length 1
@@ -220,6 +220,23 @@ class TestVerifyCell:
         assert verify_cell(board, fig1_grid, Coord(3, 4), pool, rng, t)
         # (2,3) itself now claims 2 but its sightline has 1 distinct value
         assert not verify_cell(board, fig1_grid, Coord(2, 3), pool, rng, t)
+
+
+    @pytest.mark.parametrize("c", [Coord(1, 6), Coord(0, 1), Coord(6, 1)])
+    def test_a_cell_off_the_board_raises(self, fig1_grid, fig1_solution, c):
+        # unchecked, (1,6) and (0,1) would wrap round to the flat indices of
+        # (2,1) and (5,1); nothing is copied or recorded before the error
+        pool, t = ResourceStats(), Transcript()
+        board = setup_board(fig1_grid, ProverBehavior.honest(fig1_solution), pool)
+        before = list(board)
+        off = rf"^\({c.row},{c.col}\) is off the 5x5 board$"
+        with pytest.raises(GridError, match=off):
+            verify_cell(board, fig1_grid, c, pool, random.Random(0), t)
+        assert board == before and t.events == []
+        with pytest.raises(GridError, match=off):
+            fig1_grid.index(c)
+        with pytest.raises(GridError, match=off):
+            setup_board(fig1_grid, ProverBehavior.malformed(fig1_solution, c), ResourceStats())
 
 
 class TestRunProtocol:

@@ -65,6 +65,19 @@ def test_normalize_shift_equals_revealed_position(fig1_grid, fig1_solution):
             assert prev["faces"].index(MARKER[prev["site"]]) == ev["shift"]
 
 
+@pytest.mark.parametrize("marks, found", [(0, 0), (2, 2)])
+def test_audit_checks_each_counted_reveals_format(fig1_grid, marks, found):
+    # a copy reveal with no marker, or a second one, keeps its width and so
+    # its shape; the audit's format check refuses it before binning it
+    t = simulate_transcript(fig1_grid, seed=1)
+    n, ev = next((n, ev) for n, ev in enumerate(t.events, 1) if ev["ev"] == "reveal")
+    ev["faces"] = ["CH"] * len(ev["faces"])
+    ev["faces"][:marks] = ["HC"] * marks
+    with pytest.raises(AuditError, match=rf"^event {n}: malformed copy reveal: "
+                                         rf"expected exactly one 'HC' column, found {found}$"):
+        reveal_histograms(fig1_grid, t, {})
+
+
 def test_real_reveal_positions_uniform_many_runs(fig1_grid, fig1_solution):
     total = {}
     for i in range(60):

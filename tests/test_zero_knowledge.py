@@ -90,7 +90,7 @@ def exact_check(g, f, seed):
     good, bad, unrevealed = 0, 0, 0
     for c in g.coords():
         stream = f"zk:{seed}:{c.row},{c.col}"
-        start = dict(board)
+        start = list(board)
         t = Transcript()
         assert verify_cell(board, g, c, ResourceStats(), _ForcedRng(stream), t)
         widths = [ev["cols"] for ev in t.events if ev["ev"] == "shuffle"]
@@ -99,7 +99,7 @@ def exact_check(g, f, seed):
             for r in range(q):
                 probe = _StopAfterShuffle(k)
                 with pytest.raises(_Stop):
-                    verify_cell(dict(start), g, c, ResourceStats(), _ForcedRng(stream, k, r), probe)
+                    verify_cell(list(start), g, c, ResourceStats(), _ForcedRng(stream, k, r), probe)
                 positions.add(probe.position)
             if positions == {None}:
                 unrevealed += 1
@@ -173,4 +173,31 @@ def test_a_shift_that_records_its_secret_fails_the_audit(fig1_grid, fig1_solutio
     _skeleton(fig1_grid)  # the schedule of the honest engine, built before the mutant goes in
     monkeypatch.setattr(protocol, "pile_shift", leaky_shift)
     with pytest.raises(AuditError, match="structure differs"):
+        audit_zk(fig1_grid, fig1_solution, 1000, 0.001, seed=2)
+
+
+def test_a_normalize_that_records_the_shifts_secret_fails_the_audit(fig1_grid, fig1_solution,
+                                                                   monkeypatch):
+    """It rotates as the honest one does, so every run accepts and every
+    shape and histogram stays the same; only its recorded shift, the
+    preceding shift's secret offset in place of the marker position revealed
+    just before it, gives it away."""
+    offsets = []
+    honest_shift = protocol.pile_shift
+
+    def remembering_shift(m, rng, transcript):
+        offsets.append(honest_shift(m, rng, transcript))
+        return offsets[-1]
+
+    def leaky_normalize(m, shift, transcript):
+        m.order = m.order[shift:] + m.order[:shift]
+        transcript.normalize(offsets[-1])
+
+    _skeleton(fig1_grid)
+    monkeypatch.setattr(protocol, "pile_shift", remembering_shift)
+    monkeypatch.setattr(protocol, "rotate_to_normalize", leaky_normalize)
+    accept, _, _ = protocol.run_protocol(fig1_grid, ProverBehavior.honest(fig1_solution), seed=2)
+    assert accept
+    with pytest.raises(AuditError, match=r"^event \d+: normalize shifts by \d+, not by the "
+                                         r"marker position \d+ revealed just before it$"):
         audit_zk(fig1_grid, fig1_solution, 1000, 0.001, seed=2)
