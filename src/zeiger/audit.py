@@ -1,11 +1,14 @@
 """Statistical zero-knowledge audit: revealed positions must look uniform.
 
-Checks every seeded real run, and as many simulated transcripts, against the
-grid's one event schedule (``simulator._skeleton``), checks each counted
-reveal's format and each normalize's shift, and aggregates, per reveal
-site, the histogram of marker positions; then applies chi-square uniformity
-tests to each and a two-sample test between them, whose p-values come from
-the chi-square law's closed-form upper tail.
+``check_transcript`` holds the verifier's rules, once: the transcript is the
+grid's one event schedule (``simulator._skeleton``) then an accepting
+verdict; every reveal passes ``locate``; each normalize shifts by the marker
+position revealed just before it; the comparing protocol's second row shows
+its first row's position.  A rejecting transcript is not checked yet.  The
+audit checks every seeded real run, and as many simulated transcripts, and
+aggregates, per reveal site, the histogram of the positions it returns; then
+applies chi-square uniformity tests to each and a two-sample test between
+them, whose p-values come from the chi-square law's closed-form upper tail.
 
 Trial i draws from seed ``seed * 1_000_003 + i`` whatever process runs it,
 and the histograms are sums, so the trials are split into contiguous spans,
@@ -72,35 +75,47 @@ def two_sample_p(r: list[int], s: list[int]) -> float:
     return chi2_sf(stat, len(r) - 1)
 
 
-def reveal_histograms(g: Grid, t: Transcript, hists: dict[tuple[str, int], list[int]]):
-    """Check that ``t`` is an accepting run of ``g``'s schedule, then add its
-    marker positions to ``hists``, keyed by the schedule's (site, number of
-    columns) for each reveal.
-
-    The comparing protocol's two rows always agree, so only its first row is
-    counted (the second would duplicate every sample).  Each counted reveal
-    must pass the verifier's format check, ``locate``, and each normalize
-    must shift by the marker position revealed just before it, as the
-    verifier watching it would check: a shift recording anything else could
-    carry a secret while every shape and histogram stays the same.
-    """
+def check_transcript(g: Grid, t: Transcript) -> list[int]:
+    """Check ``t`` against the verifier's four rules (above) and return its
+    counted reveals' marker positions, in ``_counted(g)`` order, or raise
+    AuditError naming the event (from 1) that breaks one.  A shift must be
+    an ``int``: a ``True`` or a ``4.0`` compares equal to its position yet
+    could carry a secret, as could a shift or second row showing another."""
     events = t.events
     if (events[-1:] != [{"ev": "verdict", "accept": True}]
             or structure(t)[:-1] != list(_skeleton(g))):
         raise AuditError("event structure differs from the grid's schedule")
-    for n, key, normalized in _counted(g):
-        site = key[0]
-        try:
-            pos = locate(events[n]["faces"], MARKER[site])
-        except MalformedReveal as e:
-            raise AuditError(f"event {n + 1}: malformed {site} reveal: {e}") from None
+    positions = []
+    for n, (site, _), normalized in _counted(g):
+        pos = _position(events, n, site)
+        # a compare reveal's second row, or a normalize, is the event right after
+        if site == "compare" and (second := _position(events, n + 1, site)) != pos:
+            raise AuditError(f"event {n + 2}: second compare row shows position {second}, "
+                             f"not the first row's {pos}")
+        if normalized and (type(shift := events[n + 1].get("shift")) is not int or shift != pos):
+            raise AuditError(f"event {n + 2}: normalize shifts by {shift!r}, "
+                             f"not by the marker position {pos} revealed just before it")
+        positions.append(pos)
+    return positions
+
+
+def _position(events: list[dict], n: int, site: str) -> int:
+    """The marker position ``locate`` finds in reveal ``n`` (from 0)."""
+    try:
+        return locate(events[n]["faces"], MARKER[site])
+    except MalformedReveal as e:
+        raise AuditError(f"event {n + 1}: malformed {site} reveal: {e}") from None
+
+
+def reveal_histograms(g: Grid, t: Transcript, hists: dict[tuple[str, int], list[int]]):
+    """Add the positions ``check_transcript`` returns for ``t`` to ``hists``,
+    keyed by each counted reveal's (site, number of columns).  A compare
+    reveal's second row repeats its first row's position, so is not counted."""
+    for (_, key, _), pos in zip(_counted(g), check_transcript(g, t)):
         counts = hists.get(key)
         if counts is None:
             counts = hists[key] = [0] * key[1]
         counts[pos] += 1
-        if normalized and events[n + 1]["shift"] != pos:
-            raise AuditError(f"event {n + 2}: normalize shifts by {events[n + 1]['shift']!r}, "
-                             f"not by the marker position {pos} revealed just before it")
 
 
 @functools.lru_cache

@@ -51,8 +51,10 @@ def encode(q: int, x: int, mark: str) -> list[str]:
 
 def locate(row: list[str], mark: str) -> int:
     """Position of the lone ``mark`` stack in ``row``: the verifier's format
-    check.  Raises MalformedReveal unless exactly one stack is ``mark`` and
-    every other stack is ``REST[mark]``."""
+    check.  Raises MalformedReveal unless ``row`` is a list, exactly one
+    stack is ``mark`` and every other stack is ``REST[mark]``."""
+    if type(row) is not list:  # a string of one-card stacks would pass the count
+        raise MalformedReveal(f"expected a list of stacks, got a {type(row).__name__}")
     rest = REST[mark]
     if row.count(rest) == len(row) - 1:  # all stacks but one are the rest ...
         try:

@@ -21,7 +21,7 @@ def structure(t: Transcript) -> list[tuple]:
     shuffle kind and size, and how many keys it has, so that an event
     carrying anything more has another shape.  Only marker positions may
     differ."""
-    return [(ev["ev"], ev.get("site"), ev.get("row"), len(ev.get("faces", ())),
+    return [(ev.get("ev"), ev.get("site"), ev.get("row"), len(ev.get("faces", ())),
              ev.get("kind"), ev.get("rows"), ev.get("cols"), len(ev)) for ev in t.events]
 
 

@@ -8,7 +8,7 @@ from scipy import stats as sps
 from zeiger.audit import AuditError, audit_zk, chi2_sf, reveal_histograms, two_sample_p, uniform_p
 from zeiger.grid import Filling, GridError, parse_grid
 from zeiger import audit
-from zeiger.cards import MARKER
+from zeiger.cards import Transcript
 from zeiger.protocol import ProverBehavior, run_protocol
 from zeiger.simulator import simulate_transcript, structure
 
@@ -55,16 +55,6 @@ def test_compare_counts_only_first_row(fig1_grid):
     assert sum(hists[("compare", 6)]) == 25
 
 
-def test_normalize_shift_equals_revealed_position(fig1_grid, fig1_solution):
-    _, t, _ = run_protocol(fig1_grid, ProverBehavior.honest(fig1_solution), seed=3)
-    events = t.events
-    for i, ev in enumerate(events):
-        if ev["ev"] == "normalize":
-            prev = events[i - 1]
-            assert prev["ev"] == "reveal"
-            assert prev["faces"].index(MARKER[prev["site"]]) == ev["shift"]
-
-
 @pytest.mark.parametrize("marks, found", [(0, 0), (2, 2)])
 def test_audit_checks_each_counted_reveals_format(fig1_grid, marks, found):
     # a copy reveal with no marker, or a second one, keeps its width and so
@@ -76,6 +66,70 @@ def test_audit_checks_each_counted_reveals_format(fig1_grid, marks, found):
     with pytest.raises(AuditError, match=rf"^event {n}: malformed copy reveal: "
                                          rf"expected exactly one 'HC' column, found {found}$"):
         reveal_histograms(fig1_grid, t, {})
+
+
+def first(t: Transcript, **fields):
+    """The number (from 1) of ``t``'s first event holding ``fields``, and it."""
+    return next((n, ev) for n, ev in enumerate(t.events, 1) if fields.items() <= ev.items())
+
+
+def test_a_second_compare_row_with_two_clubs_is_malformed(fig1_grid):
+    t = simulate_transcript(fig1_grid, seed=1)
+    seconds = [ev for ev in t.events if ev.get("site") == "compare" and ev["row"] == 1]
+    assert len(seconds) == 25
+    for ev in seconds:
+        ev["faces"] = ["C", "C", "H", "H", "C", "H"]
+    n, _ = first(t, site="compare", row=1)
+    with pytest.raises(AuditError, match=rf"^event {n}: malformed compare reveal: "
+                                         rf"expected exactly one 'C' column, found 3$"):
+        audit.check_transcript(fig1_grid, t)
+
+
+def test_a_second_compare_row_must_show_the_first_rows_position(fig1_grid):
+    # well formed, but its club one column right of the first row's
+    t = simulate_transcript(fig1_grid, seed=1)
+    n, ev = first(t, site="compare", row=1)
+    pos = ev["faces"].index("C")
+    ev["faces"] = ev["faces"][-1:] + ev["faces"][:-1]
+    with pytest.raises(AuditError, match=rf"^event {n}: second compare row shows position "
+                                         rf"{(pos + 1) % 6}, not the first row's {pos}$"):
+        audit.check_transcript(fig1_grid, t)
+
+
+def test_an_event_without_its_kind_differs_from_the_schedule(fig1_grid):
+    t = simulate_transcript(fig1_grid, seed=1)
+    del t.events[10]["ev"]
+    with pytest.raises(AuditError, match="^event structure differs from the grid's schedule$"):
+        audit.check_transcript(fig1_grid, t)
+
+
+# a value of the wrong type is refused as it lies in memory and as JSON reads it back
+READS = pytest.mark.parametrize(
+    "read", [lambda t: t, lambda t: Transcript.from_json_lines(t.to_json_lines())],
+    ids=["in-memory", "json"])
+
+
+@READS
+def test_faces_that_are_not_a_list_are_malformed(fig1_grid, read):
+    # a string of the row's one-card stacks has the row's width and one heart
+    t = simulate_transcript(fig1_grid, seed=1)
+    n, ev = first(t, site="sum")
+    ev["faces"] = "".join(ev["faces"])
+    with pytest.raises(AuditError, match=rf"^event {n}: malformed sum reveal: "
+                                         rf"expected a list of stacks, got a str$"):
+        audit.check_transcript(fig1_grid, read(t))
+
+
+@READS
+@pytest.mark.parametrize("shift", [True, 4.0])
+def test_a_shift_that_is_not_an_int_is_refused(fig1_grid, shift, read):
+    # each compares equal to the position it stands for
+    t = simulate_transcript(fig1_grid, seed=1)
+    n, ev = first(t, ev="normalize", shift=int(shift))
+    ev["shift"] = shift
+    with pytest.raises(AuditError, match=rf"^event {n}: normalize shifts by {shift!r}, not by the "
+                                         rf"marker position {int(shift)} revealed just before it$"):
+        audit.check_transcript(fig1_grid, read(t))
 
 
 def test_real_reveal_positions_uniform_many_runs(fig1_grid, fig1_solution):
