@@ -13,9 +13,9 @@ them, whose p-values come from the chi-square law's closed-form upper tail.
 Trial i draws from seed ``seed * 1_000_003 + i`` whatever process runs it,
 and the histograms are sums, so the trials are split into contiguous spans,
 one per CPU this process may run on, each run in a forked child that sends
-its histograms back through a pipe.  The report is the serial run's, key for
-key.  A failing span's exception reaches the caller unchanged; when several
-fail, the lowest span's, which is the serial run's first failure.
+its histograms back through a pipe, and nothing else.  The report is the
+serial run's, key for key.  A span that sends none runs again in the caller,
+in order, so a failing audit raises the serial run's first exception itself.
 """
 
 from __future__ import annotations
@@ -78,11 +78,12 @@ def two_sample_p(r: list[int], s: list[int]) -> float:
 def check_transcript(g: Grid, t: Transcript) -> list[int]:
     """Check ``t`` against the verifier's four rules (above) and return its
     counted reveals' marker positions, in ``_counted(g)`` order, or raise
-    AuditError naming the event (from 1) that breaks one.  A shift must be
-    an ``int``: a ``True`` or a ``4.0`` compares equal to its position yet
-    could carry a secret, as could a shift or second row showing another."""
+    AuditError naming the event (from 1) that breaks one.  A shift, like each
+    row and size (``structure``), must be an ``int`` and ``accept`` ``True``
+    itself: a ``True`` or a ``4.0`` compares equal to the int it stands for
+    yet could carry a secret, as could a shift or second row showing another."""
     events = t.events
-    if (events[-1:] != [{"ev": "verdict", "accept": True}]
+    if (events[-1:] != [{"ev": "verdict", "accept": True}] or events[-1]["accept"] is not True
             or structure(t)[:-1] != list(_skeleton(g))):
         raise AuditError("event structure differs from the grid's schedule")
     positions = []
@@ -124,7 +125,7 @@ def _counted(g: Grid) -> tuple[tuple[int, tuple[str, int], bool], ...]:
     events, its (site, number of columns), and whether a normalize follows."""
     steps = _skeleton(g)
     return tuple((n, (site, q), steps[n + 1][0] == "normalize")
-                 for n, (kind, site, row, q, _, _, _, _) in enumerate(steps)
+                 for n, (kind, site, row, q, *_) in enumerate(steps)
                  if kind == "reveal" and (site != "compare" or row == 0))
 
 
@@ -152,69 +153,58 @@ def _cpus() -> int:
 
 def _spans(g: Grid, f: Filling, seed: int, trials: int) -> list:
     """``_trials`` over ``min(_cpus(), trials)`` contiguous spans of the
-    trials, each in a forked child but for a single span, which runs here.
+    trials, each in a forked child but for a single span.
 
+    A child sends only its marshalled histograms through a pipe, and exits 0
+    only once they are written.  A span with no result -- the only span, or
+    one whose fork failed or whose child raised or died -- runs again here,
+    so it raises the serial run's exception or returns its histograms.
     ``multiprocessing`` is not used: importing it adds ~1.7 MB to this
-    process's peak memory; ``pickle`` and ``signal`` are imported only on an
-    error, so a passing audit loads neither.  A child sends ``b"r"`` and its marshalled
-    histograms, or ``b"e"`` and its pickled exception, and always leaves
-    through ``os._exit``, so it never runs its parent's exit hooks.  Every
-    child is reaped before this returns or raises; those whose span can no
-    longer matter are killed first.
+    process's peak memory.  A child always leaves through ``os._exit``, so it
+    never runs its parent's exit hooks.  Every child is reaped before this
+    returns or raises; those whose span can no longer matter are killed first.
     """
     n = min(_cpus(), trials)
-    if n == 1:
-        return [_trials(g, f, seed, 0, trials)]
     _counted(g)  # the schedule and its counted reveals, built once here, not once per child
     bounds = [trials * k // n for k in range(n + 1)]
-    children = []  # (pid, the pipe's read end, first trial, last trial + 1)
+    spans = list(zip(bounds, bounds[1:]))
+    children = {}  # first trial -> (pid, the pipe's read end)
     try:
-        for lo, hi in zip(bounds, bounds[1:]):
+        for lo, hi in spans if n > 1 else ():
             r, w = os.pipe()
             try:
                 pid = os.fork()
-            except OSError:
+            except OSError:  # this span runs here instead
                 os.close(r)
                 os.close(w)
-                raise
+                continue
             if pid == 0:
-                status = 1
                 try:
                     os.close(r)
-                    try:
-                        message = b"r" + marshal.dumps(_trials(g, f, seed, lo, hi))
-                    except BaseException as e:
-                        import pickle
-
-                        message = b"e" + pickle.dumps(e)
                     with os.fdopen(w, "wb") as out:
-                        out.write(message)
-                    status = 0
+                        out.write(marshal.dumps(_trials(g, f, seed, lo, hi)))
+                    os._exit(0)
                 finally:
-                    os._exit(status)
+                    os._exit(1)
             os.close(w)
-            children.append((pid, os.fdopen(r, "rb"), lo, hi))
+            children[lo] = pid, os.fdopen(r, "rb")
         results = []
-        while children:
-            pid, inp, lo, hi = children[0]
-            message = inp.read()
-            inp.close()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            children.pop(0)
-            if message[:1] == b"e":
-                import pickle
-
-                raise pickle.loads(message[1:])
-            if message[:1] != b"r":
-                raise AuditError(f"the child running trials {lo}-{hi - 1} gave no result "
-                                 f"(exit status {code})")
-            results.append(marshal.loads(message[1:]))
+        for lo, hi in spans:
+            result = None
+            if lo in children:
+                pid, inp = children[lo]
+                message = inp.read()
+                inp.close()
+                if os.waitpid(pid, 0)[1] == 0:  # the child exited 0: its message is whole
+                    result = marshal.loads(message)
+                del children[lo]
+            results.append(_trials(g, f, seed, lo, hi) if result is None else result)
         return results
     finally:
         if children:  # an error cut the collection short: the spans left no longer matter
             import signal
 
-            for pid, inp, _, _ in children:
+            for pid, inp in children.values():
                 inp.close()
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)

@@ -135,7 +135,9 @@ def setup_board(g: Grid, behavior: ProverBehavior, pool: ResourceStats) -> Board
     The one check of the prover's values: raises GridError unless the filling
     agrees with every given, which the verifier lays out publicly, and the
     malformed cell, if any, is on the board and unnumbered.  A value above
-    b-1 lays out a row with no odd stack, which the cell's first copy rejects.
+    b-1 lays out a row with no odd stack, which the cell's first copy rejects;
+    the malformed cell's row has two odd stacks, or none if its value is above
+    b-1, so it is never well formed.
     """
     f = behavior.filling
     g.check_size(f)
@@ -156,9 +158,9 @@ def setup_board(g: Grid, behavior: ProverBehavior, pool: ResourceStats) -> Board
             ps = [EVEN_STACK] * b
             if v < b:
                 ps[v] = ODD_STACK
-            if len(board) == bad:
-                # a second marker stack: caught by the copy protocol's format check
-                ps[(v + 1) % b] = ODD_STACK
+                if len(board) == bad:
+                    # a second marker stack: caught by the copy protocol's format check
+                    ps[(v + 1) % b] = ODD_STACK
             board.append(ps)
     pool.take(b * len(board), b * len(board))
     return board

@@ -18,11 +18,13 @@ from .protocol import ResourceStats, verify_cell
 
 def structure(t: Transcript) -> list[tuple]:
     """Every event's public shape: its kind, reveal site, row and width,
-    shuffle kind and size, and how many keys it has, so that an event
-    carrying anything more has another shape.  Only marker positions may
-    differ."""
-    return [(ev.get("ev"), ev.get("site"), ev.get("row"), len(ev.get("faces", ())),
-             ev.get("kind"), ev.get("rows"), ev.get("cols"), len(ev)) for ev in t.events]
+    shuffle kind and size, how many keys it has, so that an event carrying
+    anything more has another shape, and the types of its row and size,
+    since ``==`` takes a ``True`` or a ``3.0`` for an int.  Only marker
+    positions may differ."""
+    return [(ev.get("ev"), ev.get("site"), (row := ev.get("row")), len(ev.get("faces", ())),
+             ev.get("kind"), (rows := ev.get("rows")), (cols := ev.get("cols")), len(ev),
+             type(row), type(rows), type(cols)) for ev in t.events]
 
 
 @functools.lru_cache
@@ -50,7 +52,7 @@ def simulate_transcript(g: Grid, seed: int) -> Transcript:
     t = Transcript()
     shuffle, reveal, normalize = t.shuffle, t.reveal, t.normalize
     pos, fresh = 0, False
-    for ev, site, row, q, kind, rows, cols, _ in _skeleton(g):
+    for ev, site, row, q, kind, rows, cols, _, _, _, _ in _skeleton(g):
         if ev == "reveal":
             if fresh:
                 pos, fresh = randrange(q), False

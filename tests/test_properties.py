@@ -351,17 +351,65 @@ def test_solver_pruning_loses_no_solution(g):
     assert set(found) == brute_force_solutions(g)
 
 
-@pytest.mark.parametrize("rows, cols", [(2, 3), (3, 2)])
-def test_every_small_grid_is_complete_and_sound_under_every_filling(rows, cols):
-    """Every grid of the shape with no givens and no arrow off the board
-    (144 of them), under every filling with values in 1..max_value, at one
-    seed; and the solver finds exactly the brute-force solutions."""
+def small_grids(rows: int, cols: int) -> list[Grid]:
+    """Every grid of the shape with no givens and no arrow off the board."""
     choices = [on_board_arrows(rows, cols, r, c) for r in range(rows) for c in range(cols)]
     grids = [Grid([[Cell(arrows[r * cols + c]) for c in range(cols)] for r in range(rows)])
              for arrows in product(*choices)]
     assert len(grids) == 144
-    for g in grids:
+    return grids
+
+
+def fillings(g: Grid):
+    """Every filling of ``g`` with values in 1..max_value, as flat tuples."""
+    return product(range(1, g.max_value + 1), repeat=g.rows * g.cols)
+
+
+def unflat(g: Grid, values) -> Filling:
+    return Filling([list(values[r * g.cols:(r + 1) * g.cols]) for r in range(g.rows)])
+
+
+@pytest.mark.parametrize("rows, cols", [(2, 3), (3, 2)])
+def test_every_small_grid_is_complete_and_sound_under_every_filling(rows, cols):
+    """Every grid of the shape (144 of them), under every filling with values
+    in 1..max_value, at one seed; and the solver finds exactly the
+    brute-force solutions."""
+    for g in small_grids(rows, cols):
         assert set(enumerate_solutions(g, cap=100)) == brute_force_solutions(g)
-        for values in product(range(1, g.max_value + 1), repeat=rows * cols):
-            f = Filling([list(values[r * cols:(r + 1) * cols]) for r in range(rows)])
-            assert_rejects_exactly_at_first_failing_cell(g, f, seed=0)
+        for values in fillings(g):
+            assert_rejects_exactly_at_first_failing_cell(g, unflat(g, values), seed=0)
+
+
+# a broken cell holds b (no odd stack), or is malformed at its own value or at b
+BREAKS = ["b", "malformed", "malformed b"]
+
+
+@pytest.mark.parametrize("rows, cols", [(2, 3), (3, 2)])
+def test_every_small_grid_rejects_a_broken_cell_at_its_first_copy(rows, cols):
+    """Every grid and filling of the sweep above, each with one cell broken:
+    the cell and the way of breaking it go round in turn, so each of the 18
+    pairs meets 512 (grid, filling) pairs.  The run rejects at the first
+    check to copy the broken cell, with the copy's format reason, unless an
+    earlier cell fails on its value."""
+    turn = 0
+    for g in small_grids(rows, cols):
+        b = g.max_value + 1
+        for values in fillings(g):
+            i, how = turn % len(values), BREAKS[turn // len(values) % len(BREAKS)]
+            turn += 1
+            broken = Coord(i // cols + 1, i % cols + 1)
+            at_b = values[:i] + (b,) + values[i + 1:]
+            f = unflat(g, values if how == "malformed" else at_b)
+            behavior = (ProverBehavior.honest(f) if how == "b"
+                        else ProverBehavior.malformed(f, broken))
+            accept, t, _ = run_protocol(g, behavior, seed=0)
+            # to the oracle a broken cell is one holding b: every check that
+            # copies it fails, and no other check reads it
+            cell = first_failing_cell(g, unflat(g, at_b))
+            # a row laid for b has no odd stack; a malformed row below b has two
+            reason = (f"expected exactly one 'HC' column, found {0 if f.value(broken) == b else 2}"
+                      if cell == broken or broken in sightline(g, cell)
+                      else "cell value differs from its sightline's distinct count")
+            assert (accept, t.events[-1]) == (False, {"ev": "verdict", "accept": False,
+                                                      "cell": [cell.row, cell.col],
+                                                      "reason": reason})

@@ -300,6 +300,18 @@ class TestRunProtocol:
             "reason": "expected exactly one 'HC' column, found 0",
         }
 
+    def test_a_malformed_cell_above_max_value_stays_malformed(self, fig1_grid, fig1_solution):
+        # at 5 = b, (3,1) has no odd stack; a second marker at (5 + 1) % 5
+        # would be its only one, a well-formed encoding of 1
+        bad = with_value(fig1_solution, Coord(3, 1), 5)
+        for behavior in (ProverBehavior.honest(bad), ProverBehavior.malformed(bad, Coord(3, 1))):
+            accept, transcript, _ = run_protocol(fig1_grid, behavior, seed=9)
+            assert not accept
+            assert transcript.events[-1] == {
+                "ev": "verdict", "accept": False, "cell": [1, 1],
+                "reason": "expected exactly one 'HC' column, found 0",
+            }
+
     def test_malformed_rejected_at_first_touch(self, fig1_grid, fig1_solution):
         behavior = ProverBehavior.malformed(fig1_solution, Coord(2, 2))
         accept, transcript, _ = run_protocol(fig1_grid, behavior, seed=9)

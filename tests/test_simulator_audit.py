@@ -132,6 +132,24 @@ def test_a_shift_that_is_not_an_int_is_refused(fig1_grid, shift, read):
         audit.check_transcript(fig1_grid, read(t))
 
 
+@READS
+@pytest.mark.parametrize("fields, value", [
+    ({"site": "compare", "row": 1}, True),
+    ({"ev": "shuffle", "rows": 3}, 3.0),
+    ({"ev": "shuffle", "cols": 5}, 5.0),
+    ({"ev": "verdict", "accept": True}, 1),
+], ids=["second-compare-row", "shuffle-rows", "shuffle-cols", "verdict-accept"])
+def test_a_value_that_only_compares_equal_is_refused(fig1_grid, fields, value, read):
+    # each stands for the field's value, yet is of another type
+    t = simulate_transcript(fig1_grid, seed=1)
+    _, ev = first(t, **fields)
+    key = list(fields)[-1]
+    ev[key] = value
+    assert ev[key] == fields[key]
+    with pytest.raises(AuditError, match="^event structure differs from the grid's schedule$"):
+        audit.check_transcript(fig1_grid, read(t))
+
+
 def test_real_reveal_positions_uniform_many_runs(fig1_grid, fig1_solution):
     total = {}
     for i in range(60):
@@ -215,20 +233,68 @@ def test_pooled_audit_equals_the_serial_one(monkeypatch):
     assert reports[0] == reports[1]
 
 
-def test_a_child_that_dies_is_reported_and_reaped(fig1_grid, fig1_solution, monkeypatch):
-    original = audit.run_protocol
+def test_a_dead_child_or_a_failed_fork_gives_the_serial_report(fig1_grid, fig1_solution,
+                                                              monkeypatch):
+    # over three spans of 12 trials, the second span's child dies at trial 6
+    # and the third span's fork fails: both spans run again in this process
+    test_pid, original, fork = os.getpid(), audit.run_protocol, os.fork
+    forks = []
 
     def dying(g, behavior, seed):
-        if seed == 6:
+        if seed == 6 and os.getpid() != test_pid:
             os._exit(3)
+        return original(g, behavior, seed=seed)
+
+    def failing_third_fork():
+        forks.append(None)
+        if len(forks) == 3:
+            raise BlockingIOError("fork refused")
+        return fork()
+
+    monkeypatch.setattr(audit, "MIN_TRIALS", 12)
+    monkeypatch.setattr(audit, "_cpus", lambda: 1)
+    expected = audit_zk(fig1_grid, fig1_solution, 12, 0.001)
+    monkeypatch.setattr(audit, "_cpus", lambda: 3)
+    monkeypatch.setattr(audit, "run_protocol", dying)
+    monkeypatch.setattr(os, "fork", failing_third_fork)
+    assert audit_zk(fig1_grid, fig1_solution, 12, 0.001) == expected
+    assert len(forks) == 3
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TwoArgError(Exception):
+    def __init__(self, trial, reason):
+        super().__init__(f"trial {trial}: {reason}")
+        self.trial, self.reason = trial, reason
+
+
+class UnpicklableError(Exception):
+    def __init__(self, message):
+        super().__init__(message)
+        self.describe = lambda: message
+
+
+@pytest.mark.parametrize("make", [lambda: TwoArgError(5, "refused"),
+                                  lambda: UnpicklableError("trial 5: refused")],
+                         ids=["two-argument", "unpicklable"])
+def test_an_exception_that_cannot_cross_a_pipe_reaches_the_caller_unchanged(
+        make, fig1_grid, fig1_solution, monkeypatch):
+    # trial 5 fails, in the second of three spans; neither exception survives
+    # pickling whole, and the caller sees the one the serial run raises
+    original = audit.run_protocol
+
+    def failing(g, behavior, seed):
+        if seed == 5:
+            raise make()
         return original(g, behavior, seed=seed)
 
     monkeypatch.setattr(audit, "_cpus", lambda: 3)
     monkeypatch.setattr(audit, "MIN_TRIALS", 12)
-    monkeypatch.setattr(audit, "run_protocol", dying)
-    with pytest.raises(AuditError, match=r"^the child running trials 4-7 gave no result "
-                                         r"\(exit status 3\)$"):
+    monkeypatch.setattr(audit, "run_protocol", failing)
+    with pytest.raises(type(make()), match="^trial 5: refused$") as raised:
         audit_zk(fig1_grid, fig1_solution, trials=12, alpha=0.001)
+    assert vars(raised.value).keys() == vars(make()).keys()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
