@@ -2,18 +2,20 @@
 
 A card is its face character, ``CLUB`` or ``HEART``, and a stack is its face
 string, topmost first: ``"HC"``, ``"CH"``, or a single card ``"C"`` or ``"H"``.
-A ``Pile`` is equal-length rows of stacks, laid once, and one column order
-that every shuffle permutes: a shuffle moves the columns the same way in
-every row, so no row is re-laid until it is read.  Cards carry no
-orientation: every card is face-down except while ``reveal_row`` lays a
-row's stacks out into the transcript.  A value x in [0, q) is a row of q
-stacks, all ``REST[mark]`` except one ``mark`` stack at position x+1: a lone
-club among hearts, a lone heart among clubs, or an ``ODD_STACK`` among
-``EVEN_STACK`` pairs.  ``encode`` lays such a row out and ``locate`` finds
-its marker, raising unless the row has that format; ``MARKER`` names the
-marker each reveal site locates.  A shuffle draws its secret from the
-``random.Random`` it is given.  The verifier's view of a run is a transcript
-of shuffle/reveal/normalize/verdict events; hidden faces and shuffle secrets
+A ``Pile`` is equal-length rows of stacks, laid once, and where its columns
+now lie: the order the last scramble left them in, then how far every row
+has rotated since.  A pile-shifting shuffle or a normalize only turns the
+pile, so no row is re-laid until it is read.  Cards carry no orientation:
+every card is face-down except while ``reveal_row`` lays a row's stacks out
+into the transcript.  A value x in [0, q) is a row of q stacks, all
+``REST[mark]`` except one ``mark`` stack at position x+1: a lone club among
+hearts, a lone heart among clubs, or an ``ODD_STACK`` among ``EVEN_STACK``
+pairs.  ``encode`` lays such a row out and ``locate`` finds its marker,
+raising unless the row has that format; ``MARKER`` names the marker each
+reveal site locates.  A shuffle draws its secret from the ``random.Random``
+it is given; a run gives a ``Stream``, whose ``shuffle`` draws what the
+standard library's does.  The verifier's view of a run is a transcript of
+shuffle/reveal/normalize/verdict events; hidden faces and shuffle secrets
 never appear in it.
 """
 
@@ -119,49 +121,70 @@ class Transcript:
         return t
 
 
-class Pile:
-    """Rows of stacks, laid once and never re-laid, and ``order``: the column
-    that now sits at each position.  A shuffle moves the columns the same way
-    in every row, so it permutes ``order`` alone."""
+class Stream(random.Random):
+    """A ``random.Random`` whose ``shuffle`` is the standard library's loop
+    (Durstenfeld's) with its ``getrandbits`` rejection sampling written out
+    in place of a ``_randbelow`` call per swap: the same list, and the same
+    stream after it, at about half the cost."""
 
-    __slots__ = ("rows", "order")
+    def shuffle(self, x):
+        getrandbits = self.getrandbits
+        for i in range(len(x) - 1, 0, -1):
+            k = (i + 1).bit_length()
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            x[i], x[j] = x[j], x[i]
+
+
+class Pile:
+    """Rows of stacks, laid once and never re-laid; ``order``, the column at
+    each position after the last scramble (``None`` while the columns lie
+    as laid); and ``turn``, how far every row has rotated left since.  A
+    shuffle moves the columns the same way in every row: a rotation only
+    changes ``turn``, and a scramble folds ``turn`` into a new ``order``."""
+
+    __slots__ = ("rows", "order", "turn")
 
     def __init__(self, rows: list[list[str]]):
         self.rows = rows
-        self.order = list(range(len(rows[0])))
+        self.order = None
+        self.turn = 0
 
     def row(self, i: int) -> list[str]:
         """Row i's stacks as they now lie, in a fresh list."""
-        row = self.rows[i]
-        return [row[k] for k in self.order]
+        row, t = self.rows[i], self.turn
+        if self.order is not None:
+            row = [row[k] for k in self.order]
+        return row[t:] + row[:t]
 
 
 def pile_shift(m: Pile, rng: random.Random, transcript: Transcript) -> int:
     """Cyclic shift of every row by one uniform secret offset; returns it
     (for tests only -- it is never recorded)."""
-    order = m.order
-    q = len(order)
+    q = len(m.rows[0])
     r = rng.randrange(q)
-    k = q - r   # column j moves to column (j + r) mod q
-    m.order = order[k:] + order[:k]
+    m.turn = (m.turn - r) % q   # column j moves to column (j + r) mod q
     transcript.shuffle("shift", len(m.rows), q)
     return r
 
 
 def pile_scramble(m: Pile, rng: random.Random, transcript: Transcript):
     """One uniform secret permutation of the columns, the same in every row
-    and never recorded.  Shuffling ``order`` draws what shuffling
-    ``range(q)`` would and composes with the columns' present order."""
-    rng.shuffle(m.order)
-    transcript.shuffle("scramble", len(m.rows), len(m.order))
+    and never recorded.  Shuffling the columns' present order draws what
+    shuffling ``range(q)`` would and composes with it."""
+    q, t, order = len(m.rows[0]), m.turn, m.order
+    order = [*range(t, q), *range(t)] if order is None else order[t:] + order[:t]
+    rng.shuffle(order)
+    m.order, m.turn = order, 0
+    transcript.shuffle("scramble", len(m.rows), q)
 
 
 def reveal_row(m: Pile, i: int, transcript: Transcript, site: str) -> int:
     """Turn row i face-up, record its stacks, and return where the site's
     marker lies.  Raises MalformedReveal, after recording, unless ``locate``
     finds the row well-formed."""
-    row = m.rows[i]
-    faces = [row[k] for k in m.order]
+    faces = m.row(i)
     transcript.reveal(site, i, faces)
     return locate(faces, MARKER[site])
 
@@ -169,6 +192,5 @@ def reveal_row(m: Pile, i: int, transcript: Transcript, site: str) -> int:
 def rotate_to_normalize(m: Pile, shift: int, transcript: Transcript):
     """Cyclically shift every row left by the public ``shift``, bringing a
     revealed marker to column 1, and record the shift."""
-    order = m.order
-    m.order = order[shift:] + order[:shift]
+    m.turn = (m.turn + shift) % len(m.rows[0])
     transcript.normalize(shift)

@@ -20,6 +20,7 @@ from .cards import (
     ODD_STACK,
     MalformedReveal,
     Pile,
+    Stream,
     Transcript,
     encode,
     pile_scramble,
@@ -62,8 +63,9 @@ def set_size_protocol(seqs: list[list[str]], pool: ResourceStats, rng: random.Ra
                       transcript: Transcript) -> list[str]:
     """Count distinct encoded values: returns q two-card stacks whose odd-stack
     count equals the number of different inputs.  A swap finds the two
-    stacks at the revealed position through the pile's column order, so no
-    row but the revealed one is laid out until the end."""
+    stacks at the revealed position through the column order the scramble
+    just left (with no turn since), so no row but the revealed one is laid
+    out until the end."""
     m = Pile([list(row) for row in seqs])   # copies: the swaps move stacks in place
     top = m.rows[0]
     for i in range(1, len(m.rows)):
@@ -239,10 +241,10 @@ def _check(board: Board, cells: tuple[int, ...], pool: ResourceStats, rng: rando
 
 def run_protocol(g: Grid, behavior: ProverBehavior, seed: int
                  ) -> tuple[bool, Transcript, ResourceStats]:
-    """Full run over every cell in row-major order.  One stream, seeded from
-    the string ``run:<seed>`` (an int seed would make -1 and 1 alike), draws
-    every shuffle secret, so a run is deterministic per seed."""
-    rng = random.Random(f"run:{seed}")
+    """Full run over every cell in row-major order.  One ``Stream``, seeded
+    from the string ``run:<seed>`` (an int seed would make -1 and 1 alike),
+    draws every shuffle secret, so a run is deterministic per seed."""
+    rng = Stream(f"run:{seed}")
     transcript = Transcript()
     events = transcript.events
     stats = ResourceStats()

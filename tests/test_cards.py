@@ -9,9 +9,11 @@ from zeiger.cards import (
     HEART,
     MARKER,
     ODD_STACK,
+    REST,
     CardError,
     MalformedReveal,
     Pile,
+    Stream,
     Transcript,
     encode,
     locate,
@@ -169,17 +171,23 @@ def _list_normalize(m, shift, transcript):
     transcript.normalize(shift)
 
 
-@pytest.mark.parametrize("seed", range(25))
+# every width from the single column up to 24, the widths of the 23x17
+# benchmark grid's piles (b = 23 and b + 1) among them, twice
+@pytest.mark.parametrize("seed", range(48))
 def test_pile_matches_the_list_engine(seed):
     draw = random.Random(f"ops:{seed}")
-    q = draw.randint(2, 9)
+    q = seed % 24 + 1
     sites = [draw.choice(sorted(MARKER)) for _ in range(draw.randint(1, 5))]
     rows = [encode(q, draw.randrange(q), MARKER[site]) for site in sites]
-    bad = encode(q, 0, MARKER[sites[0]])
-    bad[draw.randrange(1, q)] = MARKER[sites[0]]  # a second marker
+    mark = MARKER[sites[0]]
+    bad = encode(q, 0, mark)
+    if q > 1:
+        bad[draw.randrange(1, q)] = mark  # a second marker
+    else:
+        bad[0] = REST[mark]  # a single column has no room for one: no marker
     rows.append(bad)
     listed, pile = [list(row) for row in rows], Pile([list(row) for row in rows])
-    ours, theirs = random.Random(seed), random.Random(seed)
+    ours, theirs = Stream(seed), random.Random(seed)
     t_list, t_pile = Transcript(), Transcript()
     for _ in range(draw.randint(1, 30)):
         op = draw.choice(("shift", "scramble", "reveal", "normalize"))
@@ -197,11 +205,26 @@ def test_pile_matches_the_list_engine(seed):
             rotate_to_normalize(pile, shift, t_pile)
         assert [pile.row(i) for i in range(len(rows))] == listed
     for m, reveal, t in ((listed, _list_reveal, t_list), (pile, reveal_row, t_pile)):
-        with pytest.raises(MalformedReveal, match="found 2"):
+        with pytest.raises(MalformedReveal, match="found 2" if q > 1 else "found 0"):
             reveal(m, len(sites), t, sites[0])
     assert t_list.events == t_pile.events
     assert t_pile.events[-1]["faces"] == listed[-1]   # recorded before the raise
     assert pile.rows == rows   # no row of the pile was ever re-laid
+
+
+@pytest.mark.parametrize("seeds", [range(k, 200, 4) for k in range(4)])
+def test_stream_shuffles_as_the_standard_library_does(seeds):
+    """The same list, and the same stream after it, for every length up to
+    40: the golden digests rest on ``Stream.shuffle`` drawing exactly what
+    ``random.Random.shuffle`` draws."""
+    for seed in seeds:
+        ours, theirs = Stream(f"shuffle:{seed}"), random.Random(f"shuffle:{seed}")
+        for n in range(41):
+            mine, stdlib = list(range(n)), list(range(n))
+            ours.shuffle(mine)
+            theirs.shuffle(stdlib)
+            assert mine == stdlib
+            assert ours.getrandbits(64) == theirs.getrandbits(64)
 
 
 def test_reveal_records_faces_and_flips():

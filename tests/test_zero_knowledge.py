@@ -149,8 +149,9 @@ def test_exact_check_holds_for_any_stream_seed(fig1_grid, fig1_solution, seed):
 
 def test_a_shift_that_ignores_its_secret_fails(fig1_grid, fig1_solution, monkeypatch):
     def lazy_shift(m, rng, transcript):
-        rng.randrange(len(m.order))
-        transcript.shuffle("shift", len(m.rows), len(m.order))
+        q = len(m.rows[0])
+        rng.randrange(q)
+        transcript.shuffle("shift", len(m.rows), q)
         return 0
 
     monkeypatch.setattr(protocol, "pile_shift", lazy_shift)
@@ -163,9 +164,9 @@ def test_a_shift_that_records_its_secret_fails_the_audit(fig1_grid, fig1_solutio
     """Its marker positions stay uniform, so only the event's shape gives it
     away: a shuffle event with one key more than the schedule's."""
     def leaky_shift(m, rng, transcript):
-        q = len(m.order)
+        q = len(m.rows[0])
         r = rng.randrange(q)
-        m.order[:] = m.order[q - r:] + m.order[:q - r]
+        m.turn = (m.turn - r) % q
         transcript.record({"ev": "shuffle", "kind": "shift", "rows": len(m.rows), "cols": q,
                            "offset": r})
         return r
@@ -190,7 +191,7 @@ def test_a_normalize_that_records_the_shifts_secret_fails_the_audit(fig1_grid, f
         return offsets[-1]
 
     def leaky_normalize(m, shift, transcript):
-        m.order = m.order[shift:] + m.order[:shift]
+        m.turn = (m.turn + shift) % len(m.rows[0])
         transcript.normalize(offsets[-1])
 
     _skeleton(fig1_grid)
