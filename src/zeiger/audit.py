@@ -83,8 +83,12 @@ def check_transcript(g: Grid, t: Transcript) -> list[int]:
     itself: a ``True`` or a ``4.0`` compares equal to the int it stands for
     yet could carry a secret, as could a shift or second row showing another."""
     events = t.events
+    try:
+        scheduled = structure(t)[:-1] == list(_skeleton(g))
+    except TypeError:  # a reveal's faces with no length
+        scheduled = False
     if (events[-1:] != [{"ev": "verdict", "accept": True}] or events[-1]["accept"] is not True
-            or structure(t)[:-1] != list(_skeleton(g))):
+            or not scheduled):
         raise AuditError("event structure differs from the grid's schedule")
     positions = []
     for n, (site, _), normalized in _counted(g):

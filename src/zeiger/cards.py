@@ -107,7 +107,8 @@ class Transcript:
     @classmethod
     def from_json_lines(cls, text: str) -> "Transcript":
         """Read ``to_json_lines`` back; blank lines are skipped, and a line
-        that is not a JSON object raises CardError naming its number."""
+        that is not a JSON object, or is nested too deep for the parser to
+        read, raises CardError naming its number."""
         t = cls()
         for n, line in enumerate(text.splitlines(), 1):
             if line.strip():
@@ -115,6 +116,8 @@ class Transcript:
                     ev = json.loads(line)
                 except json.JSONDecodeError as e:
                     raise CardError(f"line {n}: not JSON: {e.msg} at column {e.colno}") from None
+                except RecursionError:
+                    raise CardError(f"line {n}: nested too deep to read") from None
                 if not isinstance(ev, dict):
                     raise CardError(f"line {n}: not a JSON object: {line.strip()[:40]!r}")
                 t.record(ev)

@@ -213,19 +213,13 @@ class ResourceStats:
 
 def verify_cell(board: Board, g: Grid, c: Coord, pool: ResourceStats, rng: random.Random,
                 transcript: Transcript) -> bool:
-    """True iff cell c's value equals its sightline's distinct count; a
+    """True iff cell c's value equals its sightline's distinct count: copy
+    the cell and each sightline cell (on flat indices), count the
+    sightline's distinct values and compare the count with the cell's.  A
     malformed sequence raises MalformedReveal when its row is turned over."""
     i = g.index(c)
-    return _check(board, (i, *g.sightlines[i]), pool, rng, transcript)
-
-
-def _check(board: Board, cells: tuple[int, ...], pool: ResourceStats, rng: random.Random,
-           transcript: Transcript) -> bool:
-    """``verify_cell`` of the cell at flat index ``cells[0]``, whose
-    sightline is ``cells[1:]``: copy each, count the sightline's distinct
-    values and compare the count with the cell's."""
     copies = []
-    for j in cells:
+    for j in (i, *g.sightlines[i]):
         board[j], out = copy_protocol(board[j], pool, rng, transcript)
         copies.append(out)
     cell_copy = copies[0]
@@ -249,10 +243,10 @@ def run_protocol(g: Grid, behavior: ProverBehavior, seed: int
     events = transcript.events
     stats = ResourceStats()
     board = setup_board(g, behavior, stats)
-    for i, line in enumerate(g.sightlines):
+    for c in g.coords():
         start = len(events)
         try:
-            ok = _check(board, (i, *line), stats, rng, transcript)
+            ok = verify_cell(board, g, c, stats, rng, transcript)
             reason = "cell value differs from its sightline's distinct count"
         except MalformedReveal as e:
             ok, reason = False, str(e)
@@ -262,11 +256,10 @@ def run_protocol(g: Grid, behavior: ProverBehavior, seed: int
         shifts, scrambles = kinds.count("shift"), kinds.count("scramble")
         stats.shifts += shifts
         stats.scrambles += scrambles
-        r, c = divmod(i, g.cols)
         if not ok:
-            transcript.verdict(False, reason, Coord(r + 1, c + 1))
+            transcript.verdict(False, reason, c)
             break
-        stats.per_cell.append({"cell": [r + 1, c + 1], "shuffles": shifts + scrambles})
+        stats.per_cell.append({"cell": [c.row, c.col], "shuffles": shifts + scrambles})
     else:
         transcript.verdict(True)
     return events[-1]["accept"], transcript, stats

@@ -71,6 +71,14 @@ def test_decode_rejects_malformed():
         locate(encode(4, 1, HEART), CLUB)
 
 
+@pytest.mark.parametrize("mark", [CLUB, HEART, ODD_STACK])
+def test_a_foreign_stack_among_the_rest_finds_no_marker(mark):
+    # every stack but one is the rest, so the fast path looks for the marker,
+    # finds none and falls through to the full check
+    with pytest.raises(MalformedReveal, match=rf"^expected exactly one {mark!r} column, found 0$"):
+        locate([REST[mark], "XX", REST[mark]], mark)
+
+
 def test_pile_shift_is_cyclic_rotation():
     rng = random.Random(1)
     for _ in range(30):
@@ -302,6 +310,8 @@ def test_transcript_json_roundtrip():
     ('{"ev": "normalize", "shift": 1}\nnot json\n', r"^line 2: not JSON: "),
     ('[1, 2]\n', r"^line 1: not a JSON object: "),
     ('{"ev": "verdict", "accept": true}\n"verdict"\n', r"^line 2: not a JSON object: "),
+    pytest.param('{"ev": "verdict", "accept": true}\n' + "[" * 100_000 + "]" * 100_000 + "\n",
+                 r"^line 2: nested too deep to read$", id="nested-100000-deep"),
 ])
 def test_transcript_from_json_lines_names_a_bad_line(text, error):
     with pytest.raises(CardError, match=error):

@@ -5,7 +5,7 @@ import pytest
 
 from zeiger import reduction
 from zeiger.grid import Coord, Direction, sightline, verify
-from zeiger.nae import gen_nae, nae_brute_force, nae_check
+from zeiger.nae import NaeInstance, gen_nae, nae_brute_force, nae_check
 from zeiger.reduction import (
     ReductionError,
     column_fillings,
@@ -159,6 +159,13 @@ def test_column_fillings_fig2_all_columns(fig2_instance):
 def test_column_fillings_column_off_the_instance_raises(fig2_instance, q):
     with pytest.raises(ReductionError, match=rf"^column {q} out of range \[1,5\]$"):
         column_fillings(fig2_instance, q)
+
+
+def test_column_fillings_refuses_too_many_candidates():
+    # eight clauses over four variables: column 1 has 18,144,000 candidate fillings
+    inst = NaeInstance(4, ((1, 2, 3), (1, 2, 4), (1, 3, 4)) * 2 + ((1, 2, 3), (1, 2, 4)))
+    with pytest.raises(ReductionError, match="^too many candidates to enumerate: 18144000$"):
+        column_fillings(inst, 1)
 
 
 def test_column_fillings_single_down_arrow():

@@ -121,6 +121,16 @@ def test_faces_that_are_not_a_list_are_malformed(fig1_grid, read):
 
 
 @READS
+@pytest.mark.parametrize("faces", [5, None, True, 2.5])
+def test_faces_with_no_length_differ_from_the_schedule(fig1_grid, faces, read):
+    t = simulate_transcript(fig1_grid, seed=1)
+    _, ev = first(t, site="copy")
+    ev["faces"] = faces
+    with pytest.raises(AuditError, match="^event structure differs from the grid's schedule$"):
+        audit.check_transcript(fig1_grid, read(t))
+
+
+@READS
 @pytest.mark.parametrize("shift", [True, 4.0])
 def test_a_shift_that_is_not_an_int_is_refused(fig1_grid, shift, read):
     # each compares equal to the position it stands for
@@ -261,6 +271,21 @@ def test_a_dead_child_or_a_failed_fork_gives_the_serial_report(fig1_grid, fig1_s
     assert len(forks) == 3
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("name", ["fork", "sched_getaffinity"])
+def test_a_process_that_cannot_fork_counts_one_cpu(name, monkeypatch):
+    monkeypatch.delattr(os, name)
+    assert audit._cpus() == 1
+
+
+def test_without_fork_the_audit_is_the_serial_one(fig1_grid, fig1_solution, monkeypatch):
+    monkeypatch.setattr(audit, "MIN_TRIALS", 12)
+    with monkeypatch.context() as serial:
+        serial.setattr(audit, "_cpus", lambda: 1)
+        expected = audit_zk(fig1_grid, fig1_solution, 12, 0.001)
+    monkeypatch.delattr(os, "fork")
+    assert audit_zk(fig1_grid, fig1_solution, 12, 0.001) == expected
 
 
 class TwoArgError(Exception):
