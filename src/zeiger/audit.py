@@ -2,11 +2,11 @@
 
 ``check_transcript`` holds the verifier's rules, once: the transcript is the
 grid's one event schedule (``simulator._skeleton``) then an accepting
-verdict; every reveal passes ``locate``; each normalize shifts by the marker
-position revealed just before it; the comparing protocol's second row shows
-its first row's position.  A rejecting transcript is not checked yet.  The
+verdict; every reveal passes ``locate``; a reveal right after a shuffle
+shows a fresh marker position, which every later reveal and normalize shows
+up to the next shuffle.  A rejecting transcript is not checked yet.  The
 audit checks every seeded real run, and as many simulated transcripts, and
-aggregates, per reveal site, the histogram of the positions it returns; then
+aggregates, per reveal site, the histogram of the fresh positions; then
 applies chi-square uniformity tests to each and a two-sample test between
 them, whose p-values come from the chi-square law's closed-form upper tail.
 
@@ -75,48 +75,47 @@ def two_sample_p(r: list[int], s: list[int]) -> float:
     return chi2_sf(stat, len(r) - 1)
 
 
-def check_transcript(g: Grid, t: Transcript) -> list[int]:
-    """Check ``t`` against the verifier's four rules (above) and return its
-    counted reveals' marker positions, in ``_counted(g)`` order, or raise
+def check_transcript(g: Grid, t: Transcript) -> list[tuple[tuple[str, int], int]]:
+    """Check ``t`` against the verifier's rules (above) and return each fresh
+    reveal's ((site, number of columns), marker position), or raise
     AuditError naming the event (from 1) that breaks one.  A shift, like each
     row and size (``structure``), must be an ``int`` and ``accept`` ``True``
     itself: a ``True`` or a ``4.0`` compares equal to the int it stands for
-    yet could carry a secret, as could a shift or second row showing another."""
+    yet could carry a secret, as could a shift or later row showing another."""
     events = t.events
     try:
         scheduled = structure(t)[:-1] == list(_skeleton(g))
-    except TypeError:  # a reveal's faces with no length
+    except (TypeError, AttributeError):  # faces with no length, or an event that is no dict
         scheduled = False
     if (events[-1:] != [{"ev": "verdict", "accept": True}] or events[-1]["accept"] is not True
             or not scheduled):
         raise AuditError("event structure differs from the grid's schedule")
-    positions = []
-    for n, (site, _), normalized in _counted(g):
-        pos = _position(events, n, site)
-        # a compare reveal's second row, or a normalize, is the event right after
-        if site == "compare" and (second := _position(events, n + 1, site)) != pos:
-            raise AuditError(f"event {n + 2}: second compare row shows position {second}, "
+    fresh, pos = [], 0  # the schedule opens with a shuffle, so a fresh reveal sets pos first
+    for n, key, after_shuffle in _counted(g):
+        site = key[0]
+        if site is None:  # a normalize
+            if type(shift := events[n].get("shift")) is not int or shift != pos:
+                raise AuditError(f"event {n + 1}: normalize shifts by {shift!r}, "
+                                 f"not by the marker position {pos} revealed just before it")
+            continue
+        try:
+            shown = locate(events[n]["faces"], MARKER[site])
+        except MalformedReveal as e:
+            raise AuditError(f"event {n + 1}: malformed {site} reveal: {e}") from None
+        if after_shuffle:
+            pos = shown
+            fresh.append((key, shown))
+        elif shown != pos:
+            raise AuditError(f"event {n + 1}: second {site} row shows position {shown}, "
                              f"not the first row's {pos}")
-        if normalized and (type(shift := events[n + 1].get("shift")) is not int or shift != pos):
-            raise AuditError(f"event {n + 2}: normalize shifts by {shift!r}, "
-                             f"not by the marker position {pos} revealed just before it")
-        positions.append(pos)
-    return positions
-
-
-def _position(events: list[dict], n: int, site: str) -> int:
-    """The marker position ``locate`` finds in reveal ``n`` (from 0)."""
-    try:
-        return locate(events[n]["faces"], MARKER[site])
-    except MalformedReveal as e:
-        raise AuditError(f"event {n + 1}: malformed {site} reveal: {e}") from None
+    return fresh
 
 
 def reveal_histograms(g: Grid, t: Transcript, hists: dict[tuple[str, int], list[int]]):
-    """Add the positions ``check_transcript`` returns for ``t`` to ``hists``,
-    keyed by each counted reveal's (site, number of columns).  A compare
-    reveal's second row repeats its first row's position, so is not counted."""
-    for (_, key, _), pos in zip(_counted(g), check_transcript(g, t)):
+    """Add the fresh positions ``check_transcript`` returns for ``t`` to
+    ``hists``, keyed by each one's (site, number of columns).  A later reveal
+    repeats its shuffle's fresh position, so is not counted."""
+    for key, pos in check_transcript(g, t):
         counts = hists.get(key)
         if counts is None:
             counts = hists[key] = [0] * key[1]
@@ -124,13 +123,14 @@ def reveal_histograms(g: Grid, t: Transcript, hists: dict[tuple[str, int], list[
 
 
 @functools.lru_cache
-def _counted(g: Grid) -> tuple[tuple[int, tuple[str, int], bool], ...]:
-    """The counted reveals of ``g``'s schedule: each one's place among the
-    events, its (site, number of columns), and whether a normalize follows."""
+def _counted(g: Grid) -> tuple[tuple[int, tuple[str | None, int], bool], ...]:
+    """Every reveal and normalize of ``g``'s schedule: its place among the
+    events, its (site, number of columns), ``(None, 0)`` for a normalize, and
+    whether a shuffle comes right before it."""
     steps = _skeleton(g)
-    return tuple((n, (site, q), steps[n + 1][0] == "normalize")
-                 for n, (kind, site, row, q, *_) in enumerate(steps)
-                 if kind == "reveal" and (site != "compare" or row == 0))
+    return tuple((n, (site, q), steps[n - 1][0] == "shuffle")
+                 for n, (kind, site, _, q, *_) in enumerate(steps)
+                 if kind == "reveal" or kind == "normalize")
 
 
 def _trials(g: Grid, f: Filling, seed: int, lo: int, hi: int):

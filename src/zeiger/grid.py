@@ -56,8 +56,13 @@ class Cell:
     given: Optional[int] = None
 
     def __post_init__(self):
-        if self.given is not None and self.given < 1:
-            raise GridError(f"given must be positive, got {self.given}")
+        if not isinstance(self.direction, Direction):
+            raise GridError(f"direction must be a Direction, got {self.direction!r}")
+        if self.given is not None:
+            if type(self.given) is not int:  # bool is an int subclass
+                raise GridError(f"given must be an int, got {self.given!r}")
+            if self.given < 1:
+                raise GridError(f"given must be positive, got {self.given}")
 
 
 def _at(table: tuple, rows: int, cols: int, c: Coord):

@@ -45,9 +45,10 @@ def _skeleton(g: Grid) -> tuple[tuple, ...]:
 
 def simulate_transcript(g: Grid, seed: int) -> Transcript:
     """Simulated accepting-run transcript for ``g``; no filling involved.
-    A reveal right after a shuffle draws a uniform marker position, which the
-    comparing protocol's second row keeps and a normalize shifts by.  Each
-    reveal is ``encode`` of its position, the one row ``locate`` accepts."""
+    A reveal right after a shuffle draws a uniform marker position, which
+    every later reveal and normalize shows up to the next shuffle, the rule
+    ``audit.check_transcript`` holds.  Each reveal is ``encode`` of its
+    position, the one row ``locate`` accepts."""
     randrange = random.Random(f"sim:{seed}").randrange
     t = Transcript()
     shuffle, reveal, normalize = t.shuffle, t.reveal, t.normalize

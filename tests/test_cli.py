@@ -205,6 +205,17 @@ def test_reduce_and_roundtrip(tmp_path, capsys):
     assert out.read_bytes() == (FIXTURES / "fig2.puzzle").read_bytes()
 
 
+def test_reduce_notes_a_remap_of_unused_variables(tmp_path, capsys):
+    nae = tmp_path / "gap.nae"
+    nae.write_text("nae3sat+ 5 2\n1 2 4\n2 4 5\n")
+    assert main(["reduce", str(nae), "-o", str(tmp_path / "gap.puzzle")]) == 0
+    assert capsys.readouterr().err == ("note: remapped variables after removing unused ones: "
+                                       "{1: 1, 2: 2, 4: 3, 5: 4}\n")
+    # fig2 uses every variable, so nothing is remapped
+    assert main(["reduce", FIG2, "-o", str(tmp_path / "fig2.puzzle")]) == 0
+    assert "note" not in capsys.readouterr().err
+
+
 def test_lift_extract_nae_check(tmp_path, capsys):
     assignment = tmp_path / "a.txt"
     assignment.write_text("T\nF\nT\nT\nF\n")

@@ -183,6 +183,12 @@ def test_verify_dimension_mismatch(fig1_grid):
     "build, message",
     [
         (lambda: Cell(Direction.UP, 0), "given must be positive, got 0"),
+        # a field of another type: Grid would raise TypeError or IndexError
+        # on it, or serialize_grid write a token (RTrue) parse_grid refuses
+        (lambda: Cell("U"), "direction must be a Direction, got 'U'"),
+        (lambda: Cell(4), "direction must be a Direction, got 4"),
+        (lambda: Cell(Direction.RIGHT, True), "given must be an int, got True"),
+        (lambda: Cell(Direction.LEFT, 1.0), "given must be an int, got 1.0"),
         (lambda: Grid([[Cell(Direction.DOWN)], [Cell(Direction.UP)]]),
          "grid must have at least 2 columns"),
         (lambda: Filling([[1, 1], [1]]), "filling must be rectangular"),
@@ -192,7 +198,8 @@ def test_verify_dimension_mismatch(fig1_grid):
         (lambda: parse_grid("\n  \n"), "empty grid file"),
         (lambda: parse_filling(""), "empty filling file"),
     ],
-    ids=["given-zero", "one-column", "ragged-filling", "zero-value", "no-columns", "bool-value",
+    ids=["given-zero", "letter-direction", "int-direction", "bool-given", "float-given",
+         "one-column", "ragged-filling", "zero-value", "no-columns", "bool-value",
          "empty-grid", "empty-filling"],
 )
 def test_malformed_input_raises(build, message):

@@ -103,6 +103,15 @@ def test_an_event_without_its_kind_differs_from_the_schedule(fig1_grid):
         audit.check_transcript(fig1_grid, t)
 
 
+@pytest.mark.parametrize("event", [[1, 2], None, "shuffle"], ids=["list", "none", "str"])
+def test_an_event_that_is_not_a_dict_differs_from_the_schedule(fig1_grid, event):
+    # only an in-memory transcript holds one: from_json_lines refuses such a line
+    t = simulate_transcript(fig1_grid, seed=1)
+    t.events[3] = event
+    with pytest.raises(AuditError, match="^event structure differs from the grid's schedule$"):
+        audit.check_transcript(fig1_grid, t)
+
+
 # a value of the wrong type is refused as it lies in memory and as JSON reads it back
 READS = pytest.mark.parametrize(
     "read", [lambda t: t, lambda t: Transcript.from_json_lines(t.to_json_lines())],

@@ -1,12 +1,15 @@
 """Exact zero-knowledge check: every reveal that directly follows a shuffle
-shows a marker position that is a bijection of that shuffle's secret.
+shows a marker position that is a bijection of that shuffle's secret, and
+every later reveal and normalize, up to the next shuffle, shows that same
+position.
 
 For shuffle k of a cell, the cell is replayed from the same board once for
 each of the q secrets r: shift offset r, or the stream's permutation rotated
-by r.  The replay stops at the next event.  If that is a reveal, its marker
-positions over the q replays must be q distinct values; if it is another
-shuffle, the secret is never shown on its own.  No chi-square test and no
-sampling are involved.
+by r.  The replay keeps every reveal's marker position and every normalize's
+shift up to the next shuffle, or to the cell's end.  The first positions
+over the q replays must be q distinct values, and each replay's later values
+must equal its first; a shuffle followed directly by another shows
+nothing of its secret.  No chi-square test and no sampling are involved.
 """
 
 import random
@@ -15,9 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zeiger import protocol
+from zeiger import audit, protocol
 from zeiger.audit import AuditError, audit_zk
-from zeiger.cards import MARKER, Transcript
+from zeiger.cards import (MARKER, ODD_STACK, Pile, Transcript, encode, reveal_row,
+                          rotate_to_normalize)
 from zeiger.grid import Filling, parse_filling, parse_grid
 from zeiger.nae import gen_nae, nae_brute_force
 from zeiger.protocol import (
@@ -61,14 +65,14 @@ class _ForcedRng:
 
 
 class _StopAfterShuffle(Transcript):
-    """Stops the cell at the event after shuffle ``k``, keeping the marker
-    position if that event is a reveal."""
+    """Stops the cell at the shuffle after shuffle ``k``, keeping every marker
+    position revealed and every normalize's shift since shuffle ``k``."""
 
     def __init__(self, k: int):
         super().__init__()
         self.k = k
         self.shuffles = 0
-        self.position = None
+        self.shown = []
 
     def shuffle(self, kind, rows, cols):
         if self.shuffles > self.k:
@@ -78,14 +82,19 @@ class _StopAfterShuffle(Transcript):
 
     def reveal(self, site, row, faces):
         if self.shuffles > self.k:
-            self.position = faces.index(MARKER[site])
-            raise _Stop
+            self.shown.append(faces.index(MARKER[site]))
         super().reveal(site, row, faces)
+
+    def normalize(self, shift):
+        if self.shuffles > self.k:
+            self.shown.append(shift)
+        super().normalize(shift)
 
 
 def exact_check(g, f, seed):
-    """(shuffles whose next reveal is a bijection of the secret, shuffles
-    where it is not, shuffles followed by another shuffle)."""
+    """(shuffles whose first reveal after them is a bijection of the secret
+    and whose later reveals and normalizes repeat it, shuffles where either
+    fails, shuffles followed by another shuffle)."""
     board = setup_board(g, ProverBehavior.honest(f), ResourceStats())
     good, bad, unrevealed = 0, 0, 0
     for c in g.coords():
@@ -95,15 +104,18 @@ def exact_check(g, f, seed):
         assert verify_cell(board, g, c, ResourceStats(), _ForcedRng(stream), t)
         widths = [ev["cols"] for ev in t.events if ev["ev"] == "shuffle"]
         for k, q in enumerate(widths):
-            positions = set()
+            shown = []
             for r in range(q):
                 probe = _StopAfterShuffle(k)
-                with pytest.raises(_Stop):
+                try:  # the cell's last shuffle runs to the cell's end
                     verify_cell(list(start), g, c, ResourceStats(), _ForcedRng(stream, k, r), probe)
-                positions.add(probe.position)
-            if positions == {None}:
+                except _Stop:
+                    pass
+                shown.append(probe.shown)
+            if not any(shown):
                 unrevealed += 1
-            elif positions == set(range(q)):
+            elif (all(shown) and {s[0] for s in shown} == set(range(q))
+                  and all(v == s[0] for s in shown for v in s)):
                 good += 1
             else:
                 bad += 1
@@ -202,3 +214,44 @@ def test_a_normalize_that_records_the_shifts_secret_fails_the_audit(fig1_grid, f
     with pytest.raises(AuditError, match=r"^event \d+: normalize shifts by \d+, not by the "
                                          r"marker position \d+ revealed just before it$"):
         audit_zk(fig1_grid, fig1_solution, 1000, 0.001, seed=2)
+
+
+@pytest.fixture
+def leaky_copy(monkeypatch):
+    """A copy protocol that turns over its public zero row, then its input
+    row, after its one shift, and normalizes by the input row's position.
+    It copies honestly, so every run accepts, and each row alone shows a
+    uniform position; but the two differ by the copied value.  The schedule
+    caches are keyed on equal grids, so they are cleared before and after."""
+    def leaky(a, pool, rng, transcript):
+        q = len(a)
+        reversed_a = a[:1] + a[:0:-1]
+        pool.take(2 * q, 2 * q)
+        zero = encode(q, 0, ODD_STACK)
+        m = Pile([reversed_a, zero, zero])
+        protocol.pile_shift(m, rng, transcript)
+        reveal_row(m, 1, transcript, "copy")
+        rotate_to_normalize(m, reveal_row(m, 0, transcript, "copy"), transcript)
+        pool.discard(reversed_a)
+        kept = m.row(1)
+        return kept, kept[:]
+
+    _skeleton.cache_clear()
+    audit._counted.cache_clear()
+    monkeypatch.setattr(protocol, "copy_protocol", leaky)
+    yield
+    _skeleton.cache_clear()
+    audit._counted.cache_clear()
+
+
+def test_a_copy_that_reveals_two_rows_fails_the_audit(fig1_grid, fig1_solution, leaky_copy):
+    accept, _, _ = protocol.run_protocol(fig1_grid, ProverBehavior.honest(fig1_solution), seed=0)
+    assert accept
+    with pytest.raises(AuditError, match=r"^event 3: second copy row shows position \d, "
+                                         r"not the first row's \d$"):
+        audit_zk(fig1_grid, fig1_solution, 1000, 0.001, seed=0)
+
+
+def test_a_copy_that_reveals_two_rows_fails_the_exact_check(fig1_grid, fig1_solution, leaky_copy):
+    # each copy's input row shows r - v, not the zero row's r, for v in 1..4
+    assert exact_check(fig1_grid, fig1_solution, 0) == (279 - 102, 102, 25)
