@@ -4,11 +4,11 @@
 grid's one event schedule (``simulator._skeleton``) then an accepting
 verdict; every reveal passes ``locate``; a reveal right after a shuffle
 shows a fresh marker position, which every later reveal and normalize shows
-up to the next shuffle.  A rejecting transcript is not checked yet.  The
-audit checks every seeded real run, and as many simulated transcripts, and
-aggregates, per reveal site, the histogram of the fresh positions; then
-applies chi-square uniformity tests to each and a two-sample test between
-them, whose p-values come from the chi-square law's closed-form upper tail.
+up to the next shuffle.  It returns the verifier's view: each fresh reveal's
+site, width and position.  A rejecting transcript is not checked yet.  The
+audit bins the views of seeded real runs and as many simulated ones
+(``simulator.simulate_view``) per reveal site, then tests each for uniformity
+and the two against each other, with chi-square p-values in closed form.
 
 Trial i draws from seed ``seed * 1_000_003 + i`` whatever process runs it,
 and the histograms are sums, so the trials are split into contiguous spans,
@@ -20,7 +20,6 @@ in order, so a failing audit raises the serial run's first exception itself.
 
 from __future__ import annotations
 
-import functools
 import marshal
 import math
 import os
@@ -28,7 +27,8 @@ import os
 from .cards import MARKER, MalformedReveal, Transcript, locate
 from .grid import Filling, Grid
 from .protocol import ProverBehavior, run_protocol
-from .simulator import _skeleton, simulate_transcript, structure
+# simulate_transcript: no trial calls it; perfbench/run.py's traced run looks it up here
+from .simulator import _counted, _skeleton, simulate_transcript, simulate_view, structure
 
 MIN_TRIALS = 1000
 MIN_EXPECTED = 5  # smallest expected count per bin for which a chi-square test is meaningful
@@ -111,30 +111,18 @@ def check_transcript(g: Grid, t: Transcript) -> list[tuple[tuple[str, int], int]
     return fresh
 
 
-def reveal_histograms(g: Grid, t: Transcript, hists: dict[tuple[str, int], list[int]]):
-    """Add the fresh positions ``check_transcript`` returns for ``t`` to
-    ``hists``, keyed by each one's (site, number of columns).  A later reveal
-    repeats its shuffle's fresh position, so is not counted."""
-    for key, pos in check_transcript(g, t):
+def reveal_histograms(view: list, hists: dict[tuple[str, int], list[int]]):
+    """Add each fresh position of ``view`` (``check_transcript``'s or
+    ``simulate_view``'s) to ``hists``, keyed by its (site, number of columns)."""
+    for key, pos in view:
         counts = hists.get(key)
         if counts is None:
             counts = hists[key] = [0] * key[1]
         counts[pos] += 1
 
 
-@functools.lru_cache
-def _counted(g: Grid) -> tuple[tuple[int, tuple[str | None, int], bool], ...]:
-    """Every reveal and normalize of ``g``'s schedule: its place among the
-    events, its (site, number of columns), ``(None, 0)`` for a normalize, and
-    whether a shuffle comes right before it."""
-    steps = _skeleton(g)
-    return tuple((n, (site, q), steps[n - 1][0] == "shuffle")
-                 for n, (kind, site, _, q, *_) in enumerate(steps)
-                 if kind == "reveal" or kind == "normalize")
-
-
 def _trials(g: Grid, f: Filling, seed: int, lo: int, hi: int):
-    """Trials ``lo`` to ``hi - 1``: the real and the simulated histograms."""
+    """Trials ``lo`` to ``hi - 1``: the real and the simulated views' histograms."""
     real: dict[tuple[str, int], list[int]] = {}
     sim: dict[tuple[str, int], list[int]] = {}
     for i in range(lo, hi):
@@ -143,8 +131,8 @@ def _trials(g: Grid, f: Filling, seed: int, lo: int, hi: int):
             ev = transcript.events[-1]
             r, c = ev["cell"]
             raise AuditError(f"honest run rejected at cell ({r},{c}): {ev['reason']}")
-        reveal_histograms(g, transcript, real)
-        reveal_histograms(g, simulate_transcript(g, seed=seed * 1_000_003 + i), sim)
+        reveal_histograms(check_transcript(g, transcript), real)
+        reveal_histograms(simulate_view(g, seed * 1_000_003 + i), sim)
     return real, sim
 
 
@@ -215,8 +203,8 @@ def _spans(g: Grid, f: Filling, seed: int, trials: int) -> list:
 
 
 def audit_zk(g: Grid, f: Filling, trials: int, alpha: float, seed: int = 0) -> dict:
-    """Run ``trials`` real and simulated transcripts and test every reveal
-    site for uniformity and real-vs-simulated indistinguishability."""
+    """Check ``trials`` real runs, simulate as many views, and test every
+    reveal site for uniformity and real-vs-simulated indistinguishability."""
     if trials < MIN_TRIALS:
         raise AuditError(f"need at least {MIN_TRIALS} trials, got {trials}")
     if not 0 < alpha < 1:

@@ -1,9 +1,9 @@
-"""Transcript simulator: reproduces the verifier's view without any solution.
+"""Simulator: reproduces the verifier's view without any solution.
 
 A check records the same events whatever well-formed values its cards hold,
 and every revealed marker position is uniform thanks to the shuffle before
-it.  So the simulator replays the ``structure`` of the protocol's own checks
-on a public board of zeros, each marker at a uniformly drawn position.
+it.  So the schedule (``_skeleton``) is the protocol's own checks on a board
+of zeros, and ``simulate_view`` draws each fresh reveal's position uniformly.
 """
 
 from __future__ import annotations
@@ -29,18 +29,36 @@ def structure(t: Transcript) -> list[tuple]:
 
 @functools.lru_cache
 def _skeleton(g: Grid) -> tuple[tuple, ...]:
-    """The ``structure`` of every accepting run of ``g``, verdict left out:
-    ``verify_cell`` run for every cell on one board where each cell holds
-    ``encode(b, 0, ODD_STACK)``.  Only a malformed row changes a check's
-    events, so the checks' verdicts are unread."""
+    """The ``structure`` of every accepting run of ``g``, verdict left out.
+    A check's events depend only on its sightline's length (bar a malformed
+    row), so ``verify_cell`` runs on each length's first cell, on a board of
+    ``encode(b, 0, ODD_STACK)`` rows, and every cell of that length shares it."""
     b = g.max_value + 1
     board = [encode(b, 0, ODD_STACK)] * (g.rows * g.cols)  # no check changes a row it copies
-    pool, rng, unique, steps = ResourceStats(), random.Random(0), {}, []
-    for c in g.coords():  # one short transcript per cell keeps the build's peak memory small
-        run = Transcript()
-        verify_cell(board, g, c, pool, rng, run)
-        steps += (unique.setdefault(s, s) for s in structure(run))  # one copy of equal shapes
-    return tuple(steps)
+    pool, rng, blocks = ResourceStats(), random.Random(0), {}
+    for c, line in zip(g.coords(), g.sightlines):
+        if len(line) not in blocks:
+            verify_cell(board, g, c, pool, rng, run := Transcript())
+            blocks[len(line)] = structure(run)
+    return tuple(s for line in g.sightlines for s in blocks[len(line)])
+
+
+@functools.lru_cache
+def _counted(g: Grid) -> tuple[tuple[int, tuple[str | None, int], bool], ...]:
+    """Every reveal and normalize of ``g``'s schedule: its place among the
+    events, its (site, number of columns), ``(None, 0)`` for a normalize, and
+    whether a shuffle comes right before it."""
+    steps = _skeleton(g)
+    return tuple((n, (site, q), steps[n - 1][0] == "shuffle")
+                 for n, (kind, site, _, q, *_) in enumerate(steps)
+                 if kind == "reveal" or kind == "normalize")
+
+
+def simulate_view(g: Grid, seed: int) -> list[tuple[tuple[str, int], int]]:
+    """``audit.check_transcript``'s view of an accepting run of ``g``, each
+    fresh position drawn as ``simulate_transcript`` draws it for ``seed``."""
+    randrange = random.Random(f"sim:{seed}").randrange
+    return [(key, randrange(key[1])) for _, key, fresh in _counted(g) if fresh]
 
 
 def simulate_transcript(g: Grid, seed: int) -> Transcript:

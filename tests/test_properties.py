@@ -38,7 +38,7 @@ from zeiger.grid import (
 from zeiger.nae import gen_nae, nae_brute_force
 from zeiger.protocol import ProverBehavior, ResourceStats, run_protocol, verify_cell
 from zeiger.reduction import lift_assignment, reduce_instance
-from zeiger.simulator import _skeleton, simulate_transcript, structure
+from zeiger.simulator import _skeleton, simulate_transcript, simulate_view, structure
 from zeiger.solver import BudgetExhausted, _Search, enumerate_solutions, solve
 
 from .conftest import FIXTURES
@@ -218,9 +218,8 @@ def test_run_rejects_exactly_at_the_first_failing_cell_on_random_grids(g, data, 
     assert_rejects_exactly_at_first_failing_cell(g, draw_filling(data, g, solve_or_none(g)), seed)
 
 
-@settings(max_examples=100, deadline=None)
-@given(g=random_grids(), data=st.data(), seed=seeds)
-def test_a_checks_events_do_not_depend_on_the_boards_values(g, data, seed):
+def assert_checks_follow_the_skeleton(g: Grid, data, seed):
+    """Each cell's check, on a board of drawn values, records its block of the schedule."""
     b = g.max_value + 1
     board = [encode(b, data.draw(st.integers(0, b - 1)), ODD_STACK) for c in g.coords()]
     t, pool, rng = Transcript(), ResourceStats(), random.Random(seed)
@@ -229,10 +228,23 @@ def test_a_checks_events_do_not_depend_on_the_boards_values(g, data, seed):
     assert structure(t) == list(_skeleton(g))
 
 
+@settings(max_examples=100, deadline=None)
+@given(g=random_grids(), data=st.data(), seed=seeds)
+def test_a_checks_events_do_not_depend_on_the_boards_values(g, data, seed):
+    assert_checks_follow_the_skeleton(g, data, seed)
+
+
+@pytest.mark.parametrize("name", ["fig1", "gen_nae(4, 6, 0)"])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data(), seed=seeds)
+def test_a_checks_events_do_not_depend_on_the_boards_values_on_fixed_grids(name, data, seed):
+    assert_checks_follow_the_skeleton(solved_grid(name)[0], data, seed)
+
+
 def assert_runs_have_the_skeleton_and_keep_the_rules(g: Grid, solution, seed):
     """An honest run (if there is a solution) and a simulated run both pass
-    ``check_transcript``."""
-    check_transcript(g, simulate_transcript(g, seed))
+    ``check_transcript``, and the simulated run's view is ``simulate_view``."""
+    assert check_transcript(g, simulate_transcript(g, seed)) == simulate_view(g, seed)
     if solution is not None:
         check_transcript(g, run_protocol(g, ProverBehavior.honest(solution), seed)[1])
 

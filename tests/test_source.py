@@ -7,6 +7,7 @@ import zeiger
 from zeiger.cards import MARKER
 
 MODULES = sorted(pathlib.Path(zeiger.__file__).parent.glob("*.py"))
+AUDIT = pathlib.Path(zeiger.__file__).parent / "audit.py"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
@@ -20,9 +21,18 @@ def test_no_module_rests_on_assert(path):
 def test_the_audit_names_no_reveal_site():
     # the audit reads which reveals repeat a position off the schedule, so
     # no rule of it may single out a subprotocol by its reveal site's name
-    path = pathlib.Path(zeiger.__file__).parent / "audit.py"
-    tree = ast.parse(path.read_text(), filename=str(path))
+    tree = ast.parse(AUDIT.read_text(), filename=str(AUDIT))
     named = [(node.lineno, node.value) for node in ast.walk(tree)
              if isinstance(node, ast.Constant) and isinstance(node.value, str)
              and node.value in MARKER]
     assert not named, f"audit.py names reveal sites at {named}"
+
+
+def test_the_audit_never_uses_simulate_transcript():
+    # it bins simulated views; the name stays imported only for the benchmark
+    # to trace, so any use of it would quietly build a transcript per trial again
+    tree = ast.parse(AUDIT.read_text(), filename=str(AUDIT))
+    uses = [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id == "simulate_transcript"
+            or isinstance(node, ast.Attribute) and node.attr == "simulate_transcript"]
+    assert not uses, f"audit.py uses simulate_transcript at lines {uses}"

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zeiger import audit, protocol
+from zeiger import protocol
 from zeiger.audit import AuditError, audit_zk
 from zeiger.cards import (MARKER, ODD_STACK, Pile, Transcript, encode, reveal_row,
                           rotate_to_normalize)
@@ -32,7 +32,7 @@ from zeiger.protocol import (
     verify_cell,
 )
 from zeiger.reduction import lift_assignment, reduce_instance
-from zeiger.simulator import _skeleton
+from zeiger.simulator import _counted, _skeleton
 
 from .conftest import FIXTURES
 
@@ -237,11 +237,11 @@ def leaky_copy(monkeypatch):
         return kept, kept[:]
 
     _skeleton.cache_clear()
-    audit._counted.cache_clear()
+    _counted.cache_clear()
     monkeypatch.setattr(protocol, "copy_protocol", leaky)
     yield
     _skeleton.cache_clear()
-    audit._counted.cache_clear()
+    _counted.cache_clear()
 
 
 def test_a_copy_that_reveals_two_rows_fails_the_audit(fig1_grid, fig1_solution, leaky_copy):
