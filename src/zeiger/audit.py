@@ -1,14 +1,14 @@
 """Statistical zero-knowledge audit: revealed positions must look uniform.
 
-``check_transcript`` holds the verifier's rules, once: the transcript is the
-grid's one event schedule (``simulator._skeleton``) then an accepting
-verdict; every reveal passes ``locate``; a reveal right after a shuffle
-shows a fresh marker position, which every later reveal and normalize shows
-up to the next shuffle.  It returns the verifier's view: each fresh reveal's
-site, width and position.  A rejecting transcript is not checked yet.  The
-audit bins the views of seeded real runs and as many simulated ones
-(``simulator.simulate_view``) per reveal site, then tests each for uniformity
-and the two against each other, with chi-square p-values in closed form.
+``check_transcript`` holds the verifier's rules, once.  It walks the grid's
+schedule (``simulator._schedule``) a cell's block at a time, shapes first:
+every reveal passes ``locate``; a reveal right after a shuffle shows a fresh
+marker position, which every later reveal and normalize shows up to the next
+shuffle; an accepting verdict ends it.  It returns the verifier's view: each
+fresh reveal's site, width and position.  A rejecting transcript is not
+checked yet.  The audit bins the views of seeded real runs and as many
+simulated ones (``simulate_view``) per reveal site, then tests each for
+uniformity and the two against each other, with chi-square p-values.
 
 Trial i draws from seed ``seed * 1_000_003 + i`` whatever process runs it,
 and the histograms are sums, so the trials are split into contiguous spans,
@@ -28,7 +28,7 @@ from .cards import MARKER, MalformedReveal, Transcript, locate
 from .grid import Filling, Grid
 from .protocol import ProverBehavior, run_protocol
 # simulate_transcript: no trial calls it; perfbench/run.py's traced run looks it up here
-from .simulator import _counted, _skeleton, simulate_transcript, simulate_view, structure
+from .simulator import _schedule, simulate_transcript, simulate_view, structure
 
 MIN_TRIALS = 1000
 MIN_EXPECTED = 5  # smallest expected count per bin for which a chi-square test is meaningful
@@ -84,30 +84,33 @@ def check_transcript(g: Grid, t: Transcript) -> list[tuple[tuple[str, int], int]
     yet could carry a secret, as could a shift or later row showing another."""
     events = t.events
     try:
-        scheduled = structure(t)[:-1] == list(_skeleton(g))
+        shapes = structure(t)
     except (TypeError, AttributeError):  # faces with no length, or an event that is no dict
-        scheduled = False
-    if (events[-1:] != [{"ev": "verdict", "accept": True}] or events[-1]["accept"] is not True
-            or not scheduled):
+        shapes = []  # which breaks the first block
+    fresh, pos, at = [], 0, 0  # each block opens with a shuffle, so a fresh reveal sets pos first
+    for steps, counted in _schedule(g):
+        if shapes[at:at + len(steps)] != steps:
+            raise AuditError("event structure differs from the grid's schedule")
+        for n, key, after_shuffle in zip(*counted):
+            n += at
+            if (site := key[0]) is None:  # a normalize
+                if type(shift := events[n].get("shift")) is not int or shift != pos:
+                    raise AuditError(f"event {n + 1}: normalize shifts by {shift!r}, "
+                                     f"not by the marker position {pos} revealed just before it")
+                continue
+            try:
+                shown = locate(events[n]["faces"], MARKER[site])
+            except MalformedReveal as e:
+                raise AuditError(f"event {n + 1}: malformed {site} reveal: {e}") from None
+            if after_shuffle:
+                pos = shown
+                fresh.append((key, shown))
+            elif shown != pos:
+                raise AuditError(f"event {n + 1}: second {site} row shows position {shown}, "
+                                 f"not the first row's {pos}")
+        at += len(steps)
+    if events[at:] != [{"ev": "verdict", "accept": True}] or events[at]["accept"] is not True:
         raise AuditError("event structure differs from the grid's schedule")
-    fresh, pos = [], 0  # the schedule opens with a shuffle, so a fresh reveal sets pos first
-    for n, key, after_shuffle in _counted(g):
-        site = key[0]
-        if site is None:  # a normalize
-            if type(shift := events[n].get("shift")) is not int or shift != pos:
-                raise AuditError(f"event {n + 1}: normalize shifts by {shift!r}, "
-                                 f"not by the marker position {pos} revealed just before it")
-            continue
-        try:
-            shown = locate(events[n]["faces"], MARKER[site])
-        except MalformedReveal as e:
-            raise AuditError(f"event {n + 1}: malformed {site} reveal: {e}") from None
-        if after_shuffle:
-            pos = shown
-            fresh.append((key, shown))
-        elif shown != pos:
-            raise AuditError(f"event {n + 1}: second {site} row shows position {shown}, "
-                             f"not the first row's {pos}")
     return fresh
 
 
@@ -157,7 +160,7 @@ def _spans(g: Grid, f: Filling, seed: int, trials: int) -> list:
     returns or raises; those whose span can no longer matter are killed first.
     """
     n = min(_cpus(), trials)
-    _counted(g)  # the schedule and its counted reveals, built once here, not once per child
+    _schedule(g)  # built once here, not once per child
     bounds = [trials * k // n for k in range(n + 1)]
     spans = list(zip(bounds, bounds[1:]))
     children = {}  # first trial -> (pid, the pipe's read end)

@@ -1,9 +1,9 @@
 """Simulator: reproduces the verifier's view without any solution.
 
 A check records the same events whatever well-formed values its cards hold,
-and every revealed marker position is uniform thanks to the shuffle before
-it.  So the schedule (``_skeleton``) is the protocol's own checks on a board
-of zeros, and ``simulate_view`` draws each fresh reveal's position uniformly.
+and each revealed marker position is uniform thanks to the shuffle before it.
+So the schedule (``_schedule``, a block per cell) is the protocol's checks on
+a board of zeros, and ``simulate_view`` draws each fresh position uniformly.
 """
 
 from __future__ import annotations
@@ -28,37 +28,32 @@ def structure(t: Transcript) -> list[tuple]:
 
 
 @functools.lru_cache
-def _skeleton(g: Grid) -> tuple[tuple, ...]:
-    """The ``structure`` of every accepting run of ``g``, verdict left out.
-    A check's events depend only on its sightline's length (bar a malformed
-    row), so ``verify_cell`` runs on each length's first cell, on a board of
-    ``encode(b, 0, ODD_STACK)`` rows, and every cell of that length shares it."""
+def _schedule(g: Grid) -> tuple[tuple[list[tuple], tuple[tuple, tuple, tuple]], ...]:
+    """Each cell's check in an accepting run of ``g``, in cell order, as
+    ``(steps, counted)``: its events' ``structure``; columns that ``zip`` to
+    each reveal's and normalize's place in it, (site, width) or ``(None, 0)``,
+    and whether a shuffle comes right before it.  Events depend only on the
+    sightline's length, so ``verify_cell`` runs once per length, on rows of
+    ``encode(b, 0, ODD_STACK)``, and the cells of a length share its block."""
     b = g.max_value + 1
     board = [encode(b, 0, ODD_STACK)] * (g.rows * g.cols)  # no check changes a row it copies
-    pool, rng, blocks = ResourceStats(), random.Random(0), {}
+    pool, rng, blocks, key = ResourceStats(), random.Random(0), {}, {}.setdefault
     for c, line in zip(g.coords(), g.sightlines):
         if len(line) not in blocks:
             verify_cell(board, g, c, pool, rng, run := Transcript())
-            blocks[len(line)] = structure(run)
-    return tuple(s for line in g.sightlines for s in blocks[len(line)])
-
-
-@functools.lru_cache
-def _counted(g: Grid) -> tuple[tuple[int, tuple[str | None, int], bool], ...]:
-    """Every reveal and normalize of ``g``'s schedule: its place among the
-    events, its (site, number of columns), ``(None, 0)`` for a normalize, and
-    whether a shuffle comes right before it."""
-    steps = _skeleton(g)
-    return tuple((n, (site, q), steps[n - 1][0] == "shuffle")
-                 for n, (kind, site, _, q, *_) in enumerate(steps)
-                 if kind == "reveal" or kind == "normalize")
+            steps = structure(run)  # a block opens with a shuffle, so steps[n - 1] is in it
+            blocks[len(line)] = steps, tuple(zip(*[  # few long-lived objects: each pins freed pages
+                (n, key((site, q), (site, q)), steps[n - 1][0] == "shuffle")
+                for n, (kind, site, _, q, *_) in enumerate(steps) if kind != "shuffle"]))
+    return tuple(blocks[len(line)] for line in g.sightlines)
 
 
 def simulate_view(g: Grid, seed: int) -> list[tuple[tuple[str, int], int]]:
     """``audit.check_transcript``'s view of an accepting run of ``g``, each
     fresh position drawn as ``simulate_transcript`` draws it for ``seed``."""
     randrange = random.Random(f"sim:{seed}").randrange
-    return [(key, randrange(key[1])) for _, key, fresh in _counted(g) if fresh]
+    return [(key, randrange(key[1]))
+            for _, (_, keys, fresh) in _schedule(g) for key, new in zip(keys, fresh) if new]
 
 
 def simulate_transcript(g: Grid, seed: int) -> Transcript:
@@ -71,15 +66,16 @@ def simulate_transcript(g: Grid, seed: int) -> Transcript:
     t = Transcript()
     shuffle, reveal, normalize = t.shuffle, t.reveal, t.normalize
     pos, fresh = 0, False
-    for ev, site, row, q, kind, rows, cols, _, _, _, _ in _skeleton(g):
-        if ev == "reveal":
-            if fresh:
-                pos, fresh = randrange(q), False
-            reveal(site, row, encode(q, pos, MARKER[site]))
-        elif ev == "shuffle":
-            shuffle(kind, rows, cols)
-            fresh = True
-        else:  # a normalize, which follows a reveal
-            normalize(pos)
+    for steps, _ in _schedule(g):
+        for ev, site, row, q, kind, rows, cols, _, _, _, _ in steps:
+            if ev == "reveal":
+                if fresh:
+                    pos, fresh = randrange(q), False
+                reveal(site, row, encode(q, pos, MARKER[site]))
+            elif ev == "shuffle":
+                shuffle(kind, rows, cols)
+                fresh = True
+            else:  # a normalize, which follows a reveal
+                normalize(pos)
     t.verdict(True)
     return t

@@ -38,7 +38,7 @@ from zeiger.grid import (
 from zeiger.nae import gen_nae, nae_brute_force
 from zeiger.protocol import ProverBehavior, ResourceStats, run_protocol, verify_cell
 from zeiger.reduction import lift_assignment, reduce_instance
-from zeiger.simulator import _skeleton, simulate_transcript, simulate_view, structure
+from zeiger.simulator import _schedule, simulate_transcript, simulate_view, structure
 from zeiger.solver import BudgetExhausted, _Search, enumerate_solutions, solve
 
 from .conftest import FIXTURES
@@ -218,30 +218,71 @@ def test_run_rejects_exactly_at_the_first_failing_cell_on_random_grids(g, data, 
     assert_rejects_exactly_at_first_failing_cell(g, draw_filling(data, g, solve_or_none(g)), seed)
 
 
-def assert_checks_follow_the_skeleton(g: Grid, data, seed):
+def assert_checks_follow_the_schedule(g: Grid, data, seed):
     """Each cell's check, on a board of drawn values, records its block of the schedule."""
     b = g.max_value + 1
     board = [encode(b, data.draw(st.integers(0, b - 1)), ODD_STACK) for c in g.coords()]
     t, pool, rng = Transcript(), ResourceStats(), random.Random(seed)
     for c in g.coords():
         verify_cell(board, g, c, pool, rng, t)
-    assert structure(t) == list(_skeleton(g))
+    assert structure(t) == [s for steps, _ in _schedule(g) for s in steps]
 
 
 @settings(max_examples=100, deadline=None)
 @given(g=random_grids(), data=st.data(), seed=seeds)
 def test_a_checks_events_do_not_depend_on_the_boards_values(g, data, seed):
-    assert_checks_follow_the_skeleton(g, data, seed)
+    assert_checks_follow_the_schedule(g, data, seed)
 
 
 @pytest.mark.parametrize("name", ["fig1", "gen_nae(4, 6, 0)"])
 @settings(max_examples=10, deadline=None)
 @given(data=st.data(), seed=seeds)
 def test_a_checks_events_do_not_depend_on_the_boards_values_on_fixed_grids(name, data, seed):
-    assert_checks_follow_the_skeleton(solved_grid(name)[0], data, seed)
+    assert_checks_follow_the_schedule(solved_grid(name)[0], data, seed)
 
 
-def assert_runs_have_the_skeleton_and_keep_the_rules(g: Grid, solution, seed):
+def assert_blocks_follow_the_closed_form(g: Grid):
+    """Each cell's block of the schedule has t + b shifts and t + 1
+    scrambles, t its sightline's length: ``count_resources``' 2t + b + 1."""
+    b = g.max_value + 1
+    for (steps, _), line in zip(_schedule(g), g.sightlines):
+        kinds = [step[4] for step in steps if step[0] == "shuffle"]
+        assert (kinds.count("shift"), kinds.count("scramble"), len(kinds)) == (
+            len(line) + b, len(line) + 1, 2 * len(line) + b + 1)
+
+
+@pytest.mark.parametrize("name", ["fig1", "gen_nae(4, 6, 0)"])
+def test_each_block_follows_the_closed_form(name):
+    assert_blocks_follow_the_closed_form(solved_grid(name)[0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=random_grids())
+def test_each_block_follows_the_closed_form_on_random_grids(g):
+    assert_blocks_follow_the_closed_form(g)
+
+
+def first_sat_grid(n: int, m: int) -> Grid:
+    """The grid reduced from the first sat gen_nae(n, m, s), s >= 0, that uses all n variables."""
+    s = 0
+    while (inst := gen_nae(n, m, s)).n != n or nae_brute_force(inst) is None:
+        s += 1
+    return reduce_instance(inst)
+
+
+@pytest.mark.parametrize("name, size, lengths", [
+    ("fig1", (5, 5), 4), ("gen_nae(4, 6, 0)", (9, 9), 8), ("23x17", (23, 17), 22)])
+def test_cells_of_one_sightline_length_share_one_block(name, size, lengths):
+    g = first_sat_grid(12, 20) if name == "23x17" else solved_grid(name)[0]
+    blocks = _schedule(g)
+    assert (g.rows, g.cols) == size
+    assert len(blocks) == g.rows * g.cols
+    # one block object per length, and each cell holds its own length's
+    assert len({id(block) for block in blocks}) == len({len(line) for line in g.sightlines}) == lengths
+    assert len({(len(line), id(block)) for line, block in zip(g.sightlines, blocks)}) == lengths
+
+
+def assert_runs_have_the_schedule_and_keep_the_rules(g: Grid, solution, seed):
     """An honest run (if there is a solution) and a simulated run both pass
     ``check_transcript``, and the simulated run's view is ``simulate_view``."""
     assert check_transcript(g, simulate_transcript(g, seed)) == simulate_view(g, seed)
@@ -253,13 +294,13 @@ def assert_runs_have_the_skeleton_and_keep_the_rules(g: Grid, solution, seed):
 @settings(max_examples=20, deadline=None)
 @given(seed=seeds)
 def test_runs_keep_the_skeleton_and_the_verifiers_rules(name, seed):
-    assert_runs_have_the_skeleton_and_keep_the_rules(*solved_grid(name), seed)
+    assert_runs_have_the_schedule_and_keep_the_rules(*solved_grid(name), seed)
 
 
 @settings(max_examples=100, deadline=None)
 @given(g=random_grids(), seed=seeds)
 def test_runs_on_random_grids_keep_the_skeleton_and_the_verifiers_rules(g, seed):
-    assert_runs_have_the_skeleton_and_keep_the_rules(g, solve_or_none(g), seed)
+    assert_runs_have_the_schedule_and_keep_the_rules(g, solve_or_none(g), seed)
 
 
 class CheckedSearch(_Search):

@@ -5,8 +5,10 @@ import pytest
 
 from zeiger.cards import (
     CLUB,
+    EVEN_STACK,
     ODD_STACK,
     MalformedReveal,
+    Stream,
     Transcript,
     encode,
     locate,
@@ -188,6 +190,56 @@ class TestBoard:
         for behavior in (ProverBehavior.honest(bad), ProverBehavior.malformed(bad, Coord(1, 1))):
             with pytest.raises(ValueError, match=r"^filling disagrees with given at \(3,4\)$"):
                 setup_board(fig1_grid, behavior, ResourceStats())
+
+
+# Every board a prover can lay for one check of the 2x3 grid R. R. D. / U. L. L.
+# (b = 3): each face-down two-card stack is CC, CH, HC or HH.
+SMALL = parse_grid("R. R. D.\nU. L. L.")
+ROWS = [list(row) for row in itertools.product(["CC", EVEN_STACK, ODD_STACK, "HH"], repeat=3)]
+WELL_FORMED = [encode(3, v, ODD_STACK) for v in range(3)]
+
+
+def sound_verdict(rows) -> bool:
+    """The verdict the check owes a board: every row one ``HC`` among
+    ``CH``s, and the cell's marker index (rows[0]) the number of distinct
+    marker indices in its sightline (the rest)."""
+    if any(row.count(ODD_STACK) != 1 or row.count(EVEN_STACK) != 2 for row in rows):
+        return False
+    return rows[0].index(ODD_STACK) == len({row.index(ODD_STACK) for row in rows[1:]})
+
+
+def check_verdict(c: Coord, rows, rng) -> bool:
+    """``verify_cell``'s verdict on cell c with ``rows`` laid on it and its sightline."""
+    i = SMALL.index(c)
+    board = [None] * (SMALL.rows * SMALL.cols)  # no other cell's row is read
+    for j, row in zip((i, *SMALL.sightlines[i]), rows):
+        board[j] = list(row)
+    try:
+        return verify_cell(board, SMALL, c, ResourceStats(), rng, Transcript())
+    except MalformedReveal:
+        return False
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_a_one_cell_check_is_sound_on_every_board(seed):
+    # (1,2) sees (1,3) only: all 4**6 boards of its check
+    rng = Stream(f"run:{seed}")
+    boards = list(itertools.product(ROWS, repeat=2))
+    verdicts = [check_verdict(Coord(1, 2), rows, rng) for rows in boards]
+    assert verdicts == [sound_verdict(rows) for rows in boards]
+    assert sum(verdicts) == 3  # the cell's value 1, its sightline's any well-formed value
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_a_two_cell_check_is_sound_on_sampled_boards(seed):
+    # (1,1) sees (1,2) and (1,3): 4**9 boards, sampled with each row well
+    # formed half the time, so that some boards are accepted
+    rng, draw = Stream(f"run:{seed}"), random.Random(seed)
+    boards = [[draw.choice(draw.choice((ROWS, WELL_FORMED))) for _ in range(3)]
+              for _ in range(2000)]
+    verdicts = [check_verdict(Coord(1, 1), rows, rng) for rows in boards]
+    assert verdicts == [sound_verdict(rows) for rows in boards]
+    assert 0 < sum(verdicts) < len(boards)
 
 
 class TestVerifyCell:

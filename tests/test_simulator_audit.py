@@ -97,6 +97,22 @@ def test_a_second_compare_row_must_show_the_first_rows_position(fig1_grid):
         audit.check_transcript(fig1_grid, t)
 
 
+@pytest.mark.parametrize("earlier", ["rule", "shape"])
+def test_of_two_broken_cells_the_earlier_is_refused(fig1_grid, earlier):
+    # one cell's second compare row shows another position, and another
+    # cell's has lost its site; each cell's check holds one compare pair
+    t = simulate_transcript(fig1_grid, seed=1)
+    seconds = [n for n, ev in enumerate(t.events) if ev.get("site") == "compare" and ev["row"] == 1]
+    rule, shape = (seconds[1], seconds[-1]) if earlier == "rule" else (seconds[-1], seconds[1])
+    faces = t.events[rule]["faces"]
+    t.events[rule]["faces"] = faces[-1:] + faces[:-1]
+    del t.events[shape]["site"]
+    match = (rf"^event {rule + 1}: second compare row shows position \d, not the first row's \d$"
+             if earlier == "rule" else "^event structure differs from the grid's schedule$")
+    with pytest.raises(AuditError, match=match):
+        audit.check_transcript(fig1_grid, t)
+
+
 def test_an_event_without_its_kind_differs_from_the_schedule(fig1_grid):
     t = simulate_transcript(fig1_grid, seed=1)
     del t.events[10]["ev"]

@@ -32,7 +32,7 @@ from zeiger.protocol import (
     verify_cell,
 )
 from zeiger.reduction import lift_assignment, reduce_instance
-from zeiger.simulator import _counted, _skeleton
+from zeiger.simulator import _schedule
 
 from .conftest import FIXTURES
 
@@ -183,7 +183,7 @@ def test_a_shift_that_records_its_secret_fails_the_audit(fig1_grid, fig1_solutio
                            "offset": r})
         return r
 
-    _skeleton(fig1_grid)  # the schedule of the honest engine, built before the mutant goes in
+    _schedule(fig1_grid)  # the schedule of the honest engine, built before the mutant goes in
     monkeypatch.setattr(protocol, "pile_shift", leaky_shift)
     with pytest.raises(AuditError, match="structure differs"):
         audit_zk(fig1_grid, fig1_solution, 1000, 0.001, seed=2)
@@ -206,7 +206,7 @@ def test_a_normalize_that_records_the_shifts_secret_fails_the_audit(fig1_grid, f
         m.turn = (m.turn + shift) % len(m.rows[0])
         transcript.normalize(offsets[-1])
 
-    _skeleton(fig1_grid)
+    _schedule(fig1_grid)
     monkeypatch.setattr(protocol, "pile_shift", remembering_shift)
     monkeypatch.setattr(protocol, "rotate_to_normalize", leaky_normalize)
     accept, _, _ = protocol.run_protocol(fig1_grid, ProverBehavior.honest(fig1_solution), seed=2)
@@ -222,7 +222,7 @@ def leaky_copy(monkeypatch):
     row, after its one shift, and normalizes by the input row's position.
     It copies honestly, so every run accepts, and each row alone shows a
     uniform position; but the two differ by the copied value.  The schedule
-    caches are keyed on equal grids, so they are cleared before and after."""
+    cache is keyed on equal grids, so it is cleared before and after."""
     def leaky(a, pool, rng, transcript):
         q = len(a)
         reversed_a = a[:1] + a[:0:-1]
@@ -236,12 +236,10 @@ def leaky_copy(monkeypatch):
         kept = m.row(1)
         return kept, kept[:]
 
-    _skeleton.cache_clear()
-    _counted.cache_clear()
+    _schedule.cache_clear()
     monkeypatch.setattr(protocol, "copy_protocol", leaky)
     yield
-    _skeleton.cache_clear()
-    _counted.cache_clear()
+    _schedule.cache_clear()
 
 
 def test_a_copy_that_reveals_two_rows_fails_the_audit(fig1_grid, fig1_solution, leaky_copy):
