@@ -207,11 +207,15 @@ def _spans(g: Grid, f: Filling, seed: int, trials: int) -> list:
 
 def audit_zk(g: Grid, f: Filling, trials: int, alpha: float, seed: int = 0) -> dict:
     """Check ``trials`` real runs, simulate as many views, and test every
-    reveal site for uniformity and real-vs-simulated indistinguishability."""
+    reveal site for uniformity and real-vs-simulated indistinguishability.
+    Every argument is checked before the first trial runs."""
+    for name, value in (("trials", trials), ("seed", seed)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise AuditError(f"{name} must be an int, got {value!r}")
     if trials < MIN_TRIALS:
         raise AuditError(f"need at least {MIN_TRIALS} trials, got {trials}")
-    if not 0 < alpha < 1:
-        raise AuditError(f"alpha must lie in (0, 1), got {alpha}")
+    if not isinstance(alpha, (int, float)) or not 0 < alpha < 1:
+        raise AuditError(f"alpha must lie in (0, 1), got {alpha!r}")
     real: dict[tuple[str, int], list[int]] = {}
     sim: dict[tuple[str, int], list[int]] = {}
     for part_real, part_sim in _spans(g, f, seed, trials):

@@ -3,11 +3,11 @@
 Search strategy: forward checking (Haralick & Elliott, 1980).  Every unset
 cell has a domain of feasible values, held as an int bitmask (bit v for
 value v).  It starts as the interval [max(d, 1), d+u], where d is the
-number of distinct values set in the cell's sightline and u the number of
-its sightline cells still unset; d+u never exceeds the sightline's length,
-as d counts only set cells.  Each set watcher w (a cell whose sightline
-holds the cell) with value v, seeing d distinct values and u unset cells,
-then narrows it when w is tight:
+number of distinct values set in the cell's sightline (its seen mask's
+popcount) and u the number of its sightline cells still unset; d+u never
+exceeds the sightline's length, as d counts only set cells.  Each set
+watcher w (a cell whose sightline holds the cell) with value v, seeing d
+distinct values and u unset cells, then narrows it when w is tight:
 
 - if d == v, every unset cell w sees must repeat a value w already sees, so
   the domain is ANDed with w's seen-values mask;
@@ -56,16 +56,15 @@ class _Search:
         for w, line in enumerate(self.sight):
             for j in line:
                 self.watchers[j].append(w)
-        # per cell w, over w's sightline: count[w][v] cells hold v, they hold
-        # distinct[w] different values (bit v of seen[w] set for each), and
-        # unassigned[w] of them are unset; cut[w] is the mask an assigned,
-        # tight w leaves each unset cell it sees (-1 when it leaves all);
+        # per cell w, over w's sightline: count[w][v] cells hold v, bit v of
+        # seen[w] is set for each v held (its popcount is d, the distinct
+        # count), and unassigned[w] of them are unset; cut[w] is the mask an
+        # assigned, tight w leaves each unset cell it sees (-1 when it leaves all);
         # size[i] is how many values unset cell i's domain holds (more than
         # any domain once i is set); kept up to date by _set and _unset
         self.full = g.max_value + 1  # more values than any domain holds
         self.values = [0] * self.n  # 0 = unassigned
         self.count = [[0] * self.full for _ in range(self.n)]
-        self.distinct = [0] * self.n
         self.seen = [0] * self.n
         self.unassigned = [len(line) for line in self.sight]
         self.cut = [-1] * self.n
@@ -81,14 +80,14 @@ class _Search:
         """Unset cell i's feasible values as a bitmask: at least the distinct
         values it sees (and 1), at most that plus its unset cells, and only
         what every tight watcher leaves."""
-        d = self.distinct[i]
+        d = self.seen[i].bit_count()
         span = (2 << (d + self.unassigned[i])) - (1 << (d or 1))  # bits max(d, 1) to d+u
         return reduce(and_, map(self.cut.__getitem__, self.watchers[i]), span)
 
     def _tighten(self, w: int) -> bool:
         """Recompute cut[w] from w's value and its sightline's counts;
         whether it changed."""
-        v, d, old = self.values[w], self.distinct[w], self.cut[w]
+        v, d, old = self.values[w], self.seen[w].bit_count(), self.cut[w]
         if v and d == v:  # each unset cell w sees must repeat a value it sees
             self.cut[w] = self.seen[w]
         elif v and d + self.unassigned[w] == v:  # ... must add a new one
@@ -100,13 +99,12 @@ class _Search:
     def _count(self, i: int, v: int, step: int) -> list[int]:
         """Count cell i's value v into (step 1) or out of (step -1) its
         watchers' sightlines; the cells whose domains this can change."""
-        distinct, seen, unassigned = self.distinct, self.seen, self.unassigned
+        seen, unassigned = self.seen, self.unassigned
         moved = self.watchers[i] + [i]
         for w in self.watchers[i]:
             count = self.count[w]
             count[v] += step
             if count[v] == (step > 0):  # went from 0 to 1 or from 1 to 0
-                distinct[w] += step
                 seen[w] ^= 1 << v
             unassigned[w] -= step
             if self._tighten(w):
@@ -143,7 +141,7 @@ class _Search:
         # Givens alone can already be contradictory; after them, every value
         # tried lies in its cell's domain, so no assigned cell's count breaks.
         for i, v in enumerate(self.values):
-            if v and not self.distinct[i] <= v <= self.distinct[i] + self.unassigned[i]:
+            if v and not (d := self.seen[i].bit_count()) <= v <= d + self.unassigned[i]:
                 return []
         found: list[Filling] = []
         # One (cell, untried values) frame per branching cell, deepest last:

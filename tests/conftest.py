@@ -1,12 +1,29 @@
+from functools import cache
 from pathlib import Path
 
 import pytest
 
 from zeiger.audit import audit_zk
-from zeiger.grid import Coord, Filling, parse_filling, parse_grid
-from zeiger.nae import parse_nae
+from zeiger.grid import Coord, Filling, Grid, parse_filling, parse_grid
+from zeiger.nae import gen_nae, nae_brute_force, parse_nae
+from zeiger.reduction import lift_assignment, reduce_instance
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+@cache
+def solved(name: str) -> tuple[Grid, Filling]:
+    """The suite's named grids, each with a solution: "fig1" (the fixture),
+    "R. L./R. L." (every value forced to 1), or "gen_nae(n, m, s)", the grid
+    reduced from that satisfiable instance with the lift of its brute-force
+    assignment."""
+    if name == "fig1":
+        return (parse_grid((FIXTURES / "fig1.puzzle").read_text()),
+                parse_filling((FIXTURES / "fig1.solution").read_text()))
+    if name == "R. L./R. L.":
+        return parse_grid("R. L.\nR. L."), Filling([[1, 1], [1, 1]])
+    inst = gen_nae(*(int(x) for x in name[len("gen_nae("):-1].split(",")))
+    return reduce_instance(inst), lift_assignment(inst, nae_brute_force(inst))
 
 
 def with_value(f: Filling, cell: Coord, v: int) -> Filling:
@@ -19,12 +36,12 @@ def with_value(f: Filling, cell: Coord, v: int) -> Filling:
 
 @pytest.fixture(scope="session")
 def fig1_grid():
-    return parse_grid((FIXTURES / "fig1.puzzle").read_text())
+    return solved("fig1")[0]
 
 
 @pytest.fixture(scope="session")
 def fig1_solution():
-    return parse_filling((FIXTURES / "fig1.solution").read_text())
+    return solved("fig1")[1]
 
 
 @pytest.fixture(scope="session")

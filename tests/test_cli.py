@@ -7,9 +7,9 @@ import pytest
 
 from zeiger.audit import audit_zk
 from zeiger.cli import main
-from zeiger.grid import parse_filling, parse_grid
+from zeiger.grid import Coord, parse_filling, parse_grid, serialize_filling
 
-from .conftest import FIXTURES
+from .conftest import FIXTURES, solved, with_value
 
 SRC = FIXTURES.parent.parent / "src"
 
@@ -18,6 +18,13 @@ FIG1_SOL = str(FIXTURES / "fig1.solution")
 FIG2 = str(FIXTURES / "fig2.nae")
 # every cell sees the one other cell of its column: all ones solve it
 TWO_BY_TWO = "D. D.\nU. U.\n"
+
+
+def fig1_with(tmp_path, cell, v) -> str:
+    """The path of a file holding fig1's solution with ``cell`` set to ``v``."""
+    bad = tmp_path / "bad.solution"
+    bad.write_text(serialize_filling(with_value(solved("fig1")[1], cell, v)))
+    return str(bad)
 
 
 def test_solve_fig1(tmp_path, capsys):
@@ -173,20 +180,14 @@ def test_verify_ok(capsys):
 
 
 def test_verify_violations(tmp_path, capsys):
-    bad = tmp_path / "bad.solution"
-    lines = (FIXTURES / "fig1.solution").read_text().splitlines()
-    lines[0] = "2 3 2 2 3"
-    bad.write_text("\n".join(lines) + "\n")
-    assert main(["verify", FIG1, str(bad)]) == 1
+    bad = fig1_with(tmp_path, Coord(1, 1), 2)
+    assert main(["verify", FIG1, bad]) == 1
     assert "(1,1)" in capsys.readouterr().out
 
 
 def test_verify_names_a_given_mismatch(tmp_path, capsys):
-    bad = tmp_path / "bad.solution"
-    rows = [line.split() for line in (FIXTURES / "fig1.solution").read_text().splitlines()]
-    rows[2][3] = "2"  # (3,4) is given as 1
-    bad.write_text("\n".join(" ".join(r) for r in rows) + "\n")
-    assert main(["verify", FIG1, str(bad)]) == 1
+    bad = fig1_with(tmp_path, Coord(3, 4), 2)  # (3,4) is given as 1
+    assert main(["verify", FIG1, bad]) == 1
     assert capsys.readouterr().out.splitlines()[0] == "given mismatch at (3,4): expected 1, got 2"
 
 
@@ -299,11 +300,8 @@ def test_zkp_run_cheat(capsys):
 
 
 def test_zkp_run_rejects_value_above_max(tmp_path, capsys):
-    bad = tmp_path / "bad.solution"
-    rows = [line.split() for line in (FIXTURES / "fig1.solution").read_text().splitlines()]
-    rows[0][0] = "9"  # (1,1) is unnumbered; the largest value fig1 allows is 4
-    bad.write_text("\n".join(" ".join(r) for r in rows) + "\n")
-    assert main(["zkp", "run", "--grid", FIG1, "--solution", str(bad)]) == 1
+    bad = fig1_with(tmp_path, Coord(1, 1), 9)  # unnumbered; the largest value fig1 allows is 4
+    assert main(["zkp", "run", "--grid", FIG1, "--solution", bad]) == 1
     assert "reject at cell (1,1): expected exactly one 'HC' column" in capsys.readouterr().out
 
 
@@ -316,22 +314,16 @@ def test_zkp_run_refuses_cheat_at_given_cell(capsys):
 
 
 def test_zkp_solution_disagreeing_with_given(tmp_path, capsys):
-    bad = tmp_path / "bad.solution"
-    rows = [line.split() for line in (FIXTURES / "fig1.solution").read_text().splitlines()]
-    rows[2][3] = "2"  # (3,4) is given as 1
-    bad.write_text("\n".join(" ".join(r) for r in rows) + "\n")
+    bad = fig1_with(tmp_path, Coord(3, 4), 2)  # (3,4) is given as 1
     for command in ("run", "audit"):
-        rc = main(["zkp", command, "--grid", FIG1, "--solution", str(bad)])
+        rc = main(["zkp", command, "--grid", FIG1, "--solution", bad])
         assert rc == 2
         assert "(3,4)" in capsys.readouterr().err
 
 
 def test_zkp_audit_names_the_cell_a_non_solution_fails(tmp_path, capsys):
-    bad = tmp_path / "bad.solution"
-    rows = [line.split() for line in (FIXTURES / "fig1.solution").read_text().splitlines()]
-    rows[0][0] = "2"  # (1,1) is unnumbered and holds 3
-    bad.write_text("\n".join(" ".join(r) for r in rows) + "\n")
-    assert main(["zkp", "audit", "--grid", FIG1, "--solution", str(bad)]) == 2
+    bad = fig1_with(tmp_path, Coord(1, 1), 2)  # (1,1) is unnumbered and holds 3
+    assert main(["zkp", "audit", "--grid", FIG1, "--solution", bad]) == 2
     assert ("honest run rejected at cell (1,1): cell value differs from its sightline's "
             "distinct count") in capsys.readouterr().err
 

@@ -17,23 +17,19 @@ import json
 import pytest
 
 from zeiger.grid import Coord
-from zeiger.nae import gen_nae, nae_brute_force
 from zeiger.protocol import ProverBehavior, run_protocol
-from zeiger.reduction import lift_assignment, reduce_instance
 from zeiger.simulator import simulate_transcript
 
-from .conftest import with_value
+from .conftest import solved, with_value
 
 
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-@pytest.fixture(scope="module")
-def reduced():
-    """The 9x9 grid of gen_nae(4, 6, 0) and its lifted solution."""
-    inst = gen_nae(4, 6, 0)
-    return reduce_instance(inst), lift_assignment(inst, nae_brute_force(inst))
+def _solved(case: str):
+    """The 9x9 grid of gen_nae(4, 6, 0) for a "reduced" case, else fig1; with a solution."""
+    return solved("gen_nae(4, 6, 0)" if case.startswith("reduced") else "fig1")
 
 
 def _behavior(case: str, f):
@@ -83,8 +79,8 @@ GOLDEN = {
 
 
 @pytest.mark.parametrize("case,seed", list(GOLDEN), ids=[f"{c}-{s}" for c, s in GOLDEN])
-def test_transcript_and_stats_are_byte_identical(case, seed, fig1_grid, fig1_solution, reduced):
-    g, f = reduced if case.startswith("reduced") else (fig1_grid, fig1_solution)
+def test_transcript_and_stats_are_byte_identical(case, seed):
+    g, f = _solved(case)
     accept, transcript, stats = run_protocol(g, _behavior(case, f), seed)
     want_accept, want_events, want_transcript, want_stats = GOLDEN[case, seed]
     assert (accept, len(transcript.events)) == (want_accept, want_events)
@@ -102,8 +98,8 @@ SIM_GOLDEN = {
 
 
 @pytest.mark.parametrize("name,seed", list(SIM_GOLDEN), ids=[f"sim-{n}-{s}" for n, s in SIM_GOLDEN])
-def test_simulated_transcript_is_byte_identical(name, seed, fig1_grid, reduced):
-    g = reduced[0] if name == "reduced" else fig1_grid
+def test_simulated_transcript_is_byte_identical(name, seed):
+    g = _solved(name)[0]
     assert _sha(simulate_transcript(g, seed).to_json_lines()) == SIM_GOLDEN[name, seed]
 
 

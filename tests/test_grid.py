@@ -18,7 +18,7 @@ from zeiger.grid import (
     verify,
 )
 
-from .conftest import FIXTURES
+from .conftest import FIXTURES, with_value
 
 
 def test_parse_basic_tokens():
@@ -157,20 +157,14 @@ def test_verify_fig1_ok(fig1_grid, fig1_solution):
 
 
 def test_verify_reports_recomputed_expectation(fig1_grid, fig1_solution):
-    values = [list(row) for row in fig1_solution.values]
-    values[0][0] = 2
-    bad = parse_filling("\n".join(" ".join(map(str, r)) for r in values))
-    violations = verify(fig1_grid, bad)
+    violations = verify(fig1_grid, with_value(fig1_solution, Coord(1, 1), 2))
     assert any(
         v.coord == Coord(1, 1) and v.expected == 3 and v.actual == 2 for v in violations
     )
 
 
 def test_verify_given_mismatch(fig1_grid, fig1_solution):
-    values = [list(row) for row in fig1_solution.values]
-    values[2][3] = 2  # (3,4) has given 1
-    bad = parse_filling("\n".join(" ".join(map(str, r)) for r in values))
-    violations = verify(fig1_grid, bad)
+    violations = verify(fig1_grid, with_value(fig1_solution, Coord(3, 4), 2))  # given 1
     assert any(v.kind == "given" and v.coord == Coord(3, 4) for v in violations)
 
 

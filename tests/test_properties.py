@@ -5,7 +5,6 @@ their reveals, and the solver's kept state and lossless pruning over drawn
 grids."""
 
 import random
-from functools import cache
 from itertools import product
 
 import pytest
@@ -30,18 +29,16 @@ from zeiger.grid import (
     Filling,
     Grid,
     distinct_count,
-    parse_filling,
-    parse_grid,
     sightline,
     verify,
 )
 from zeiger.nae import gen_nae, nae_brute_force
 from zeiger.protocol import ProverBehavior, ResourceStats, run_protocol, verify_cell
-from zeiger.reduction import lift_assignment, reduce_instance
+from zeiger.reduction import reduce_instance
 from zeiger.simulator import _schedule, simulate_transcript, simulate_view, structure
 from zeiger.solver import BudgetExhausted, _Search, enumerate_solutions, solve
 
-from .conftest import FIXTURES
+from .conftest import solved, with_value
 
 # the marker stacks of the club, heart and pair encodings
 MARKS = [CLUB, HEART, ODD_STACK]
@@ -115,9 +112,7 @@ def test_every_changed_value_on_unnumbered_fig1_cell_rejects(fig1_grid, fig1_sol
         for wrong in range(1, fig1_grid.max_value + 1):
             if wrong == fig1_solution.value(cell):
                 continue
-            values = [list(r) for r in fig1_solution.values]
-            values[cell.row - 1][cell.col - 1] = wrong
-            bad = Filling(values)
+            bad = with_value(fig1_solution, cell, wrong)
             assert verify(fig1_grid, bad)  # a changed cell breaks its own constraint
             accept, t, _ = run_protocol(fig1_grid, ProverBehavior.honest(bad), seed)
             assert not accept, (cell, wrong)
@@ -134,18 +129,6 @@ def first_failing_cell(g: Grid, f: Filling):
         if max(f.value(c), *seen) > g.max_value or f.value(c) != distinct_count(seen):
             return c
     return None
-
-
-@cache
-def solved_grid(name: str) -> tuple[Grid, Filling]:
-    if name == "fig1":
-        return (parse_grid((FIXTURES / "fig1.puzzle").read_text()),
-                parse_filling((FIXTURES / "fig1.solution").read_text()))
-    if name == "R. L./R. L.":
-        return parse_grid("R. L.\nR. L."), Filling([[1, 1], [1, 1]])
-    n, m = {"gen_nae(3, 4, 0)": (3, 4), "gen_nae(4, 6, 0)": (4, 6)}[name]
-    inst = gen_nae(n, m, 0)
-    return reduce_instance(inst), lift_assignment(inst, nae_brute_force(inst))
 
 
 def on_board_arrows(rows: int, cols: int, r: int, c: int) -> list[Direction]:
@@ -201,7 +184,7 @@ def assert_rejects_exactly_at_first_failing_cell(g, f, seed):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), seed=seeds)
 def test_run_rejects_exactly_at_the_first_failing_cell(name, data, seed):
-    g, solution = solved_grid(name)
+    g, solution = solved(name)
     assert_rejects_exactly_at_first_failing_cell(g, draw_filling(data, g, solution), seed)
 
 
@@ -238,7 +221,7 @@ def test_a_checks_events_do_not_depend_on_the_boards_values(g, data, seed):
 @settings(max_examples=10, deadline=None)
 @given(data=st.data(), seed=seeds)
 def test_a_checks_events_do_not_depend_on_the_boards_values_on_fixed_grids(name, data, seed):
-    assert_checks_follow_the_schedule(solved_grid(name)[0], data, seed)
+    assert_checks_follow_the_schedule(solved(name)[0], data, seed)
 
 
 def assert_blocks_follow_the_closed_form(g: Grid):
@@ -253,7 +236,7 @@ def assert_blocks_follow_the_closed_form(g: Grid):
 
 @pytest.mark.parametrize("name", ["fig1", "gen_nae(4, 6, 0)"])
 def test_each_block_follows_the_closed_form(name):
-    assert_blocks_follow_the_closed_form(solved_grid(name)[0])
+    assert_blocks_follow_the_closed_form(solved(name)[0])
 
 
 @settings(max_examples=100, deadline=None)
@@ -273,7 +256,7 @@ def first_sat_grid(n: int, m: int) -> Grid:
 @pytest.mark.parametrize("name, size, lengths", [
     ("fig1", (5, 5), 4), ("gen_nae(4, 6, 0)", (9, 9), 8), ("23x17", (23, 17), 22)])
 def test_cells_of_one_sightline_length_share_one_block(name, size, lengths):
-    g = first_sat_grid(12, 20) if name == "23x17" else solved_grid(name)[0]
+    g = first_sat_grid(12, 20) if name == "23x17" else solved(name)[0]
     blocks = _schedule(g)
     assert (g.rows, g.cols) == size
     assert len(blocks) == g.rows * g.cols
@@ -294,7 +277,7 @@ def assert_runs_have_the_schedule_and_keep_the_rules(g: Grid, solution, seed):
 @settings(max_examples=20, deadline=None)
 @given(seed=seeds)
 def test_runs_keep_the_skeleton_and_the_verifiers_rules(name, seed):
-    assert_runs_have_the_schedule_and_keep_the_rules(*solved_grid(name), seed)
+    assert_runs_have_the_schedule_and_keep_the_rules(*solved(name), seed)
 
 
 @settings(max_examples=100, deadline=None)
@@ -305,9 +288,10 @@ def test_runs_on_random_grids_keep_the_skeleton_and_the_verifiers_rules(g, seed)
 
 class CheckedSearch(_Search):
     """A search that checks, before each branch, every cell's kept state
-    against a recount over Python sets: its sightline's distinct values,
-    unset cells and seen mask, the mask its tight case leaves, its domain's
-    size, and the cell and values chosen (raises, which ``-O`` keeps)."""
+    against a recount over Python sets: its sightline's unset cells and seen
+    mask (whose popcount is the distinct count), the mask its tight case
+    leaves, its domain's size, and the cell and values chosen (raises, which
+    ``-O`` keeps)."""
 
     def _branch(self):
         values = self.values
@@ -316,9 +300,9 @@ class CheckedSearch(_Search):
         domains = []
         for i in range(self.n):
             mask = sum(1 << v for v in seen[i])
-            kept = (self.distinct[i], self.unassigned[i], self.seen[i])
-            if kept != (len(seen[i]), unset[i], mask):
-                raise AssertionError(f"cell {i}: kept {kept}, counted {(len(seen[i]), unset[i], mask)}")
+            kept = (self.unassigned[i], self.seen[i])
+            if kept != (unset[i], mask):
+                raise AssertionError(f"cell {i}: kept {kept}, counted {(unset[i], mask)}")
             cut = -1
             if values[i] and values[i] == len(seen[i]):
                 cut = mask
@@ -345,8 +329,8 @@ class CheckedSearch(_Search):
 
 
 def kept_counts(search: _Search):
-    return (search.values, search.count, search.distinct, search.unassigned,
-            search.seen, search.cut, search.size)
+    return (search.values, search.count, search.unassigned, search.seen, search.cut,
+            search.size)
 
 
 @settings(max_examples=200, deadline=None)
@@ -431,6 +415,54 @@ def test_every_small_grid_is_complete_and_sound_under_every_filling(rows, cols):
         assert set(enumerate_solutions(g, cap=100)) == brute_force_solutions(g)
         for values in fillings(g):
             assert_rejects_exactly_at_first_failing_cell(g, unflat(g, values), seed=0)
+
+
+def numbered(g: Grid, i: int, v: int) -> Grid:
+    """``g`` with flat cell ``i`` given the number ``v``."""
+    cells = [list(row) for row in g.cells]
+    r, c = divmod(i, g.cols)
+    cells[r][c] = Cell(cells[r][c].direction, v)
+    return Grid(cells)
+
+
+@pytest.mark.parametrize("rows, cols", [(2, 3), (3, 2)])
+def test_every_small_grid_with_a_given_is_complete_and_sound(rows, cols):
+    """Every grid of the sweep above with one cell numbered: the cell and its
+    given (1..max_value) go round in turn, so each of the 12 pairs meets 12
+    grids.  The solver finds exactly the brute-force solutions, and every
+    filling that keeps the given is rejected exactly at its first failing cell."""
+    for turn, g in enumerate(small_grids(rows, cols)):
+        i, v = turn % (rows * cols), turn // (rows * cols) % g.max_value + 1
+        g = numbered(g, i, v)
+        assert set(enumerate_solutions(g, cap=100)) == brute_force_solutions(g)
+        for values in fillings(g):
+            if values[i] == v:
+                assert_rejects_exactly_at_first_failing_cell(g, unflat(g, values), seed=0)
+
+
+def test_sampled_2x4_grids_are_complete_and_sound():
+    """2,000 (grid, filling) pairs of 2x4 grids (values 1-3: 3^8 fillings per
+    grid, too many to sweep), 20 fillings on each of 100 grids drawn from a
+    fixed seed.  A filling is a solution with up to two cells redrawn when
+    the grid has one, half the time, else drawn afresh, so that runs reject
+    late as well as early.  On the first few grids the solver finds exactly
+    the brute-force solutions."""
+    rng = random.Random(2808)
+    choices = [on_board_arrows(2, 4, r, c) for r in range(2) for c in range(4)]
+    for k in range(100):
+        g = Grid([[Cell(rng.choice(choices[r * 4 + c])) for c in range(4)] for r in range(2)])
+        solutions = enumerate_solutions(g, cap=10_000)
+        if k < 5:
+            assert set(solutions) == brute_force_solutions(g)
+        for _ in range(20):
+            if solutions and rng.random() < 0.5:
+                values = [v for row in rng.choice(solutions).values for v in row]
+                redrawn = rng.sample(range(8), rng.randint(0, 2))
+            else:
+                values, redrawn = [0] * 8, range(8)
+            for i in redrawn:
+                values[i] = rng.randint(1, g.max_value)
+            assert_rejects_exactly_at_first_failing_cell(g, unflat(g, values), rng.getrandbits(32))
 
 
 # a broken cell holds b (no odd stack), or is malformed at its own value or at b

@@ -18,11 +18,9 @@ from zeiger.grid import (
     Filling,
     GridError,
     distinct_count,
-    parse_filling,
     parse_grid,
     sightline,
 )
-from zeiger.nae import gen_nae, nae_brute_force
 from zeiger.protocol import (
     ProverBehavior,
     ResourceStats,
@@ -35,9 +33,8 @@ from zeiger.protocol import (
     summation_protocol,
     verify_cell,
 )
-from zeiger.reduction import lift_assignment, reduce_instance
 
-from .conftest import with_value
+from .conftest import solved, with_value
 
 
 @pytest.fixture
@@ -184,9 +181,7 @@ class TestBoard:
         assert pool.in_play == 2 * 5 * 25
 
     def test_honest_filling_must_match_givens(self, fig1_grid, fig1_solution):
-        values = [list(r) for r in fig1_solution.values]
-        values[2][3] = 2  # given is 1
-        bad = parse_filling("\n".join(" ".join(map(str, r)) for r in values))
+        bad = with_value(fig1_solution, Coord(3, 4), 2)  # given is 1
         for behavior in (ProverBehavior.honest(bad), ProverBehavior.malformed(bad, Coord(1, 1))):
             with pytest.raises(ValueError, match=r"^filling disagrees with given at \(3,4\)$"):
                 setup_board(fig1_grid, behavior, ResourceStats())
@@ -263,9 +258,7 @@ class TestVerifyCell:
         assert verify_cell(board, fig1_grid, Coord(2, 3), pool, rng, t)
 
     def test_corrupted_sightline_detected_somewhere(self, fig1_grid, fig1_solution):
-        values = [list(r) for r in fig1_solution.values]
-        values[1][2] = 2  # (2,3): 1 -> 2, unnumbered
-        bad = parse_filling("\n".join(" ".join(map(str, r)) for r in values))
+        bad = with_value(fig1_solution, Coord(2, 3), 2)  # 1 -> 2, unnumbered
         pool, rng, t = ResourceStats(), random.Random(4), Transcript()
         board = setup_board(fig1_grid, ProverBehavior.honest(bad), pool)
         # (3,4)'s sightline is row 3 to the left; unaffected by the corruption
@@ -342,9 +335,7 @@ class TestRunProtocol:
     def test_value_above_max_value_rejected(self, fig1_grid, fig1_solution):
         # setup_board lays the value out itself: encode would raise
         # CardError here, while the verifier must see a reject
-        values = [list(r) for r in fig1_solution.values]
-        values[0][0] = 9  # (1,1) is unnumbered; max_value is 4
-        bad = parse_filling("\n".join(" ".join(map(str, r)) for r in values))
+        bad = with_value(fig1_solution, Coord(1, 1), 9)  # unnumbered; max_value is 4
         accept, transcript, _ = run_protocol(fig1_grid, ProverBehavior.honest(bad), seed=9)
         assert not accept
         assert transcript.events[-1] == {
@@ -384,11 +375,10 @@ class TestRunProtocol:
         for ev in transcript.events:
             assert set(ev) <= allowed[ev["ev"]]
 
-    def test_cards_balance_after_run(self, fig1_grid, fig1_solution):
+    def test_cards_balance_after_run(self):
         # every card taken is returned, except the 2b*k*l cards of the board
-        inst = gen_nae(4, 6, 0)
-        reduced = reduce_instance(inst), lift_assignment(inst, nae_brute_force(inst))
-        for (g, f), board_cards in (((fig1_grid, fig1_solution), 250), (reduced, 1458)):
+        for name, board_cards in (("fig1", 250), ("gen_nae(4, 6, 0)", 1458)):
+            g, f = solved(name)
             accept, _, stats = run_protocol(g, ProverBehavior.honest(f), seed=5)
             assert accept
             assert stats.clubs_drawn > 0 and stats.hearts_drawn > 0
@@ -396,14 +386,10 @@ class TestRunProtocol:
 
 
 class TestResources:
-    def test_measured_equals_closed_form(self, fig1_grid, fig1_solution):
+    def test_measured_equals_closed_form(self):
         # the closed form is the whole ledger: every shuffle, card and cell
-        cases = [(fig1_grid, fig1_solution),
-                 (parse_grid("R. L.\nR. L."), Filling([[1, 1], [1, 1]]))]
-        for n, m in ((3, 4), (4, 6)):
-            inst = gen_nae(n, m, 0)
-            cases.append((reduce_instance(inst), lift_assignment(inst, nae_brute_force(inst))))
-        for g, f in cases:
+        for name in ("fig1", "R. L./R. L.", "gen_nae(3, 4, 0)", "gen_nae(4, 6, 0)"):
+            g, f = solved(name)
             _, _, measured = run_protocol(g, ProverBehavior.honest(f), seed=1)
             closed = count_resources(g)
             assert measured.total_shuffles == closed.total_shuffles

@@ -15,6 +15,8 @@ from zeiger.reduction import (
 )
 from zeiger.solver import solve
 
+from .conftest import with_value
+
 
 def check_placement_rules(inst, g):
     """Cell-by-cell check of all nine transformation rules."""
@@ -137,12 +139,10 @@ def test_extract_from_solver_filling(fig2_instance):
 def test_extract_requires_valid_filling(fig2_instance):
     a = (True, False, True, True, False)
     f = lift_assignment(fig2_instance, a)
-    values = [list(row) for row in f.values]
-    values[-1][0] = 3 if values[-1][0] == 2 else 2
-    from zeiger.grid import Filling
-
+    bottom_left = Coord(f.rows, 1)
+    bad = with_value(f, bottom_left, 3 if f.value(bottom_left) == 2 else 2)
     with pytest.raises(ReductionError):
-        extract_assignment(fig2_instance, Filling(values))
+        extract_assignment(fig2_instance, bad)
 
 
 def test_column_fillings_fig2_all_columns(fig2_instance):

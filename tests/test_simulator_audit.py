@@ -1,7 +1,6 @@
 import os
 import random
 
-import numpy as np
 import pytest
 from scipy import stats as sps
 
@@ -13,6 +12,8 @@ from zeiger.cards import Transcript
 from zeiger.protocol import ProverBehavior, run_protocol
 from zeiger.simulator import simulate_transcript, structure
 
+from .conftest import solved
+
 
 def test_simulator_structure_matches_real_run(fig1_grid, fig1_solution):
     _, real, _ = run_protocol(fig1_grid, ProverBehavior.honest(fig1_solution), seed=11)
@@ -21,8 +22,7 @@ def test_simulator_structure_matches_real_run(fig1_grid, fig1_solution):
 
 
 def test_simulator_structure_for_degenerate_sightlines():
-    g = parse_grid("R. L.\nR. L.")
-    f = Filling([[1, 1], [1, 1]])
+    g, f = solved("R. L./R. L.")
     _, real, _ = run_protocol(g, ProverBehavior.honest(f), seed=0)
     sim = simulate_transcript(g, seed=0)
     assert structure(real) == structure(sim)
@@ -198,6 +198,30 @@ def test_real_reveal_positions_uniform_many_runs(fig1_grid, fig1_solution):
 def test_audit_requires_enough_trials(fig1_grid, fig1_solution):
     with pytest.raises(AuditError, match="at least"):
         audit_zk(fig1_grid, fig1_solution, trials=10, alpha=0.001)
+
+
+@pytest.mark.parametrize("trials, alpha, seed, message", [
+    (1000.0, 0.001, 0, "trials must be an int, got 1000.0"),
+    (True, 0.001, 0, "trials must be an int, got True"),
+    (1000, "0.1", 0, r"alpha must lie in \(0, 1\), got '0.1'"),
+    (1000, 0.001, "x", "seed must be an int, got 'x'"),
+    (1000, 0.001, 1.5, "seed must be an int, got 1.5"),
+    (1000, 0.001, False, "seed must be an int, got False"),
+], ids=["trials-float", "trials-bool", "alpha-str", "seed-str", "seed-float", "seed-bool"])
+def test_audit_checks_argument_types_before_any_trial(trials, alpha, seed, message, fig1_grid,
+                                                      fig1_solution, monkeypatch):
+    calls = []
+
+    def run_protocol(*args, **kwargs):
+        calls.append(args)
+        raise RuntimeError("a trial ran")
+
+    # serial, so every trial that runs is counted here
+    monkeypatch.setattr(audit, "_cpus", lambda: 1)
+    monkeypatch.setattr(audit, "run_protocol", run_protocol)
+    with pytest.raises(AuditError, match=f"^{message}$"):
+        audit_zk(fig1_grid, fig1_solution, trials, alpha, seed)
+    assert calls == []
 
 
 def extra_event(t):
@@ -428,7 +452,7 @@ def test_two_sample_p_matches_scipy_chi2_contingency():
     for _ in range(500):
         q = rng.choice([2, 2, 3, 5, 8, 12])
         table = [[rng.randint(1, 3000) for _ in range(q)] for _ in range(2)]
-        ref = sps.chi2_contingency(np.array(table)).pvalue
+        ref = sps.chi2_contingency(table).pvalue
         assert_close(two_sample_p(*table), ref, table)
     table = [[50, 51], [51, 50]]  # Yates' correction takes the statistic to 0
     assert two_sample_p(*table) == sps.chi2_contingency(table).pvalue == 1.0

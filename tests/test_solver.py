@@ -9,7 +9,7 @@ from zeiger.nae import gen_nae, nae_brute_force
 from zeiger.reduction import reduce_instance
 from zeiger.solver import BudgetExhausted, SolverError, enumerate_solutions, solve
 
-from .conftest import FIXTURES
+from .conftest import solved
 
 
 def test_fig1_solution_found_and_valid(fig1_grid, fig1_solution):
@@ -106,10 +106,8 @@ def _searched(monkeypatch, g, cap):
 
 
 def _golden_grid(name):
-    if name == "fig1":
-        return parse_grid((FIXTURES / "fig1.puzzle").read_text())
-    if name == "R. L./R. L.":
-        return parse_grid("R. L.\nR. L.")
+    if name in ("fig1", "R. L./R. L."):
+        return solved(name)[0]
     if name == "32x32":  # 1024 unnumbered cells, deeper than the recursion limit
         return parse_grid(("R. " * 31 + "L.\n") * 32)
     n, m, seed = (int(x) for x in name[len("gen_nae("):-1].split(","))

@@ -22,8 +22,6 @@ from zeiger import protocol
 from zeiger.audit import AuditError, audit_zk
 from zeiger.cards import (MARKER, ODD_STACK, Pile, Transcript, encode, reveal_row,
                           rotate_to_normalize)
-from zeiger.grid import Filling, parse_filling, parse_grid
-from zeiger.nae import gen_nae, nae_brute_force
 from zeiger.protocol import (
     ProverBehavior,
     ResourceStats,
@@ -31,10 +29,9 @@ from zeiger.protocol import (
     setup_board,
     verify_cell,
 )
-from zeiger.reduction import lift_assignment, reduce_instance
 from zeiger.simulator import _schedule
 
-from .conftest import FIXTURES
+from .conftest import solved
 
 
 class _Stop(Exception):
@@ -122,17 +119,6 @@ def exact_check(g, f, seed):
     return good, bad, unrevealed
 
 
-def _reduced(n, m):
-    inst = gen_nae(n, m, 0)
-    return reduce_instance(inst), lift_assignment(inst, nae_brute_force(inst))
-
-
-GRIDS = {
-    "fig1": lambda: (parse_grid((FIXTURES / "fig1.puzzle").read_text()),
-                     parse_filling((FIXTURES / "fig1.solution").read_text())),
-    "R. L./R. L.": lambda: (parse_grid("R. L.\nR. L."), Filling([[1, 1], [1, 1]])),
-    "gen_nae(4, 6, 0)": lambda: _reduced(4, 6),
-}
 # (grid, seed): the 9x9 reduced grid takes ~2.6 s per seed, so it runs one
 CASES = [(name, seed) for name in ("fig1", "R. L./R. L.") for seed in (0, 1, 2)]
 CASES.append(("gen_nae(4, 6, 0)", 0))
@@ -150,7 +136,7 @@ def assert_exact(g, f, seed, good_expected=None):
 
 @pytest.mark.parametrize("name,seed", CASES)
 def test_every_revealed_position_is_a_bijection_of_its_secret(name, seed):
-    assert_exact(*GRIDS[name](), seed, GOOD.get(name))
+    assert_exact(*solved(name), seed, GOOD.get(name))
 
 
 @settings(max_examples=5, deadline=None)
