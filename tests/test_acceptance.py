@@ -6,6 +6,7 @@ Run with ``pytest tests/test_acceptance.py -v -s``.
 import itertools
 import random
 import time
+from functools import cache
 from statistics import correlation
 
 from zeiger.cards import (
@@ -38,6 +39,11 @@ from .test_reduction import check_placement_rules
 def report(n, ok, msg):
     print(f"criterion {n:2d}: {'PASS' if ok else 'FAIL'} - {msg}")
     assert ok, f"criterion {n} failed: {msg}"
+
+
+def first(failures):
+    """The suffix of a criterion's line naming its first failing case, if any."""
+    return f"; first failure: {failures[0]}" if failures else ""
 
 
 def test_criterion_01_golden_fixture(fig1_grid, fig1_solution):
@@ -74,77 +80,84 @@ def test_criterion_03_reduction_structure(fig2_instance):
 
 def test_criterion_04_column_rigidity():
     rng = random.Random(404)
-    checked = 0
-    ok = True
+    checked, failures = 0, []
     for _ in range(50):
-        inst = gen_nae(rng.randint(3, 5), rng.randint(1, 5), rng.getrandbits(32))
+        spec = (rng.randint(3, 5), rng.randint(1, 5), rng.getrandbits(32))
+        inst = gen_nae(*spec)
         g = reduce_instance(inst)
         for q in range(1, inst.n + 1):
             u = sum(1 for p in range(1, g.rows + 1) if g.cell(Coord(p, q)).given is None)
-            got = sorted(column_fillings(inst, q))
-            ok &= got == sorted([(2,) * u, (3,) * u])
+            if sorted(column_fillings(inst, q)) != sorted([(2,) * u, (3,) * u]):
+                failures.append(f"gen_nae{spec} column {q}")
             checked += 1
-    report(4, ok, f"{checked} columns over 50 fuzzed instances: exactly {{all-2s, all-3s}}")
+    report(4, not failures,
+           f"{checked} columns over 50 fuzzed instances: exactly {{all-2s, all-3s}}{first(failures)}")
+
+
+@cache
+def sat_equivalence_runs():
+    """200 drawn instances on five variables, so that some are unsatisfiable
+    (on four or fewer, a 2/2 or 2/1 split gives every clause both values):
+    each one's ``gen_nae`` arguments, the instance, its reduced grid, its
+    brute-force assignment (None if unsatisfiable) and whether the grid has
+    a solution; and the seconds they took."""
+    t0 = time.perf_counter()
+    rng = random.Random(505)
+    runs = []
+    for i in range(200):
+        spec = (5, rng.randint(1, 25), 50_000 + i)
+        inst = gen_nae(*spec)
+        g = reduce_instance(inst)
+        runs.append((spec, inst, g, nae_brute_force(inst), solve(g) is not None))
+    return runs, time.perf_counter() - t0
 
 
 def test_criterion_05_sat_equivalence():
-    t0 = time.perf_counter()
-    agree = 0
-    sat_instances = []
-    rng = random.Random(505)
-    for i in range(200):
-        inst = gen_nae(rng.choice([3, 4]), rng.randint(1, 4), seed=50_000 + i)
-        a = nae_brute_force(inst)
-        grid_sat = solve(reduce_instance(inst)) is not None
-        agree += (a is not None) == grid_sat
-        if a is not None:
-            sat_instances.append((inst, a))
-    elapsed = time.perf_counter() - t0
-    test_criterion_05_sat_equivalence.sat_instances = sat_instances
-    ok = agree == 200 and elapsed < 600
-    report(5, ok, f"{agree}/200 solvability agreements in {elapsed:.1f} s (< 600 s)")
+    runs, elapsed = sat_equivalence_runs()
+    failures = [f"gen_nae{spec}" for spec, _, _, a, solvable in runs if (a is not None) != solvable]
+    sat = sum(a is not None for *_, a, _ in runs)
+    ok = not failures and 0 < sat < 200 and elapsed < 600
+    report(5, ok, f"{200 - len(failures)}/200 solvability agreements ({sat} sat, {200 - sat} "
+                  f"unsat) in {elapsed:.1f} s (< 600 s){first(failures)}")
 
 
 def test_criterion_06_lifting():
-    sat = getattr(test_criterion_05_sat_equivalence, "sat_instances", None)
-    if sat is None:
-        test_criterion_05_sat_equivalence()
-        sat = test_criterion_05_sat_equivalence.sat_instances
-    ok = True
-    for inst, a in sat:
+    sat = [run[:4] for run in sat_equivalence_runs()[0] if run[3] is not None]
+    failures = []
+    for spec, inst, g, a in sat:
         f = lift_assignment(inst, a)
-        ok &= verify(reduce_instance(inst), f) == []
-        ok &= extract_assignment(inst, f) == a
-    report(6, ok, f"lift/verify/extract round trip on all {len(sat)} satisfiable instances")
+        if verify(g, f) or extract_assignment(inst, f) != a:
+            failures.append(f"gen_nae{spec}")
+    report(6, not failures,
+           f"lift/verify/extract round trip on all {len(sat)} satisfiable instances{first(failures)}")
 
 
 def test_criterion_07_subprotocol_oracles():
     pool, rng, t = ResourceStats(), random.Random(7), Transcript()
-    mismatches = 0
-    for q in range(2, 7):
+    failures = []
+    for q in range(1, 7):
         for x in range(q):
             o1, o2 = copy_protocol(encode(q, x, ODD_STACK), pool, rng, t)
-            mismatches += not locate(o1, ODD_STACK) == locate(o2, ODD_STACK) == x
+            if not locate(o1, ODD_STACK) == locate(o2, ODD_STACK) == x:
+                failures.append(f"copy q={q} x={x}")
         for p in (1, 2, 3):
             for xs in itertools.product(range(q), repeat=p):
-                out = set_size_protocol(
-                    [encode(q, x, ODD_STACK) for x in xs], pool, rng, t
-                )
-                got = sum(
-                    1 for st in out if (st[0], st[1]) == ("H", "C")
-                )
-                mismatches += got != len(set(xs))
+                out = set_size_protocol([encode(q, x, ODD_STACK) for x in xs], pool, rng, t)
+                got = sum(1 for st in out if (st[0], st[1]) == ("H", "C"))
+                if len(out) != q or got != len(set(xs)):
+                    failures.append(f"set-size q={q} xs={xs}")
         for bits in itertools.product((0, 1), repeat=q):
             stacks = [ODD_STACK if b else EVEN_STACK for b in bits]
             out = summation_protocol(stacks, pool, rng, t)
-            mismatches += locate(out, CLUB) != sum(bits)
+            if len(out) != q + 1 or locate(out, CLUB) != sum(bits):
+                failures.append(f"summation q={q} bits={bits}")
         for x1 in range(q):
             for x2 in range(q):
-                got = comparing_protocol(
-                    encode(q, x1, CLUB), encode(q, x2, CLUB), pool, rng, t
-                )
-                mismatches += got != (x1 == x2)
-    report(7, mismatches == 0, f"exhaustive decode-equivalence q <= 6: {mismatches} mismatches")
+                got = comparing_protocol(encode(q, x1, CLUB), encode(q, x2, CLUB), pool, rng, t)
+                if got != (x1 == x2):
+                    failures.append(f"comparing q={q} x1={x1} x2={x2}")
+    report(7, not failures,
+           f"exhaustive decode-equivalence q <= 6: {len(failures)} mismatches{first(failures)}")
 
 
 def test_criterion_08_completeness(fig1_grid, fig1_solution):
@@ -158,23 +171,22 @@ def test_criterion_08_completeness(fig1_grid, fig1_solution):
 def test_criterion_09_soundness(fig1_grid, fig1_solution):
     b = fig1_grid.max_value
     unnumbered = [c for c in fig1_grid.coords() if fig1_grid.cell(c).given is None]
-    corruptions = [
-        (c, v)
-        for c in unnumbered
-        for v in range(1, b + 1)
-        if v != fig1_solution.value(c)
-    ]
+    corruptions = [(c, v) for c in unnumbered for v in range(1, b + 1)
+                   if v != fig1_solution.value(c)]
     rng = random.Random(909)
     picks = corruptions + [rng.choice(corruptions) for _ in range(100 - len(corruptions))]
-    rejects = 0
+    failures = []
     for i, (cell, v) in enumerate(picks):
         behavior = ProverBehavior.honest(with_value(fig1_solution, cell, v))
-        rejects += not run_protocol(fig1_grid, behavior, seed=900 + i)[0]
+        if run_protocol(fig1_grid, behavior, seed=900 + i)[0]:
+            failures.append(f"value {v} at {cell}, seed {900 + i}")
     cells = list(fig1_grid.coords())
     for i in range(10):
         behavior = ProverBehavior.malformed(fig1_solution, cells[i * 2])
-        rejects += not run_protocol(fig1_grid, behavior, seed=1900 + i)[0]
-    report(9, rejects == 110, f"{rejects}/110 cheating runs rejected")
+        if run_protocol(fig1_grid, behavior, seed=1900 + i)[0]:
+            failures.append(f"malformed {cells[i * 2]}, seed {1900 + i}")
+    report(9, not failures,
+           f"{110 - len(failures)}/110 cheating runs rejected{first(failures)}")
 
 
 def test_criterion_10_zero_knowledge_audit(fig1_audit_report):

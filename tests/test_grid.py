@@ -152,10 +152,6 @@ def test_distinct_count():
     assert distinct_count([1, 1, 1]) == 1
 
 
-def test_verify_fig1_ok(fig1_grid, fig1_solution):
-    assert verify(fig1_grid, fig1_solution) == []
-
-
 def test_verify_reports_recomputed_expectation(fig1_grid, fig1_solution):
     violations = verify(fig1_grid, with_value(fig1_solution, Coord(1, 1), 2))
     assert any(

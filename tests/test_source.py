@@ -1,5 +1,6 @@
 import ast
 import pathlib
+import sys
 
 import pytest
 
@@ -8,6 +9,8 @@ from zeiger.cards import MARKER
 
 MODULES = sorted(pathlib.Path(zeiger.__file__).parent.glob("*.py"))
 AUDIT = pathlib.Path(zeiger.__file__).parent / "audit.py"
+# the standard library, the toolkit and pyproject.toml's ``test`` extra
+IMPORTABLE = {*sys.stdlib_module_names, "zeiger", "pytest", "hypothesis", "scipy"}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
@@ -36,3 +39,17 @@ def test_the_audit_never_uses_simulate_transcript():
             if isinstance(node, ast.Name) and node.id == "simulate_transcript"
             or isinstance(node, ast.Attribute) and node.attr == "simulate_transcript"]
     assert not uses, f"audit.py uses simulate_transcript at lines {uses}"
+
+
+def test_the_tests_import_only_what_the_test_extra_declares():
+    # scipy pulls numpy in, so a stray numpy import would pass where the
+    # extra no longer names it
+    stray = []
+    for path in sorted(pathlib.Path(__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                names = [node.module] if isinstance(node, ast.ImportFrom) and not node.level else []
+            stray += [(path.name, node.lineno, n) for n in names if n.split(".")[0] not in IMPORTABLE]
+    assert not stray, f"imports outside the test extra: {stray}"
