@@ -108,6 +108,10 @@ class Grid:
         self.cell(c)
         return (c.row - 1) * self.cols + c.col - 1
 
+    def coord(self, i: int) -> Coord:
+        """Flat index ``i``'s coordinate, the inverse of ``index``."""
+        return Coord(i // self.cols + 1, i % self.cols + 1)
+
     def check_size(self, f: Filling):
         """Raise GridError unless ``f`` has this grid's size."""
         if (f.rows, f.cols) != (self.rows, self.cols):
@@ -121,15 +125,16 @@ class Grid:
                 yield Coord(r, c)
 
     def _validate(self):
-        for c, line in zip(self.coords(), self.sightlines):
-            cell = self.cell(c)
-            if cell.given is not None and cell.given > self.max_value:
+        top = self.max_value
+        cells = (cell for row in self.cells for cell in row)
+        for i, (cell, line) in enumerate(zip(cells, self.sightlines)):
+            if cell.given is not None and cell.given > top:
                 raise GridError(
-                    f"given out of range at {c}: {cell.given} > {self.max_value}"
+                    f"given out of range at {self.coord(i)}: {cell.given} > {top}"
                 )
             if not line:
                 raise GridError(
-                    f"empty sightline at {c}: {cell.direction.letter} arrow "
+                    f"empty sightline at {self.coord(i)}: {cell.direction.letter} arrow "
                     "points off the board"
                 )
 
@@ -224,8 +229,7 @@ def serialize_filling(f: Filling) -> str:
 
 def sightline(g: Grid, c: Coord) -> list[Coord]:
     """Cells strictly beyond ``c`` in its arrow's direction, nearest first."""
-    l = g.cols
-    return [Coord(j // l + 1, j % l + 1) for j in g.sightlines[g.index(c)]]
+    return [g.coord(j) for j in g.sightlines[g.index(c)]]
 
 
 def distinct_count(vs) -> int:
@@ -247,17 +251,19 @@ class Violation:
 
 
 def verify(g: Grid, f: Filling) -> list[Violation]:
-    """Check a filling against the grid; empty list means it is a solution."""
+    """Check a filling against the grid; empty list means it is a solution.
+    Given mismatches come first, then arrow violations, each row-major."""
     g.check_size(f)
     values = [v for row in f.values for v in row]
-    cells = [cell for row in g.cells for cell in row]
+    cells = (cell for row in g.cells for cell in row)
     violations = [
-        Violation(c, cell.given, v, kind="given")
-        for c, cell, v in zip(g.coords(), cells, values)
+        Violation(g.coord(i), cell.given, v, kind="given")
+        for i, (cell, v) in enumerate(zip(cells, values))
         if cell.given is not None and v != cell.given
     ]
-    for c, v, line in zip(g.coords(), values, g.sightlines):
-        expected = distinct_count(values[j] for j in line)
+    at = values.__getitem__
+    for i, (v, line) in enumerate(zip(values, g.sightlines)):
+        expected = len(set(map(at, line)))
         if v != expected:
-            violations.append(Violation(c, expected, v))
+            violations.append(Violation(g.coord(i), expected, v))
     return violations

@@ -28,6 +28,7 @@ from zeiger.grid import (
     Direction,
     Filling,
     Grid,
+    Violation,
     distinct_count,
     sightline,
     verify,
@@ -156,6 +157,29 @@ def draw_filling(data, g: Grid, base) -> Filling:
     return Filling(values)
 
 
+def verify_spec(g: Grid, f: Filling) -> list[Violation]:
+    """``verify``'s report, walking coordinates: every given mismatch, then
+    every arrow violation, each in row-major order."""
+    return [Violation(c, g.cell(c).given, f.value(c), "given") for c in g.coords()
+            if g.cell(c).given not in (None, f.value(c))] + [
+        Violation(c, n, f.value(c)) for c in g.coords()
+        if (n := distinct_count(f.value(s) for s in sightline(g, c))) != f.value(c)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=random_grids(), data=st.data())
+def test_verify_reports_every_violation_in_order(g, data):
+    # a filling that keeps the givens (from a solution, if one is found),
+    # then some given cells redrawn, which may break them
+    f = draw_filling(data, g, solve_or_none(g))
+    givens = [c for c in g.coords() if g.cell(c).given is not None]
+    values = [list(row) for row in f.values]
+    for c in data.draw(st.lists(st.sampled_from(givens), unique=True)) if givens else []:
+        values[c.row - 1][c.col - 1] = data.draw(st.integers(1, g.max_value + 1))
+    f = Filling(values)
+    assert verify(g, f) == verify_spec(g, f)
+
+
 def assert_rejects_exactly_at_first_failing_cell(g, f, seed):
     accept, t, _ = run_protocol(g, ProverBehavior.honest(f), seed)
     bad = first_failing_cell(g, f)
@@ -271,18 +295,28 @@ def test_runs_on_random_grids_keep_the_skeleton_and_the_verifiers_rules(g, seed)
 
 
 class CheckedSearch(_Search):
-    """A search that checks, before each branch, every cell's kept state
-    against a recount over Python sets: its sightline's unset cells and seen
-    mask (whose popcount is the distinct count), the mask its tight case
-    leaves, its domain's size, and the cell and values chosen (raises, which
+    """A search that checks its cell tables against a recount from the grid
+    once, and before each branch every cell's kept state against a recount
+    over Python sets: its sightline's unset cells and seen mask (whose
+    popcount is the distinct count), the mask its tight case leaves, each
+    free cell's domain size, and the cell and values chosen (raises, which
     ``-O`` keeps)."""
 
+    def __init__(self, g, budget):
+        super().__init__(g, budget)
+        lines = g.sightlines
+        free = [i for i, cell in enumerate(cell for row in g.cells for cell in row) if cell.given is None]
+        watchers = [[w for w, line in enumerate(lines) if i in line] for i in free]
+        free_watchers = [[free.index(w) for w in ws if w in free] for ws in watchers]
+        sees = [[free.index(j) for j in line if j in free] for line in lines]
+        if (self.free, self.watchers, self.free_watchers, self.sees) != (free, watchers, free_watchers, sees):
+            raise AssertionError("kept free cells, watchers or sightlines differ from the grid's")
+
     def _branch(self):
-        values = self.values
-        seen = [{values[j] for j in line} - {0} for line in self.sight]
-        unset = [sum(not values[j] for j in line) for line in self.sight]
-        domains = []
-        for i in range(self.n):
+        values, lines = self.values, self.g.sightlines
+        seen = [{values[j] for j in line} - {0} for line in lines]
+        unset = [sum(not values[j] for j in line) for line in lines]
+        for i in range(len(lines)):
             mask = sum(1 << v for v in seen[i])
             kept = (self.unassigned[i], self.seen[i])
             if kept != (unset[i], mask):
@@ -294,22 +328,24 @@ class CheckedSearch(_Search):
                 cut = ~mask
             if self.cut[i] != cut:
                 raise AssertionError(f"cell {i}: kept cut {self.cut[i]}, counted {cut}")
-            dom = set(range(max(len(seen[i]), 1), min(len(seen[i]) + unset[i], len(self.sight[i])) + 1))
-            for w in self.watchers[i]:
+        domains = {}  # unset cell -> its feasible values
+        for k, i in enumerate(self.free):
+            dom = set(range(max(len(seen[i]), 1), min(len(seen[i]) + unset[i], len(lines[i])) + 1))
+            for w in self.watchers[k]:  # checked against the grid on construction
                 if values[w] and values[w] == len(seen[w]):
                     dom &= seen[w]
                 elif values[w] and values[w] == len(seen[w]) + unset[w]:
                     dom -= seen[w]
-            domains.append(None if values[i] else dom)
-        for i, dom in enumerate(domains):
-            if self.size[i] != (self.full if dom is None else len(dom)):
-                raise AssertionError(f"cell {i}: kept size {self.size[i]}, counted {dom}")
-        open_cells = [i for i, dom in enumerate(domains) if dom is not None]
-        want = min(open_cells, key=lambda i: len(domains[i]), default=-1)
-        i, mask = super()._branch()
+            if not values[i]:
+                domains[i] = dom
+            if self.size[k] != (len(dom) if i in domains else self.full):
+                raise AssertionError(f"cell {i}: kept size {self.size[k]}, counted {dom}")
+        want = min(domains, key=lambda i: (len(domains[i]), i), default=-1)
+        k, mask = super()._branch()
+        i = self.free[k] if k >= 0 else -1
         if i != want or (i >= 0 and mask != sum(1 << v for v in domains[i])):
             raise AssertionError(f"branched on cell {i} ({mask:b}), expected {want}")
-        return i, mask
+        return k, mask
 
 
 def kept_counts(search: _Search):

@@ -3,12 +3,12 @@ import hashlib
 import pytest
 
 from zeiger import solver
-from zeiger.grid import parse_grid, serialize_filling
+from zeiger.grid import Cell, Coord, Grid, parse_grid, serialize_filling
 from zeiger.nae import gen_nae, nae_brute_force
 from zeiger.reduction import reduce_instance
 from zeiger.solver import BudgetExhausted, SolverError, enumerate_solutions, solve
 
-from .conftest import solved
+from .conftest import solved, with_value
 
 
 def _unsat_instance():
@@ -70,6 +70,39 @@ def _searched(monkeypatch, g, cap):
     return created[0].nodes, found
 
 
+def _numbered(g, f, free=()):
+    """``g`` with every cell but those in ``free`` numbered from ``f``."""
+    return Grid([[Cell(cell.direction, None if Coord(r, c) in free else f.value(Coord(r, c)))
+                  for c, cell in enumerate(row, start=1)]
+                 for r, row in enumerate(g.cells, start=1)])
+
+
+@pytest.mark.parametrize("wrong", [False, True])
+def test_a_grid_with_no_unnumbered_cell_is_checked_without_a_node(monkeypatch, fig1_grid, fig1_solution, wrong):
+    # its givens solve it, or (1,1) numbered 2 breaks (1,1) and the cells that see it
+    f = with_value(fig1_solution, Coord(1, 1), 2) if wrong else fig1_solution
+    assert _searched(monkeypatch, _numbered(fig1_grid, f), cap=2) == (0, [] if wrong else [f])
+
+
+def test_a_grid_with_one_unnumbered_cell(monkeypatch, fig1_grid, fig1_solution):
+    # (2,1) sees (2,2)..(2,5) = 2 1 3 3, so its domain is {3}
+    g = _numbered(fig1_grid, fig1_solution, free=[Coord(2, 1)])
+    assert _searched(monkeypatch, g, cap=2) == (1, [fig1_solution])
+    # (1,1) numbered 2 sees 1 and 2 below (2,1), so it is tight and leaves
+    # (2,1) only {1, 2}: the domain is empty and no value is tried
+    g = _numbered(fig1_grid, with_value(fig1_solution, Coord(1, 1), 2), free=[Coord(2, 1)])
+    assert _searched(monkeypatch, g, cap=2) == (0, [])
+
+
+@pytest.mark.parametrize("name,nodes,sat", [("gen_nae(16, 30, 0)", 138, True),
+                                            ("gen_nae(8, 24, 1)", 329, False)])
+def test_the_budget_runs_out_one_node_short_of_the_answer(name, nodes, sat):
+    g = _golden_grid(name)
+    with pytest.raises(BudgetExhausted, match=f"^exceeded {nodes - 1} nodes$"):
+        solve(g, budget=nodes - 1)
+    assert (solve(g, budget=nodes) is not None) == sat
+
+
 def _golden_grid(name):
     if name in ("fig1", "R. L./R. L."):
         return solved(name)[0]
@@ -98,6 +131,10 @@ GOLDEN_SEARCHES = {
     ("gen_nae(6, 8, 0)", 50): (228, "fb24f930ad47ca7b5c55587e7252b08c28c9cbb88bed9db75c63209d4f13bd56"),
     # the benchmark's unsat 27x13 grid, searched to exhaustion
     ("gen_nae(8, 24, 1)", 1): (329, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    # the benchmark's three sat 33x21 grids: 587 givens, 106 unnumbered cells
+    ("gen_nae(16, 30, 0)", 1): (138, "c6bc69ff93943a622fca3d7095bbd3ddab93af99ad7719e655c03f99f3ea5bd0"),
+    ("gen_nae(16, 30, 1)", 1): (470, "7e19d37e06cb52aa498d51963eac3fcc2709dd253341a4cd1f36561d0a7106e9"),
+    ("gen_nae(16, 30, 2)", 1): (126, "71a14d8261b1a43fcd6633cb80062449dee312fd48908ecdf2a5479f096545ba"),
 }
 
 
