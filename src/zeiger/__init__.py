@@ -8,7 +8,6 @@ from .grid import (
     Filling,
     Grid,
     GridError,
-    distinct_count,
     parse_filling,
     parse_grid,
     serialize_filling,
@@ -30,7 +29,6 @@ __all__ = [
     "NaeInstance",
     "BudgetExhausted",
     "column_fillings",
-    "distinct_count",
     "enumerate_solutions",
     "extract_assignment",
     "gen_nae",

@@ -232,11 +232,6 @@ def sightline(g: Grid, c: Coord) -> list[Coord]:
     return [g.coord(j) for j in g.sightlines[g.index(c)]]
 
 
-def distinct_count(vs) -> int:
-    """Number of different values in ``vs``."""
-    return len(set(vs))
-
-
 @dataclass(frozen=True)
 class Violation:
     coord: Coord

@@ -59,34 +59,35 @@ def extract_assignment(inst: NaeInstance, f: Filling) -> Assignment:
     return a
 
 
-def column_fillings(inst: NaeInstance, q: int) -> list[tuple[int, ...]]:
-    """All value tuples for column q's unnumbered cells satisfying that column's
-    up/down arrow constraints (right-arrow constraints ignored, numbered cells
-    fixed).  Enumerated exhaustively; tuples are ordered top to bottom.
+def column_fillings(inst: NaeInstance) -> list[list[tuple[int, ...]]]:
+    """For each variable column, column 1 first: all value tuples for its
+    unnumbered cells satisfying that column's up/down arrow constraints
+    (right-arrow constraints ignored, numbered cells fixed).  Enumerated
+    exhaustively on one grid; tuples are ordered top to bottom.
     """
-    if not 1 <= q <= inst.n:
-        raise ReductionError(f"column {q} out of range [1,{inst.n}]")
     g = reduce_instance(inst)
     cells = [cell for row in g.cells for cell in row]
     values = [cell.given or 0 for cell in cells]
-    column = range(q - 1, len(cells), g.cols)  # column q's flat indices, top to bottom
-    unknown = [i for i in column if cells[i].given is None]
-    # a cell counts the distinct values it sees, so it holds 1..(its sightline length)
-    choices = [range(1, len(g.sightlines[i]) + 1) for i in unknown]
-    n_cand = math.prod(len(c) for c in choices)
-    if n_cand > 5_000_000:
-        raise ReductionError(f"too many candidates to enumerate: {n_cand}")
-    # (cell, the cells it sees) for each up or down arrow
-    arrows = [
-        (i, g.sightlines[i])
-        for i in column
-        if cells[i].direction in (Direction.UP, Direction.DOWN)
-    ]
-
-    found = []
-    for combo in itertools.product(*choices):
-        for i, v in zip(unknown, combo):
-            values[i] = v
-        if all(len({values[j] for j in seen}) == values[i] for i, seen in arrows):
-            found.append(combo)
-    return found
+    fillings = []
+    for q in range(inst.n):
+        column = range(q, len(cells), g.cols)  # the column's flat indices, top to bottom
+        unknown = [i for i in column if cells[i].given is None]
+        # a cell counts the distinct values it sees, so it holds 1..(its sightline length)
+        choices = [range(1, len(g.sightlines[i]) + 1) for i in unknown]
+        n_cand = math.prod(len(c) for c in choices)
+        if n_cand > 5_000_000:
+            raise ReductionError(f"too many candidates to enumerate: {n_cand}")
+        # (cell, the cells it sees) for each up or down arrow; they see only their column
+        arrows = [
+            (i, g.sightlines[i])
+            for i in column
+            if cells[i].direction in (Direction.UP, Direction.DOWN)
+        ]
+        found = []
+        for combo in itertools.product(*choices):
+            for i, v in zip(unknown, combo):
+                values[i] = v
+            if all(len({values[j] for j in seen}) == values[i] for i, seen in arrows):
+                found.append(combo)
+        fillings.append(found)
+    return fillings

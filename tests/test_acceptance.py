@@ -85,9 +85,9 @@ def test_criterion_04_column_rigidity():
         spec = (rng.randint(3, 5), rng.randint(1, 5), rng.getrandbits(32))
         inst = gen_nae(*spec)
         g = reduce_instance(inst)
-        for q in range(1, inst.n + 1):
+        for q, fillings in enumerate(column_fillings(inst), 1):
             u = sum(1 for p in range(1, g.rows + 1) if g.cell(Coord(p, q)).given is None)
-            if sorted(column_fillings(inst, q)) != sorted([(2,) * u, (3,) * u]):
+            if sorted(fillings) != sorted([(2,) * u, (3,) * u]):
                 failures.append(f"gen_nae{spec} column {q}")
             checked += 1
     report(4, not failures,

@@ -9,7 +9,6 @@ from zeiger.grid import (
     Filling,
     Grid,
     GridError,
-    distinct_count,
     parse_filling,
     parse_grid,
     serialize_filling,
@@ -144,12 +143,6 @@ def test_sightline_off_the_board_raises(fig1_grid, fig1_solution, c):
     for lookup in (lambda c: sightline(fig1_grid, c), fig1_grid.cell, fig1_solution.value):
         with pytest.raises(GridError, match=rf"^\({c.row},{c.col}\) is off the 5x5 board$"):
             lookup(c)
-
-
-def test_distinct_count():
-    assert distinct_count([3, 1, 2, 2]) == 3
-    assert distinct_count([]) == 0
-    assert distinct_count([1, 1, 1]) == 1
 
 
 def test_verify_reports_recomputed_expectation(fig1_grid, fig1_solution):

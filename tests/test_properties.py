@@ -29,7 +29,6 @@ from zeiger.grid import (
     Filling,
     Grid,
     Violation,
-    distinct_count,
     sightline,
     verify,
 )
@@ -111,7 +110,7 @@ def first_failing_cell(g: Grid, f: Filling):
     sightline's distinct count; None if no cell qualifies."""
     for c in g.coords():
         seen = [f.value(s) for s in sightline(g, c)]
-        if max(f.value(c), *seen) > g.max_value or f.value(c) != distinct_count(seen):
+        if max(f.value(c), *seen) > g.max_value or f.value(c) != len(set(seen)):
             return c
     return None
 
@@ -163,7 +162,7 @@ def verify_spec(g: Grid, f: Filling) -> list[Violation]:
     return [Violation(c, g.cell(c).given, f.value(c), "given") for c in g.coords()
             if g.cell(c).given not in (None, f.value(c))] + [
         Violation(c, n, f.value(c)) for c in g.coords()
-        if (n := distinct_count(f.value(s) for s in sightline(g, c))) != f.value(c)]
+        if (n := len({f.value(s) for s in sightline(g, c)})) != f.value(c)]
 
 
 @settings(max_examples=100, deadline=None)

@@ -213,15 +213,11 @@ def test_audit_checks_argument_types_before_any_trial(trials, alpha, seed, messa
 
 
 def extra_event(t):
+    """A real run's deviation: an event past its schedule, before the verdict."""
     t.events.insert(-1, {"ev": "normalize", "shift": 0})
 
 
-# the id names what deviates: a real run, with an event past its schedule
-DEVIATIONS = pytest.mark.parametrize("deviate", [extra_event], ids=["real-extra-event"])
-
-
-@DEVIATIONS
-def test_audit_checks_structure_of_every_trial(deviate, fig1_grid, fig1_solution, monkeypatch):
+def test_audit_checks_structure_of_every_trial(fig1_grid, fig1_solution, monkeypatch):
     # run serially, the audit stops at trial 1, whose real run deviates from
     # the schedule
     calls, original = [], audit.run_protocol
@@ -230,7 +226,7 @@ def test_audit_checks_structure_of_every_trial(deviate, fig1_grid, fig1_solution
         result = original(*args, **kwargs)
         calls.append(result)
         if len(calls) == 2:
-            deviate(result[1])
+            extra_event(result[1])
         return result
 
     monkeypatch.setattr(audit, "_cpus", lambda: 1)
@@ -241,9 +237,7 @@ def test_audit_checks_structure_of_every_trial(deviate, fig1_grid, fig1_solution
 
 
 @pytest.mark.parametrize("position", ["first", "middle", "last"])
-@DEVIATIONS
-def test_audit_checks_structure_in_every_span(deviate, position, fig1_grid, fig1_solution,
-                                              monkeypatch):
+def test_audit_checks_structure_in_every_span(position, fig1_grid, fig1_solution, monkeypatch):
     # over three spans of 12 trials ([0, 4), [4, 8), [8, 12)), the first,
     # a mid-span and the last trial deviate, chosen by its seed
     trials = 12
@@ -253,7 +247,7 @@ def test_audit_checks_structure_in_every_span(deviate, position, fig1_grid, fig1
     def deviating(g, behavior, seed):
         result = original(g, behavior, seed=seed)
         if seed == bad:
-            deviate(result[1])
+            extra_event(result[1])
         return result
 
     monkeypatch.setattr(audit, "_cpus", lambda: 3)

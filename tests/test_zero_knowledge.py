@@ -12,6 +12,7 @@ must equal its first; a shuffle followed directly by another shows
 nothing of its secret.  No chi-square test and no sampling are involved.
 """
 
+import json
 import random
 
 import pytest
@@ -20,8 +21,8 @@ from hypothesis import strategies as st
 
 from zeiger import protocol
 from zeiger.audit import AuditError, audit_zk
-from zeiger.cards import (MARKER, ODD_STACK, Pile, Transcript, encode, reveal_row,
-                          rotate_to_normalize)
+from zeiger.cards import MARKER, Transcript, pile_shift, reveal_row
+from zeiger.cli import main
 from zeiger.protocol import (
     ProverBehavior,
     ResourceStats,
@@ -31,7 +32,7 @@ from zeiger.protocol import (
 )
 from zeiger.simulator import _schedule
 
-from .conftest import solved
+from .conftest import FIXTURES, solved
 
 
 class _Stop(Exception):
@@ -145,97 +146,94 @@ def test_exact_check_holds_for_any_stream_seed(fig1_grid, fig1_solution, seed):
     assert_exact(fig1_grid, fig1_solution, seed, GOOD["fig1"])
 
 
-def test_a_shift_that_ignores_its_secret_fails(fig1_grid, fig1_solution, monkeypatch):
-    def lazy_shift(m, rng, transcript):
-        q = len(m.rows[0])
-        rng.randrange(q)
-        transcript.shuffle("shift", len(m.rows), q)
-        return 0
-
-    monkeypatch.setattr(protocol, "pile_shift", lazy_shift)
-    good, bad, unrevealed = exact_check(fig1_grid, fig1_solution, 0)
-    assert bad == count_resources(fig1_grid).shifts == 202
-    assert (good, unrevealed) == (279 - 202, 25)
+def lazy_shift(m, rng, transcript):
+    rng.randrange(q := len(m.rows[0]))
+    transcript.shuffle("shift", len(m.rows), q)
+    return 0
 
 
-def test_a_shift_that_records_its_secret_fails_the_audit(fig1_grid, fig1_solution, monkeypatch):
-    """Its marker positions stay uniform, so only the event's shape gives it
-    away: a shuffle event with one key more than the schedule's."""
-    def leaky_shift(m, rng, transcript):
-        q = len(m.rows[0])
-        r = rng.randrange(q)
-        m.turn = (m.turn - r) % q
-        transcript.record({"ev": "shuffle", "kind": "shift", "rows": len(m.rows), "cols": q,
-                           "offset": r})
-        return r
-
-    _schedule(fig1_grid)  # the schedule of the honest engine, built before the mutant goes in
-    monkeypatch.setattr(protocol, "pile_shift", leaky_shift)
-    with pytest.raises(AuditError, match="structure differs"):
-        audit_zk(fig1_grid, fig1_solution, 1000, 0.001, seed=2)
+def leaky_shift(m, rng, transcript):
+    r = pile_shift(m, rng, transcript)
+    transcript.events[-1]["offset"] = r
+    return r
 
 
-def test_a_normalize_that_records_the_shifts_secret_fails_the_audit(fig1_grid, fig1_solution,
-                                                                   monkeypatch):
-    """It rotates as the honest one does, so every run accepts and every
-    shape and histogram stays the same; only its recorded shift, the
-    preceding shift's secret offset in place of the marker position revealed
-    just before it, gives it away."""
-    offsets = []
-    honest_shift = protocol.pile_shift
+def leaky_normalize(m, shift, transcript):
+    """Rotates as the honest one does, but records the secret r of the pile's
+    one shift, which turned it from 0 to -r, in place of the revealed position."""
+    transcript.normalize(-m.turn % len(m.rows[0]))
+    m.turn = (m.turn + shift) % len(m.rows[0])
 
-    def remembering_shift(m, rng, transcript):
-        offsets.append(honest_shift(m, rng, transcript))
-        return offsets[-1]
 
-    def leaky_normalize(m, shift, transcript):
-        m.turn = (m.turn + shift) % len(m.rows[0])
-        transcript.normalize(offsets[-1])
+def two_row_reveal(m, i, transcript, site):
+    """A copy turns over its public zero row, then its input row: each alone
+    is uniform, but the two differ by the copied value."""
+    if site == "copy":
+        reveal_row(m, 1, transcript, site)
+    return reveal_row(m, i, transcript, site)
 
-    _schedule(fig1_grid)
-    monkeypatch.setattr(protocol, "pile_shift", remembering_shift)
-    monkeypatch.setattr(protocol, "rotate_to_normalize", leaky_normalize)
-    accept, _, _ = protocol.run_protocol(fig1_grid, ProverBehavior.honest(fig1_solution), seed=2)
-    assert accept
-    with pytest.raises(AuditError, match=r"^event \d+: normalize shifts by \d+, not by the "
-                                         r"marker position \d+ revealed just before it$"):
-        audit_zk(fig1_grid, fig1_solution, 1000, 0.001, seed=2)
+
+def skipped_shift(m, rng, transcript):
+    return (lazy_shift if rng.random() < 0.05 else pile_shift)(m, rng, transcript)
+
+
+# Each mutant: (its patches on zeiger.protocol; True if the verifier holds the
+# honest engine's schedule, built before the patches go in, False for the
+# mutant's own; {check that must catch it: its outcome on fig1 at seed 0}).
+# "rules" is check_transcript, run by audit_zk; "exact" is exact_check;
+# "chi-square" is `zkp audit` (exit code, last line, the report's "pass").
+# Every mutant's run accepts.  Blind to each, as measured:
+MUTANTS = {
+    # the rules, as each later reveal and normalize repeats the unturned
+    # position (the chi-square sees it too, p = 0.0)
+    "lazy-shift": ({"pile_shift": lazy_shift}, False, {"exact": (77, 202, 25)}),
+    # the exact check, which reads positions, not shapes; the chi-square, as
+    # every position is the honest run's; under its own schedule, the rules too
+    "leaky-shift": ({"pile_shift": leaky_shift}, True, {"rules": "structure differs"}),
+    # the chi-square, as every reveal is the honest run's (the exact check
+    # sees it too: (136, 143, 25))
+    "leaky-normalize": ({"rotate_to_normalize": leaky_normalize}, False, {
+        "rules": r"^event \d+: normalize shifts by \d+, not by the marker position \d+ "
+                 r"revealed just before it$"}),
+    # the chi-square, as each fresh reveal is uniform; under the honest
+    # schedule, the rules see only that the structure differs
+    "leaky-copy": ({"reveal_row": two_row_reveal}, False, {
+        "rules": r"^event 3: second copy row shows position \d, not the first row's \d$",
+        "exact": (177, 102, 25)}),  # each copy's input row shows r - v, not r, for v in 1..4
+    # the rules, as every shape and repeat holds; the exact check cannot run
+    # it, as _ForcedRng has no random()
+    "skipped-shift": ({"pile_shift": skipped_shift}, False, {"chi-square": (1, "FAIL", False)}),
+}
 
 
 @pytest.fixture
-def leaky_copy(monkeypatch):
-    """A copy protocol that turns over its public zero row, then its input
-    row, after its one shift, and normalizes by the input row's position.
-    It copies honestly, so every run accepts, and each row alone shows a
-    uniform position; but the two differ by the copied value.  The schedule
-    cache is keyed on equal grids, so it is cleared before and after."""
-    def leaky(a, pool, rng, transcript):
-        q = len(a)
-        reversed_a = a[:1] + a[:0:-1]
-        pool.take(2 * q, 2 * q)
-        zero = encode(q, 0, ODD_STACK)
-        m = Pile([reversed_a, zero, zero])
-        protocol.pile_shift(m, rng, transcript)
-        reveal_row(m, 1, transcript, "copy")
-        rotate_to_normalize(m, reveal_row(m, 0, transcript, "copy"), transcript)
-        pool.discard(reversed_a)
-        kept = m.row(1)
-        return kept, kept[:]
-
+def mutant(request, monkeypatch, fig1_grid):
+    """The row's patches, installed with its schedule; the schedule cache is
+    keyed on equal grids, so it is cleared before and after."""
+    patches, honest_schedule, outcomes = MUTANTS[request.param]
     _schedule.cache_clear()
-    monkeypatch.setattr(protocol, "copy_protocol", leaky)
-    yield
+    if honest_schedule:
+        _schedule(fig1_grid)
+    for name, body in patches.items():
+        monkeypatch.setattr(protocol, name, body)
+    yield outcomes
     _schedule.cache_clear()
 
 
-def test_a_copy_that_reveals_two_rows_fails_the_audit(fig1_grid, fig1_solution, leaky_copy):
-    accept, _, _ = protocol.run_protocol(fig1_grid, ProverBehavior.honest(fig1_solution), seed=0)
-    assert accept
-    with pytest.raises(AuditError, match=r"^event 3: second copy row shows position \d, "
-                                         r"not the first row's \d$"):
-        audit_zk(fig1_grid, fig1_solution, 1000, 0.001, seed=0)
-
-
-def test_a_copy_that_reveals_two_rows_fails_the_exact_check(fig1_grid, fig1_solution, leaky_copy):
-    # each copy's input row shows r - v, not the zero row's r, for v in 1..4
-    assert exact_check(fig1_grid, fig1_solution, 0) == (279 - 102, 102, 25)
+@pytest.mark.parametrize("mutant,check", [(name, check) for name, row in MUTANTS.items()
+                                          for check in row[2]], indirect=["mutant"])
+def test_each_mutant_is_caught_by_its_check(mutant, check, fig1_grid, fig1_solution, tmp_path,
+                                            capsys):
+    assert protocol.run_protocol(fig1_grid, ProverBehavior.honest(fig1_solution), seed=0)[0]
+    if check == "exact":
+        assert exact_check(fig1_grid, fig1_solution, 0) == mutant[check]
+    elif check == "rules":
+        with pytest.raises(AuditError, match=mutant[check]):
+            audit_zk(fig1_grid, fig1_solution, 1000, 0.001, seed=0)
+    else:  # the pooled chi-square, library and CLI in one run
+        report = tmp_path / "audit.json"
+        code = main(["zkp", "audit", "--grid", str(FIXTURES / "fig1.puzzle"), "--solution",
+                     str(FIXTURES / "fig1.solution"), "--trials", "1000", "--seed", "0",
+                     "--report", str(report)])
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert (code, last, json.loads(report.read_text())["pass"]) == mutant[check]
