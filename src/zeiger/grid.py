@@ -84,14 +84,14 @@ class Grid:
         l = len(cells[0])
         if l < 2:
             raise GridError("grid must have at least 2 columns")
-        self.rows = k
-        self.cols = l
+        self.rows, self.cols = k, l
         self.cells = tuple(tuple(row) for row in cells)
-        # ranges, not Coord tuples, which raise peak memory by megabytes
+        # only the range the arrow picks; Coord tuples would raise peak memory by megabytes
+        up, down, left, _ = Direction  # bound once: Direction.UP costs ~0.1 us a read
         self.sightlines = tuple(
-            (range(i - l, i % l - l, -l), range(i + l, k * l, l),
-             range(i - 1, i - i % l - 1, -1), range(i + 1, i - i % l + l))[cell.direction]
-            for i, cell in enumerate(cell for row in self.cells for cell in row)
+            range(i - l, i % l - l, -l) if d is up else range(i + l, k * l, l) if d is down
+            else range(i - 1, i - i % l - 1, -1) if d is left else range(i + 1, i - i % l + l)
+            for i, d in enumerate(cell.direction for row in self.cells for cell in row)
         )
         self._validate()
 

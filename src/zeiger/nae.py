@@ -7,7 +7,6 @@ and at least one false).
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from typing import Optional
@@ -107,9 +106,14 @@ def nae_brute_force(inst: NaeInstance) -> Optional[Assignment]:
     """Lexicographically first satisfying assignment (False < True), or None."""
     if inst.n > BRUTE_FORCE_MAX_VARS:
         raise NaeError(f"n = {inst.n} too large for brute force (max {BRUTE_FORCE_MAX_VARS})")
-    for bits in itertools.product((False, True), repeat=inst.n):
-        if nae_check(inst, bits):
-            return bits
+    n = inst.n
+    masks = [(1 << n - x) | (1 << n - y) | (1 << n - z) for x, y, z in inst.clauses]
+    for k in range(1 << n):  # variable q is bit n - q of k, so k counts in that order
+        for mask in masks:
+            if not 0 != k & mask != mask:  # the clause's variables are all equal
+                break
+        else:
+            return tuple(k >> n - q & 1 == 1 for q in range(1, n + 1))
     return None
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .grid import Coord, Direction, Filling, Grid, parse_grid, verify
+from .grid import Cell, Coord, Direction, Filling, Grid, verify
 from .nae import Assignment, NaeInstance, nae_check
 
 
@@ -23,16 +23,22 @@ class ReductionError(ValueError):
     that fails its own check."""
 
 
+# the templates' cells, shared by every reduced grid, as a Cell is frozen
+_R4, _DOWN = Cell(Direction.RIGHT, 4), Cell(Direction.DOWN)
+_CLAUSE_TAIL = [_R4, Cell(Direction.LEFT, 3), Cell(Direction.RIGHT, 2), Cell(Direction.RIGHT, 1),
+                Cell(Direction.LEFT, 4)]
+_LOWER_TAIL = [_R4, Cell(Direction.RIGHT, 3)] + _CLAUSE_TAIL[2:]
+_LOWER = (_R4, Cell(Direction.UP, 2), Cell(Direction.UP))
+
+
 def reduce_instance(inst: NaeInstance) -> Grid:
-    """The (m+3) x (n+5) grid encoding ``inst``, parsed from two row templates:
+    """The (m+3) x (n+5) grid encoding ``inst``, built from two row templates:
     a clause row is ``D.`` or ``R4`` per variable, then ``R4 L3 R2 R1 L4``; the
     three rows below are ``R4``, ``U2``, ``U.`` each, then ``R4 R3 R2 R1 L4``."""
-    clause_rows = [
-        ["D." if q in cl else "R4" for q in range(1, inst.n + 1)] + ["R4 L3 R2 R1 L4"]
-        for cl in inst.clauses
-    ]
-    lower_rows = [[token] * inst.n + ["R4 R3 R2 R1 L4"] for token in ("R4", "U2", "U.")]
-    return parse_grid("\n".join(" ".join(row) for row in clause_rows + lower_rows))
+    rows = [[_DOWN if q in cl else _R4 for q in range(1, inst.n + 1)] + _CLAUSE_TAIL
+            for cl in inst.clauses]
+    rows += [[cell] * inst.n + _LOWER_TAIL for cell in _LOWER]
+    return Grid(rows)
 
 
 def lift_assignment(inst: NaeInstance, a: Assignment) -> Filling:

@@ -1,3 +1,4 @@
+import itertools
 from functools import cache
 from pathlib import Path
 
@@ -5,7 +6,7 @@ import pytest
 
 from zeiger.audit import audit_zk
 from zeiger.grid import Coord, Filling, Grid, parse_filling, parse_grid
-from zeiger.nae import gen_nae, nae_brute_force, parse_nae
+from zeiger.nae import NaeInstance, gen_nae, nae_brute_force, parse_nae
 from zeiger.reduction import lift_assignment, reduce_instance
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -24,6 +25,16 @@ def solved(name: str) -> tuple[Grid, Filling]:
         return parse_grid("R. L.\nR. L."), Filling([[1, 1], [1, 1]])
     inst = gen_nae(*(int(x) for x in name[len("gen_nae("):-1].split(",")))
     return reduce_instance(inst), lift_assignment(inst, nae_brute_force(inst))
+
+
+def triple_sets(n: int) -> list[NaeInstance]:
+    """Every instance over n variables whose clauses are a set of distinct
+    triples that uses every variable: 1, 11 and 958 of them for n = 3, 4, 5."""
+    triples = list(itertools.combinations(range(1, n + 1), 3))
+    every = set(range(1, n + 1))
+    return [NaeInstance(n, clauses) for size in range(1, len(triples) + 1)
+            for clauses in itertools.combinations(triples, size)
+            if {v for cl in clauses for v in cl} == every]
 
 
 def with_value(f: Filling, cell: Coord, v: int) -> Filling:

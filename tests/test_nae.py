@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -13,6 +14,8 @@ from zeiger.nae import (
     serialize_assignment,
     serialize_nae,
 )
+
+from .conftest import triple_sets
 
 FIG2_TEXT = "nae3sat+ 5 4\n1 2 3\n2 3 5\n1 4 5\n2 4 5\n"
 
@@ -89,6 +92,26 @@ def test_brute_force_unsat_instance():
     assert nae_brute_force(inst) is None
     for bits in itertools.product((False, True), repeat=inst.n):
         assert not nae_check(inst, bits)
+
+
+def first_nae(inst):
+    """The oracle's definition: the first assignment, False before True, that
+    satisfies the instance."""
+    return next((a for a in itertools.product((False, True), repeat=inst.n)
+                 if nae_check(inst, a)), None)
+
+
+def test_brute_force_is_its_definition():
+    rng = random.Random(11)
+    sample = [gen_nae(n, rng.randint(1, 3 * n), rng.getrandbits(32))
+              for n in range(3, 13) for _ in range(8)]
+    # the sample holds unsat instances and instances with a repeated clause
+    assert any(first_nae(inst) is None for inst in sample)
+    assert any(len(set(inst.clauses)) < inst.m for inst in sample)
+    small = triple_sets(3) + triple_sets(4)
+    assert len(small) == 1 + 11
+    for inst in small + sample:
+        assert nae_brute_force(inst) == first_nae(inst), inst
 
 
 def test_brute_force_guard():

@@ -64,7 +64,9 @@ class _ForcedRng:
 
 class _StopAfterShuffle(Transcript):
     """Stops the cell at the shuffle after shuffle ``k``, keeping every marker
-    position revealed and every normalize's shift since shuffle ``k``."""
+    position revealed and every normalize's shift since shuffle ``k``.  It
+    sees each event whether the engine writes it through ``record`` or
+    through ``shuffle``, ``reveal`` or ``normalize``."""
 
     def __init__(self, k: int):
         super().__init__()
@@ -72,21 +74,31 @@ class _StopAfterShuffle(Transcript):
         self.shuffles = 0
         self.shown = []
 
+    def _see(self, ev):
+        if ev["ev"] == "shuffle":
+            if self.shuffles > self.k:
+                raise _Stop
+            self.shuffles += 1
+        elif self.shuffles > self.k and ev["ev"] == "reveal":
+            self.shown.append(ev["faces"].index(MARKER[ev["site"]]))
+        elif self.shuffles > self.k and ev["ev"] == "normalize":
+            self.shown.append(ev["shift"])
+
+    def record(self, ev):
+        super().record(ev)
+        self._see(ev)
+
     def shuffle(self, kind, rows, cols):
-        if self.shuffles > self.k:
-            raise _Stop
-        self.shuffles += 1
         super().shuffle(kind, rows, cols)
+        self._see(self.events[-1])
 
     def reveal(self, site, row, faces):
-        if self.shuffles > self.k:
-            self.shown.append(faces.index(MARKER[site]))
         super().reveal(site, row, faces)
+        self._see(self.events[-1])
 
     def normalize(self, shift):
-        if self.shuffles > self.k:
-            self.shown.append(shift)
         super().normalize(shift)
+        self._see(self.events[-1])
 
 
 def exact_check(g, f, seed):
@@ -155,6 +167,14 @@ def lazy_shift(m, rng, transcript):
 def leaky_shift(m, rng, transcript):
     r = pile_shift(m, rng, transcript)
     transcript.events[-1]["offset"] = r
+    return r
+
+
+def recorded_leaky_shift(m, rng, transcript):
+    """The leaky shift, its shuffle event written through ``record``."""
+    scratch = Transcript()
+    r = pile_shift(m, rng, scratch)
+    transcript.record({**scratch.events[0], "offset": r})
     return r
 
 
@@ -237,3 +257,13 @@ def test_each_mutant_is_caught_by_its_check(mutant, check, fig1_grid, fig1_solut
                      "--report", str(report)])
         last = capsys.readouterr().out.splitlines()[-1]
         assert (code, last, json.loads(report.read_text())["pass"]) == mutant[check]
+
+
+@pytest.mark.parametrize("shift", [leaky_shift, recorded_leaky_shift])
+def test_the_exact_check_counts_a_shuffle_however_it_is_written(shift, monkeypatch, fig1_grid,
+                                                                fig1_solution):
+    # the leak is an extra key on the shuffle event, and the positions are the
+    # honest run's, so the exact check must count the honest (279, 0, 25)
+    # whichever way the event is written
+    monkeypatch.setattr(protocol, "pile_shift", shift)
+    assert exact_check(fig1_grid, fig1_solution, 0) == (GOOD["fig1"], 0, 25)
