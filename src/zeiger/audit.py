@@ -148,7 +148,9 @@ def _cpus() -> int:
 
 def _spans(g: Grid, f: Filling, seed: int, trials: int) -> list:
     """``_trials`` over ``min(_cpus(), trials)`` contiguous spans of the
-    trials, each in a forked child but for a single span.
+    trials, each in a forked child but for a single span.  This process runs
+    no span itself while children run: ``perfbench/workloads.py``'s
+    ``audit_call`` fails unless it sees none or all of the trials run here.
 
     A child sends only its marshalled histograms through a pipe, and exits 0
     only once they are written.  A span with no result -- the only span, or

@@ -177,6 +177,13 @@ class Filling:
         return f"Filling({self.rows}x{self.cols})"
 
 
+def _number(digits: str, what: str, r: int, c: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # past int()'s digit limit, 4300 by default
+        raise GridError(f"{what} at ({r},{c}) has {len(digits)} digits, too many to read") from None
+
+
 def parse_grid(text: str) -> Grid:
     """Parse the .puzzle format: one line per row, tokens like ``D.`` or ``R4``."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
@@ -190,7 +197,7 @@ def parse_grid(text: str) -> Grid:
             if m is None:
                 raise GridError(f"malformed token {tok!r} at ({r},{c})")
             direction = Direction("UDLR".index(m.group(1)))
-            given = None if m.group(2) == "." else int(m.group(2))
+            given = None if m.group(2) == "." else _number(m.group(2), "given", r, c)
             row.append(Cell(direction, given))
         cells.append(row)
     return Grid(cells)
@@ -216,9 +223,9 @@ def parse_filling(text: str) -> Filling:
     for r, line in enumerate(lines, start=1):
         row = []
         for c, tok in enumerate(line.split(), start=1):
-            if not (tok.isascii() and tok.isdigit()) or int(tok) < 1:
+            if not (tok.isascii() and tok.isdigit()) or (v := _number(tok, "value", r, c)) < 1:
                 raise GridError(f"malformed value {tok!r} at ({r},{c})")
-            row.append(int(tok))
+            row.append(v)
         values.append(row)
     return Filling(values)
 

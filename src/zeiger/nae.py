@@ -62,11 +62,12 @@ def parse_nae(text: str) -> tuple[NaeInstance, dict[int, int]]:
     if not lines:
         raise NaeError("empty instance file")
     header = lines[0].split()
-    if len(header) != 3 or header[0] != "nae3sat+":
+    counts = "".join(header[1:])  # int() also takes a sign, "_" and non-ASCII digits
+    if len(header) != 3 or header[0] != "nae3sat+" or not (counts.isascii() and counts.isdigit()):
         raise NaeError(f"bad header {lines[0]!r}")
     try:
         n, m = int(header[1]), int(header[2])
-    except ValueError:
+    except ValueError:  # past int()'s digit limit
         raise NaeError(f"bad header {lines[0]!r}") from None
     if len(lines) - 1 != m:
         raise NaeError(f"header says {m} clauses, file has {len(lines) - 1}")
@@ -75,7 +76,10 @@ def parse_nae(text: str) -> tuple[NaeInstance, dict[int, int]]:
         toks = ln.split()
         if len(toks) != 3:
             raise NaeError(f"clause {ln!r} must have 3 variables")
+        variables = "".join(toks)
         try:
+            if not (variables.isascii() and variables.isdigit()):
+                raise ValueError
             cl = tuple(int(t) for t in toks)
         except ValueError:
             raise NaeError(f"clause {ln!r} must hold integer variables") from None

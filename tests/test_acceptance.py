@@ -78,20 +78,23 @@ def test_criterion_03_reduction_structure(fig2_instance):
     report(3, ok, "reduce(fig2) is 7x10 and satisfies all placement rules cell-by-cell")
 
 
-def test_criterion_04_column_rigidity():
+def test_criterion_04_column_rigidity(fig2_instance):
+    # fig2, the one-clause instance (a single down arrow per column), and 50 fuzzed instances
     rng = random.Random(404)
+    specs = [(3, 1, 0)] + [(rng.randint(3, 5), rng.randint(1, 5), rng.getrandbits(32))
+                           for _ in range(50)]
+    instances = [("fig2", fig2_instance)] + [(f"gen_nae{spec}", gen_nae(*spec)) for spec in specs]
     checked, failures = 0, []
-    for _ in range(50):
-        spec = (rng.randint(3, 5), rng.randint(1, 5), rng.getrandbits(32))
-        inst = gen_nae(*spec)
+    for name, inst in instances:
         g = reduce_instance(inst)
         for q, fillings in enumerate(column_fillings(inst), 1):
             u = sum(1 for p in range(1, g.rows + 1) if g.cell(Coord(p, q)).given is None)
             if sorted(fillings) != sorted([(2,) * u, (3,) * u]):
-                failures.append(f"gen_nae{spec} column {q}")
+                failures.append(f"{name} column {q}")
             checked += 1
     report(4, not failures,
-           f"{checked} columns over 50 fuzzed instances: exactly {{all-2s, all-3s}}{first(failures)}")
+           f"{checked} columns over fig2, gen_nae(3, 1, 0) and 50 fuzzed instances: exactly "
+           f"{{all-2s, all-3s}}{first(failures)}")
 
 
 @cache

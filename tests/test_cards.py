@@ -58,19 +58,6 @@ def test_encode_range_check():
         encode(4, -1, ODD_STACK)
 
 
-def test_decode_roundtrip_exhaustive():
-    for q in range(1, 9):
-        for x in range(q):
-            assert locate(encode(q, x, CLUB), CLUB) == x
-            assert locate(encode(q, x, HEART), HEART) == x
-            assert locate(encode(q, x, ODD_STACK), ODD_STACK) == x
-
-
-def test_decode_rejects_malformed():
-    with pytest.raises(MalformedReveal, match="expected exactly one 'C' column, found 3"):
-        locate(encode(4, 1, HEART), CLUB)
-
-
 @pytest.mark.parametrize("mark", [CLUB, HEART, ODD_STACK])
 def test_a_foreign_stack_among_the_rest_finds_no_marker(mark):
     # every stack but one is the rest, so the fast path looks for the marker,
@@ -79,30 +66,10 @@ def test_a_foreign_stack_among_the_rest_finds_no_marker(mark):
         locate([REST[mark], "XX", REST[mark]], mark)
 
 
-def test_pile_shift_is_cyclic_rotation():
-    rng = random.Random(1)
-    for _ in range(30):
-        labels = [chr(ord("A") + i) for i in range(6)]
-        m = Pile([[list(lbl) for lbl in labels]])  # abuse: stacks of strings
-        r = pile_shift(m, rng, Transcript())
-        rotated = [labels[(j - r) % 6] for j in range(6)]
-        assert ["".join(st) for st in m.row(0)] == rotated
-
-
 def test_shift_example_offset_one():
     m = Pile([[["A"], ["B"], ["C"]]])
     assert pile_shift(m, OffsetOne(), Transcript()) == 1
     assert [st[0] for st in m.row(0)] == ["C", "A", "B"]
-
-
-def test_shift_preserves_cyclic_adjacency():
-    rng = random.Random(8)
-    labels = list("ABCDEFG")
-    m = Pile([[[x] for x in labels]])
-    pile_shift(m, rng, Transcript())
-    out = [st[0] for st in m.row(0)]
-    doubled = "".join(labels) * 2
-    assert "".join(out) in doubled
 
 
 def test_shift_offsets_uniform_4sigma():
@@ -142,17 +109,11 @@ def test_scramble_identity_possible_and_multiset_preserved():
     assert seen_identity
 
 
-def test_shuffles_move_every_row_alike():
-    rng = random.Random(9)
-    m = Pile([list("abcde"), list("ABCDE")])
-    for shuffle in (pile_shift, pile_scramble, pile_shift):
-        shuffle(m, rng, Transcript())
-        assert sorted(m.row(0)) == list("abcde")
-        assert m.row(1) == [a.upper() for a in m.row(0)]
-
-
 # The list engine that ``Pile`` replaced, kept as its reference: every
-# shuffle and normalize re-lays every row.
+# shuffle and normalize re-lays every row.  Beside the one-offset example
+# above, the comparison below is the suite's only check that a shift turns
+# every row by its offset the right way at every width, and that a shift or
+# scramble moves every row of a pile alike.
 def _list_shift(m, rng, transcript):
     q = len(m[0])
     r = rng.randrange(q)
@@ -235,14 +196,6 @@ def test_stream_shuffles_as_the_standard_library_does(seeds):
             assert ours.getrandbits(64) == theirs.getrandbits(64)
 
 
-def test_reveal_records_faces_and_flips():
-    m = Pile([encode(4, 2, CLUB)])
-    t = Transcript()
-    assert reveal_row(m, 0, t, "compare") == 2
-    faces_seen = ["H", "H", "C", "H"]
-    assert t.events == [{"ev": "reveal", "site": "compare", "row": 0, "faces": faces_seen}]
-
-
 @pytest.mark.parametrize("site", sorted(MARKER))
 def test_reveal_row_locates_each_sites_marker(site):
     for q in range(1, 6):
@@ -273,26 +226,6 @@ def test_normalize_rotates_match_to_column_one():
     assert t.events[-1] == {"ev": "normalize", "shift": 2}
 
 
-def test_normalize_rejects_two_matches():
-    seq = encode(4, 1, CLUB)
-    seq[3] = "C"
-    m = Pile([seq])
-    t = Transcript()
-    with pytest.raises(MalformedReveal):
-        reveal_row(m, 0, t, "compare")
-
-
-def test_transcript_never_contains_shuffle_secrets():
-    rng = random.Random(3)
-    t = Transcript()
-    m = Pile([encode(5, 2, CLUB)])
-    pile_shift(m, rng, t)
-    pile_scramble(m, rng, t)
-    for ev in t.events:
-        assert ev["ev"] == "shuffle"
-        assert set(ev) == {"ev", "kind", "rows", "cols"}
-
-
 def test_transcript_json_roundtrip():
     t = Transcript()
     t.shuffle("shift", 3, 5)
@@ -312,6 +245,8 @@ def test_transcript_json_roundtrip():
     ('{"ev": "verdict", "accept": true}\n"verdict"\n', r"^line 2: not a JSON object: "),
     pytest.param('{"ev": "verdict", "accept": true}\n' + "[" * 100_000 + "]" * 100_000 + "\n",
                  r"^line 2: nested too deep to read$", id="nested-100000-deep"),
+    pytest.param('{"ev": "verdict", "accept": true}\n{"ev": "normalize", "shift": ' + "1" * 5000
+                 + "}\n", r"^line 2: .*5000 digits", id="integer-of-5000-digits"),
 ])
 def test_transcript_from_json_lines_names_a_bad_line(text, error):
     with pytest.raises(CardError, match=error):

@@ -27,12 +27,6 @@ def fig1_with(tmp_path, cell, v) -> str:
     return str(bad)
 
 
-def test_solve_fig1(tmp_path, capsys):
-    out = tmp_path / "out.solution"
-    assert main(["solve", FIG1, "-o", str(out)]) == 0
-    assert out.read_text() == (FIXTURES / "fig1.solution").read_text()
-
-
 def test_solve_unsatisfiable(tmp_path, capsys):
     # each row forces distinct{1,1} = 2: impossible
     grid = tmp_path / "bad.puzzle"
@@ -56,12 +50,6 @@ def test_solve_garbage_file(tmp_path):
     p = tmp_path / "garbage.puzzle"
     p.write_text("not a grid at all\n")
     assert main(["solve", str(p)]) == 2
-
-
-def test_solve_enumerate_cap(tmp_path, capsys):
-    out = tmp_path / "out.solution"
-    assert main(["solve", FIG1, "--enumerate-cap", "2", "-o", str(out)]) == 0
-    assert "1 solution(s)" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("cap", ["0", "-3"])
@@ -121,8 +109,11 @@ def unsat(zeiger, d, spec):
 def sat(zeiger, d, spec):
     reduced(zeiger, spec)
     zeiger("solve", "r.puzzle", "-o", "r.solution")
+    # extract exits 1 on a filling that does not solve the grid
     zeiger("extract", "r.nae", "r.solution", "-o", "r.assignment")
-    zeiger("nae-check", "r.nae", "r.assignment")
+    assert zeiger("nae-check", "r.nae", "r.assignment") == "satisfied\n"
+    zeiger("lift", "r.nae", "r.assignment", "-o", "r.lifted")
+    assert zeiger("verify", "r.puzzle", "r.lifted") == "ok\n"
 
 
 def audit_2x2(zeiger, d, _):
@@ -168,11 +159,6 @@ def test_pipeline_on_the_standard_library_alone(pipeline, spec, tmp_path):
     pipeline(zeiger, tmp_path, spec)
 
 
-def test_verify_ok(capsys):
-    assert main(["verify", FIG1, FIG1_SOL]) == 0
-    assert "ok" in capsys.readouterr().out
-
-
 def test_verify_violations(tmp_path, capsys):
     bad = fig1_with(tmp_path, Coord(1, 1), 2)
     assert main(["verify", FIG1, bad]) == 1
@@ -189,15 +175,6 @@ def test_verify_dimension_mismatch(tmp_path):
     small = tmp_path / "small.solution"
     small.write_text("1 1\n1 1\n")
     assert main(["verify", FIG1, str(small)]) == 2
-
-
-def test_reduce_and_roundtrip(tmp_path, capsys):
-    out = tmp_path / "fig2.puzzle"
-    assert main(["reduce", FIG2, "-o", str(out)]) == 0
-    g = parse_grid(out.read_text())
-    assert (g.rows, g.cols) == (7, 10)
-    # the paper's Figure 2 grid, pinned byte for byte
-    assert out.read_bytes() == (FIXTURES / "fig2.puzzle").read_bytes()
 
 
 def test_reduce_notes_a_remap_of_unused_variables(tmp_path, capsys):
@@ -232,15 +209,6 @@ def test_nae_check_unsatisfied(tmp_path, capsys):
     assignment = tmp_path / "a.txt"
     assignment.write_text("T\nT\nT\nT\nT\n")
     assert main(["nae-check", FIG2, str(assignment)]) == 1
-
-
-def test_gen_nae(tmp_path):
-    out = tmp_path / "g.nae"
-    assert main(["gen-nae", "5", "4", "--seed", "1", "-o", str(out)]) == 0
-    from zeiger.nae import parse_nae
-
-    inst, _ = parse_nae(out.read_text())
-    assert inst.m == 4
 
 
 def test_gen_nae_infeasible():
@@ -383,8 +351,12 @@ def test_solve_budget_below_one_exits_2(budget, capsys):
         (["verify", FIG1, "{path}"], b"\xe9 1\n"),
         (["reduce", "{path}"], b"nae3sat+ 3 1\n1 2 x\n"),
         (["verify", FIG1, "{path}"], "1 \u00b2\n".encode()),
+        # more digits than int() reads
+        (["solve", "{path}"], b"R" + b"1" * 5000 + b" L.\nR. L.\n"),
+        (["verify", FIG1, "{path}"], b"1 " + b"1" * 5000 + b"\n"),
     ],
-    ids=["not-utf-8", "nae-clause-token-not-an-integer", "solution-superscript-digit"],
+    ids=["not-utf-8", "nae-clause-token-not-an-integer", "solution-superscript-digit",
+         "puzzle-given-of-5000-digits", "solution-value-of-5000-digits"],
 )
 def test_malformed_input_exits_2(argv, content, tmp_path, capsys):
     path = tmp_path / "input"

@@ -158,9 +158,18 @@ def test_assignment_roundtrip():
         (lambda: parse_assignment("\n \n"), "empty assignment file"),
         (lambda: gen_nae(25, 1, seed=0), "n must be <= 24"),
         (lambda: gen_nae(3, 0, seed=0), "need m >= 1"),
+        # int() reads each of these, but a count or variable is ASCII digits only
+        (lambda: parse_nae("nae3sat+ +3 1\n1 2 3"), r"bad header 'nae3sat\+ \+3 1'"),
+        (lambda: parse_nae("nae3sat+ 10 1\n1 2 1_0"), "clause '1 2 1_0' must hold integer variables"),
+        (lambda: parse_nae("nae3sat+ 3 1\n1 2 \u0663"),
+         "clause '1 2 \u0663' must hold integer variables"),
+        (lambda: parse_nae("nae3sat+ 3 1\n1 2 \uff13"),
+         "clause '1 2 \uff13' must hold integer variables"),
     ],
     ids=["repeated", "out-of-range", "unused", "empty-file", "header-word", "header-count",
-         "four-variables", "empty-assignment", "gen-too-many-vars", "gen-no-clauses"],
+         "four-variables", "empty-assignment", "gen-too-many-vars", "gen-no-clauses",
+         "header-plus-sign", "clause-underscore", "clause-arabic-indic-digit",
+         "clause-fullwidth-digit"],
 )
 def test_malformed_input_raises(build, message):
     with pytest.raises(NaeError, match=f"^{message}$"):

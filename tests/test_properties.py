@@ -2,7 +2,14 @@
 protocol's completeness and soundness over drawn seeds, fillings and grids,
 the public shape of real and simulated runs and the verifier's rules on
 their reveals, and the solver's kept state and lossless pruning over drawn
-grids."""
+grids.
+
+Some checks live only here: the card format's round trip at every width up
+to 40 (``test_locate_inverts_encode``), the expected and actual values
+``verify`` reports for each violation
+(``test_verify_reports_every_violation_in_order``), and the whole reject
+verdict of a run with a cell at b, a malformed cell, or a malformed cell at
+b, on every grid of the small sweeps (``BREAKS``)."""
 
 import random
 from itertools import product
@@ -55,11 +62,12 @@ def encoded(draw):
     return q, x, mark
 
 
-@settings(max_examples=200)
-@given(encoded())
-def test_locate_inverts_encode(case):
-    q, x, mark = case
-    assert locate(encode(q, x, mark), mark) == x
+def test_locate_inverts_encode():
+    # every position of every width up to 40, in each encoding
+    for mark in MARKS:
+        for q in range(1, 41):
+            for x in range(q):
+                assert locate(encode(q, x, mark), mark) == x
 
 
 @settings(max_examples=100)
