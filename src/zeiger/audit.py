@@ -14,8 +14,8 @@ Trial i draws from seed ``seed * 1_000_003 + i`` whatever process runs it,
 and the histograms are sums, so the trials are split into contiguous spans,
 one per CPU this process may run on, each run in a forked child that sends
 its histograms back through a pipe, and nothing else.  The report is the
-serial run's, key for key.  A span that sends none runs again in the caller,
-in order, so a failing audit raises the serial run's first exception itself.
+serial run's, key for key.  Unless every child sends its histograms, the
+caller runs every trial, in order, and so raises the serial run's exception.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 import marshal
 import math
 import os
+from collections.abc import Iterable
 
 from .cards import MARKER, MalformedReveal, Transcript, locate
 from .grid import Filling, Grid
@@ -114,7 +115,7 @@ def check_transcript(g: Grid, t: Transcript) -> list[tuple[tuple[str, int], int]
     return fresh
 
 
-def reveal_histograms(view: list, hists: dict[tuple[str, int], list[int]]):
+def reveal_histograms(view: Iterable, hists: dict[tuple[str, int], list[int]]):
     """Add each fresh position of ``view`` (``check_transcript``'s or
     ``simulate_view``'s) to ``hists``, keyed by its (site, number of columns)."""
     for key, pos in view:
@@ -128,14 +129,14 @@ def _trials(g: Grid, f: Filling, seed: int, lo: int, hi: int):
     """Trials ``lo`` to ``hi - 1``: the real and the simulated views' histograms."""
     real: dict[tuple[str, int], list[int]] = {}
     sim: dict[tuple[str, int], list[int]] = {}
-    for i in range(lo, hi):
-        accept, transcript, _ = run_protocol(g, ProverBehavior.honest(f), seed=seed * 1_000_003 + i)
+    for trial_seed in range(seed * 1_000_003 + lo, seed * 1_000_003 + hi):
+        accept, transcript, _ = run_protocol(g, ProverBehavior.honest(f), seed=trial_seed)
         if not accept:
             ev = transcript.events[-1]
             r, c = ev["cell"]
             raise AuditError(f"honest run rejected at cell ({r},{c}): {ev['reason']}")
         reveal_histograms(check_transcript(g, transcript), real)
-        reveal_histograms(simulate_view(g, seed * 1_000_003 + i), sim)
+        reveal_histograms(simulate_view(g, trial_seed), sim)
     return real, sim
 
 
@@ -148,33 +149,31 @@ def _cpus() -> int:
 
 def _spans(g: Grid, f: Filling, seed: int, trials: int) -> list:
     """``_trials`` over ``min(_cpus(), trials)`` contiguous spans of the
-    trials, each in a forked child but for a single span.  This process runs
-    no span itself while children run: ``perfbench/workloads.py``'s
-    ``audit_call`` fails unless it sees none or all of the trials run here.
+    trials, each in a forked child.  Two outcomes: every child exits 0, and
+    their histograms are returned; or, for a single span, a failed fork or a
+    child that raised or died, the children left are killed and reaped, and
+    every trial runs here, in order, to raise the serial run's exception or
+    return its histograms.  So this process runs none or all of the trials,
+    as ``perfbench/workloads.py``'s ``audit_call`` requires.
 
     A child sends only its marshalled histograms through a pipe, and exits 0
-    only once they are written.  A span with no result -- the only span, or
-    one whose fork failed or whose child raised or died -- runs again here,
-    so it raises the serial run's exception or returns its histograms.
-    ``multiprocessing`` is not used: importing it adds ~1.7 MB to this
-    process's peak memory.  A child always leaves through ``os._exit``, so it
-    never runs its parent's exit hooks.  Every child is reaped before this
-    returns or raises; those whose span can no longer matter are killed first.
+    only once they are written.  ``multiprocessing`` is not used: importing
+    it adds ~1.7 MB to this process's peak memory.  A child always leaves
+    through ``os._exit``, so it never runs its parent's exit hooks.
     """
     n = min(_cpus(), trials)
     _schedule(g)  # built once here, not once per child
     bounds = [trials * k // n for k in range(n + 1)]
-    spans = list(zip(bounds, bounds[1:]))
-    children = {}  # first trial -> (pid, the pipe's read end)
+    children, results = [], []  # (pid, the pipe's read end) per span not yet reaped
     try:
-        for lo, hi in spans if n > 1 else ():
+        for lo, hi in zip(bounds, bounds[1:]) if n > 1 else ():
             r, w = os.pipe()
             try:
                 pid = os.fork()
-            except OSError:  # this span runs here instead
+            except OSError:  # the trials run here instead
                 os.close(r)
                 os.close(w)
-                continue
+                break
             if pid == 0:
                 try:
                     os.close(r)
@@ -184,27 +183,23 @@ def _spans(g: Grid, f: Filling, seed: int, trials: int) -> list:
                 finally:
                     os._exit(1)
             os.close(w)
-            children[lo] = pid, os.fdopen(r, "rb")
-        results = []
-        for lo, hi in spans:
-            result = None
-            if lo in children:
-                pid, inp = children[lo]
+            children.append((pid, os.fdopen(r, "rb")))
+        while 0 < len(children) == n - len(results):  # all forked, and each child reaped exited 0
+            pid, inp = children[0]
+            with inp:
                 message = inp.read()
-                inp.close()
-                if os.waitpid(pid, 0)[1] == 0:  # the child exited 0: its message is whole
-                    result = marshal.loads(message)
-                del children[lo]
-            results.append(_trials(g, f, seed, lo, hi) if result is None else result)
-        return results
+            if os.waitpid(pid, 0)[1] == 0:  # the child exited 0: its message is whole
+                results.append(marshal.loads(message))
+            del children[0]  # reaped
     finally:
-        if children:  # an error cut the collection short: the spans left no longer matter
+        if children:  # their spans no longer matter
             import signal
 
-            for pid, inp in children.values():
+            for pid, inp in children:
                 inp.close()
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
+    return results if len(results) == n else [_trials(g, f, seed, 0, trials)]
 
 
 def audit_zk(g: Grid, f: Filling, trials: int, alpha: float, seed: int = 0) -> dict:

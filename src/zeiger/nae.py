@@ -24,6 +24,8 @@ class NaeInstance:
     clauses: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
+        if not self.clauses:  # reduces to a grid whose solution extracts no assignment
+            raise NaeError("instance has no clauses")
         for cl in self.clauses:
             if len(cl) != 3:
                 raise NaeError(f"clause {cl} has {len(cl)} variables, expected 3")

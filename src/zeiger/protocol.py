@@ -155,8 +155,7 @@ def setup_board(g: Grid, behavior: ProverBehavior, pool: ResourceStats) -> Board
     for cells, values in zip(g.cells, f.values):
         for cell, v in zip(cells, values):
             if cell.given is not None and v != cell.given:
-                r, col = divmod(len(board), g.cols)
-                raise GridError(f"filling disagrees with given at {Coord(r + 1, col + 1)}")
+                raise GridError(f"filling disagrees with given at {g.coord(len(board))}")
             ps = [EVEN_STACK] * b
             if v < b:
                 ps[v] = ODD_STACK

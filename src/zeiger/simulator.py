@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import random
+from collections.abc import Iterator
 
 from .cards import MARKER, ODD_STACK, Transcript, encode
 from .grid import Grid
@@ -48,21 +49,22 @@ def _schedule(g: Grid) -> tuple[tuple[list[tuple], tuple[tuple, tuple, tuple]], 
     return tuple(blocks[len(line)] for line in g.sightlines)
 
 
-def simulate_view(g: Grid, seed: int) -> list[tuple[tuple[str, int], int]]:
+def simulate_view(g: Grid, seed: int) -> Iterator[tuple[tuple[str, int], int]]:
     """``audit.check_transcript``'s view of an accepting run of ``g``, each
-    fresh position drawn as ``simulate_transcript`` draws it for ``seed``."""
+    fresh position drawn uniformly for ``seed``: the simulator's one draw rule.
+    An iterator, so that ``simulate_transcript`` holds no list of the draws."""
     randrange = random.Random(f"sim:{seed}").randrange
-    return [(key, randrange(key[1]))
-            for _, (_, keys, fresh) in _schedule(g) for key, new in zip(keys, fresh) if new]
+    return ((key, randrange(key[1]))
+            for _, (_, keys, fresh) in _schedule(g) for key, new in zip(keys, fresh) if new)
 
 
 def simulate_transcript(g: Grid, seed: int) -> Transcript:
     """Simulated accepting-run transcript for ``g``; no filling involved.
-    A reveal right after a shuffle draws a uniform marker position, which
-    every later reveal and normalize shows up to the next shuffle, the rule
-    ``audit.check_transcript`` holds.  Each reveal is ``encode`` of its
-    position, the one row ``locate`` accepts."""
-    randrange = random.Random(f"sim:{seed}").randrange
+    A reveal right after a shuffle shows the next fresh position of
+    ``simulate_view(g, seed)``, which every later reveal and normalize shows
+    up to the next shuffle, the rule ``audit.check_transcript`` holds.  Each
+    reveal is ``encode`` of its position, the one row ``locate`` accepts."""
+    positions = (pos for _, pos in simulate_view(g, seed))
     t = Transcript()
     shuffle, reveal, normalize = t.shuffle, t.reveal, t.normalize
     pos, fresh = 0, False
@@ -70,7 +72,7 @@ def simulate_transcript(g: Grid, seed: int) -> Transcript:
         for ev, site, row, q, kind, rows, cols, _, _, _, _ in steps:
             if ev == "reveal":
                 if fresh:
-                    pos, fresh = randrange(q), False
+                    pos, fresh = next(positions), False
                 reveal(site, row, encode(q, pos, MARKER[site]))
             elif ev == "shuffle":
                 shuffle(kind, rows, cols)

@@ -350,13 +350,15 @@ def test_solve_budget_below_one_exits_2(budget, capsys):
     [
         (["verify", FIG1, "{path}"], b"\xe9 1\n"),
         (["reduce", "{path}"], b"nae3sat+ 3 1\n1 2 x\n"),
+        (["reduce", "{path}"], b"nae3sat+ 5 0\n"),
         (["verify", FIG1, "{path}"], "1 \u00b2\n".encode()),
         # more digits than int() reads
         (["solve", "{path}"], b"R" + b"1" * 5000 + b" L.\nR. L.\n"),
         (["verify", FIG1, "{path}"], b"1 " + b"1" * 5000 + b"\n"),
     ],
-    ids=["not-utf-8", "nae-clause-token-not-an-integer", "solution-superscript-digit",
-         "puzzle-given-of-5000-digits", "solution-value-of-5000-digits"],
+    ids=["not-utf-8", "nae-clause-token-not-an-integer", "nae-no-clauses",
+         "solution-superscript-digit", "puzzle-given-of-5000-digits",
+         "solution-value-of-5000-digits"],
 )
 def test_malformed_input_exits_2(argv, content, tmp_path, capsys):
     path = tmp_path / "input"

@@ -152,6 +152,7 @@ def test_assignment_roundtrip():
         (lambda: NaeInstance(3, ((1, 2, 4),)), r"variable index 4 out of range \[1,3\]"),
         (lambda: NaeInstance(4, ((1, 2, 3),)), r"unused variables \[4\]; normalize first"),
         (lambda: parse_nae("\n\n"), "empty instance file"),
+        (lambda: parse_nae("nae3sat+ 5 0\n"), "instance has no clauses"),
         (lambda: parse_nae("nae3sat 3 1\n1 2 3"), "bad header 'nae3sat 3 1'"),
         (lambda: parse_nae("nae3sat+ 3 one\n1 2 3"), "bad header 'nae3sat\\+ 3 one'"),
         (lambda: parse_nae("nae3sat+ 4 1\n1 2 3 4"), "clause '1 2 3 4' must have 3 variables"),
@@ -166,7 +167,7 @@ def test_assignment_roundtrip():
         (lambda: parse_nae("nae3sat+ 3 1\n1 2 \uff13"),
          "clause '1 2 \uff13' must hold integer variables"),
     ],
-    ids=["repeated", "out-of-range", "unused", "empty-file", "header-word", "header-count",
+    ids=["repeated", "out-of-range", "unused", "empty-file", "no-clauses", "header-word", "header-count",
          "four-variables", "empty-assignment", "gen-too-many-vars", "gen-no-clauses",
          "header-plus-sign", "clause-underscore", "clause-arabic-indic-digit",
          "clause-fullwidth-digit"],

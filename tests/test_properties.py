@@ -283,7 +283,7 @@ def test_cells_of_one_sightline_length_share_one_block(name, size, lengths):
 def assert_runs_have_the_schedule_and_keep_the_rules(g: Grid, solution, seed):
     """An honest run (if there is a solution) and a simulated run both pass
     ``check_transcript``, and the simulated run's view is ``simulate_view``."""
-    assert check_transcript(g, simulate_transcript(g, seed)) == simulate_view(g, seed)
+    assert check_transcript(g, simulate_transcript(g, seed)) == list(simulate_view(g, seed))
     if solution is not None:
         check_transcript(g, run_protocol(g, ProverBehavior.honest(solution), seed)[1])
 

@@ -1,12 +1,13 @@
 import os
 import random
+import signal
 
 import pytest
 from scipy import stats as sps
 
 from zeiger.audit import (AuditError, audit_zk, check_transcript, chi2_sf, reveal_histograms,
                           two_sample_p, uniform_p)
-from zeiger.grid import Filling, GridError, parse_grid
+from zeiger.grid import GridError
 from zeiger import audit
 from zeiger.cards import Transcript
 from zeiger.protocol import ProverBehavior, run_protocol
@@ -236,67 +237,6 @@ def test_audit_checks_structure_of_every_trial(fig1_grid, fig1_solution, monkeyp
     assert len(calls) == 2
 
 
-@pytest.mark.parametrize("position", ["first", "middle", "last"])
-def test_audit_checks_structure_in_every_span(position, fig1_grid, fig1_solution, monkeypatch):
-    # over three spans of 12 trials ([0, 4), [4, 8), [8, 12)), the first,
-    # a mid-span and the last trial deviate, chosen by its seed
-    trials = 12
-    bad = {"first": 0, "middle": trials // 2, "last": trials - 1}[position]
-    original = audit.run_protocol
-
-    def deviating(g, behavior, seed):
-        result = original(g, behavior, seed=seed)
-        if seed == bad:
-            extra_event(result[1])
-        return result
-
-    monkeypatch.setattr(audit, "_cpus", lambda: 3)
-    monkeypatch.setattr(audit, "MIN_TRIALS", trials)
-    monkeypatch.setattr(audit, "run_protocol", deviating)
-    with pytest.raises(AuditError, match="structure differs"):
-        audit_zk(fig1_grid, fig1_solution, trials=trials, alpha=0.001)
-
-
-def test_pooled_audit_equals_the_serial_one(monkeypatch):
-    # 1000 trials over 3 CPUs split 333/333/334
-    g, f = parse_grid("D. D.\nU. U.\n"), Filling([[1, 1], [1, 1]])
-    reports = []
-    for cpus in (1, 3):
-        monkeypatch.setattr(audit, "_cpus", lambda: cpus)
-        reports.append(audit_zk(g, f, 1000, 0.001, seed=4))
-    assert reports[0] == reports[1]
-
-
-def test_a_dead_child_or_a_failed_fork_gives_the_serial_report(fig1_grid, fig1_solution,
-                                                              monkeypatch):
-    # over three spans of 12 trials, the second span's child dies at trial 6
-    # and the third span's fork fails: both spans run again in this process
-    test_pid, original, fork = os.getpid(), audit.run_protocol, os.fork
-    forks = []
-
-    def dying(g, behavior, seed):
-        if seed == 6 and os.getpid() != test_pid:
-            os._exit(3)
-        return original(g, behavior, seed=seed)
-
-    def failing_third_fork():
-        forks.append(None)
-        if len(forks) == 3:
-            raise BlockingIOError("fork refused")
-        return fork()
-
-    monkeypatch.setattr(audit, "MIN_TRIALS", 12)
-    monkeypatch.setattr(audit, "_cpus", lambda: 1)
-    expected = audit_zk(fig1_grid, fig1_solution, 12, 0.001)
-    monkeypatch.setattr(audit, "_cpus", lambda: 3)
-    monkeypatch.setattr(audit, "run_protocol", dying)
-    monkeypatch.setattr(os, "fork", failing_third_fork)
-    assert audit_zk(fig1_grid, fig1_solution, 12, 0.001) == expected
-    assert len(forks) == 3
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @pytest.mark.parametrize("name", ["fork", "sched_getaffinity"])
 def test_a_process_that_cannot_fork_counts_one_cpu(name, monkeypatch):
     monkeypatch.delattr(os, name)
@@ -318,50 +258,95 @@ class TwoArgError(Exception):
         self.trial, self.reason = trial, reason
 
 
+DESCRIBE = lambda: "refused"  # pickle cannot send a lambda; this one equals itself
+
+
 class UnpicklableError(Exception):
     def __init__(self, message):
         super().__init__(message)
-        self.describe = lambda: message
+        self.describe = DESCRIBE
 
 
-@pytest.mark.parametrize("make", [lambda: TwoArgError(5, "refused"),
-                                  lambda: UnpicklableError("trial 5: refused")],
-                         ids=["two-argument", "unpicklable"])
-def test_an_exception_that_cannot_cross_a_pipe_reaches_the_caller_unchanged(
-        make, fig1_grid, fig1_solution, monkeypatch):
-    # trial 5 fails, in the second of three spans; neither exception survives
-    # pickling whole, and the caller sees the one the serial run raises
-    original = audit.run_protocol
-
-    def failing(g, behavior, seed):
-        if seed == 5:
-            raise make()
-        return original(g, behavior, seed=seed)
-
-    monkeypatch.setattr(audit, "_cpus", lambda: 3)
-    monkeypatch.setattr(audit, "MIN_TRIALS", 12)
-    monkeypatch.setattr(audit, "run_protocol", failing)
-    with pytest.raises(type(make()), match="^trial 5: refused$") as raised:
-        audit_zk(fig1_grid, fig1_solution, trials=12, alpha=0.001)
-    assert vars(raised.value).keys() == vars(make()).keys()
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+def raising(error, *args):
+    """A fault: the trial raises a new ``error(*args)`` in whichever process runs it."""
+    def fault(t, in_child):
+        raise error(*args)
+    return fault
 
 
-def test_the_lowest_failing_spans_exception_reaches_the_caller(fig1_grid, fig1_solution, monkeypatch):
-    # trials 5 and 9 fail, in the second and the third of three spans
-    original = audit.run_protocol
+def deviating(t, in_child):
+    extra_event(t)
 
-    def failing(g, behavior, seed):
-        if seed in (5, 9):
-            raise GridError(f"trial {seed}")
-        return original(g, behavior, seed=seed)
 
-    monkeypatch.setattr(audit, "_cpus", lambda: 3)
-    monkeypatch.setattr(audit, "MIN_TRIALS", 12)
-    monkeypatch.setattr(audit, "run_protocol", failing)
-    with pytest.raises(GridError, match="^trial 5$"):
-        audit_zk(fig1_grid, fig1_solution, trials=12, alpha=0.001)
+def exiting(t, in_child):
+    if in_child:
+        os._exit(3)
+
+
+def killed(t, in_child):
+    if in_child:
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
+STRUCTURE = AuditError, "event structure differs from the grid's schedule"
+
+
+@pytest.mark.parametrize("faults, refused_fork, expected", [
+    ({}, None, "report"),
+    ({0: deviating}, None, STRUCTURE),
+    ({6: deviating}, None, STRUCTURE),
+    ({12: deviating}, None, STRUCTURE),
+    ({6: exiting}, None, "report"),
+    ({6: killed}, None, "report"),
+    ({}, 3, "report"),
+    ({5: raising(TwoArgError, 5, "refused")}, None, (TwoArgError, "trial 5: refused")),
+    ({5: raising(UnpicklableError, "trial 5: refused")}, None, (UnpicklableError, "trial 5: refused")),
+    ({5: raising(GridError, "trial 5"), 9: raising(GridError, "trial 9")}, None, (GridError, "trial 5")),
+], ids=["uneven-split", "structure-first", "structure-middle", "structure-last", "child-exits-3",
+        "child-killed", "third-fork-fails", "two-argument-error", "unpicklable-error",
+        "lowest-failing-span"])
+def test_the_pool_gives_the_serial_outcome(faults, refused_fork, expected, fig1_grid,
+                                           fig1_solution, monkeypatch):
+    # 13 trials over 3 CPUs split [0, 4), [4, 8), [8, 13); each fault acts on
+    # its trial in whichever process runs it.  Pooled, the audit must return
+    # the serial report or raise the serial exception, run none of the trials
+    # here or the ones the serial run runs, and leave no child
+    parent, original, fork = os.getpid(), audit.run_protocol, os.fork
+    here, forks = [], []
+
+    def run(g, behavior, seed):
+        if os.getpid() == parent:
+            here.append(seed)
+        result = original(g, behavior, seed=seed)
+        if seed in faults:
+            faults[seed](result[1], os.getpid() != parent)
+        return result
+
+    def forking():
+        forks.append(None)
+        if len(forks) == refused_fork:
+            raise BlockingIOError("fork refused")
+        return fork()
+
+    monkeypatch.setattr(audit, "MIN_TRIALS", 13)
+    monkeypatch.setattr(audit, "run_protocol", run)
+    monkeypatch.setattr(os, "fork", forking)
+    outcomes = []
+    for cpus in (1, 3):
+        monkeypatch.setattr(audit, "_cpus", lambda: cpus)
+        here.clear()
+        try:
+            outcome = audit_zk(fig1_grid, fig1_solution, 13, 0.001)
+        except Exception as e:
+            outcome = type(e), str(e), vars(e)
+        outcomes.append((outcome, list(here)))
+    (serial, serial_here), (pooled, pooled_here) = outcomes
+    assert pooled == serial
+    assert pooled_here == ([] if not faults and not refused_fork else serial_here)
+    if expected == "report":
+        assert serial["trials"] == 13 and serial_here == list(range(13))
+    else:
+        assert serial[:2] == expected
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
