@@ -21,11 +21,28 @@ row-major) and tries them in ascending order.  Each cell keeps its
 sightline's counts, seen mask and, once set, the mask its tight case leaves
 (``cut``).  The givens are counted into them once, in one pass over the
 sightlines; after that, the search's state covers only the free (unnumbered)
-cells, the only ones it sets: their watcher lists, their domain sizes, and
-the free cells each sightline holds.  Setting or unsetting a value updates
-the counts over the cell's watchers and recounts only the free cells' domains
-they bear on, so choosing a cell is a minimum over one list of the free
-cells.
+cells, the only ones it sets: their watcher lists, their domains (``dom``,
+computed once from scratch) and domain sizes, and the free cells each
+sightline holds.  Choosing a cell is a minimum over one list of the sizes.
+
+Setting free cell i to v updates the counts over i's watchers and narrows
+the kept domains with the new bounds only: each unset cell a watcher whose
+cut changed sees is ANDed with the new cut, and each unset free cell whose
+sightline holds i with its new span.  The old cuts and the old (dom, size)
+entries go onto a trail as one frame; unsetting i counts v back out and pops
+that frame, so nothing is recounted during the search.  A narrowed domain
+equals a full recount because setting a cell can only narrow a domain: v
+lies in every watcher's cut, so for a set watcher w
+
+- a cut of w's seen mask stays that mask (v repeats a value, d stays v);
+- a cut of its complement becomes the complement of a seen mask that has
+  gained v, a subset of it;
+- a cut of -1 (no bound) may become anything, a subset of it;
+- a cut of the complement whose u drops to 0 becomes the seen mask itself,
+  no subset of it, but w then sees no unset cell for it to bound;
+
+and the span [max(d, 1), d+u] of a free cell whose sightline holds i only
+narrows, as d grows by at most 1 and u falls by 1.
 """
 
 from __future__ import annotations
@@ -65,9 +82,11 @@ class _Search:
         # assigned, tight w leaves each unset cell it sees (-1 when it leaves
         # all); sees[w] lists the slots of the free cells in w's sightline.
         # Per slot k: watchers[k] lists the cells whose sightlines hold
-        # free[k], free_watchers[k] the slots among them, and size[k] is how
-        # many values free[k]'s domain holds (full once it is set).  The
-        # givens are counted here, once; _set and _unset keep the rest.
+        # free[k], free_watchers[k] the slots among them, dom[k] is free[k]'s
+        # domain (kept as it was when free[k] was set, until it is unset) and
+        # size[k] how many values it holds (full once free[k] is set).  The
+        # givens are counted here, once; _set and _unset keep the rest, and
+        # trail holds one frame of old cuts and domains per set cell.
         self.count, self.seen, self.unassigned, self.sees = [], [], [], []
         self.watchers = [[] for _ in free]
         self.free_watchers = [[] for _ in free]
@@ -88,65 +107,88 @@ class _Search:
             self.count.append(count)
             self.seen.append(mask & ~1)
             self.sees.append(sees)
-        self.cut = [-1] * len(values)
-        for w in range(len(values)):
-            self._tighten(w)
-        self.size = [0] * len(free)
-        self._resize(range(len(free)))
+        self.cut = [self._cut(w) for w in range(len(values))]
+        self.dom = [self._domain(k) for k in range(len(free))]
+        self.size = [d.bit_count() for d in self.dom]
+        self.trail = []
 
     def _domain(self, k: int) -> int:
         """Free cell k's feasible values as a bitmask: at least the distinct
         values it sees (and 1), at most that plus its unset cells, and only
         what every tight watcher leaves."""
-        i = self.free[k]
+        return reduce(and_, map(self.cut.__getitem__, self.watchers[k]), self._span(self.free[k]))
+
+    def _span(self, i: int) -> int:
+        """Bits max(d, 1) to d+u: the values cell i's sightline leaves it."""
         d = self.seen[i].bit_count()
-        span = (2 << (d + self.unassigned[i])) - (1 << (d or 1))  # bits max(d, 1) to d+u
-        return reduce(and_, map(self.cut.__getitem__, self.watchers[k]), span)
+        return (2 << (d + self.unassigned[i])) - (1 << (d or 1))
 
-    def _tighten(self, w: int) -> bool:
-        """Recompute cut[w] from w's value and its sightline's counts;
-        whether it changed."""
-        v, d, old = self.values[w], self.seen[w].bit_count(), self.cut[w]
+    def _cut(self, w: int) -> int:
+        """The mask cell w leaves each unset cell it sees, from w's value and
+        its sightline's counts: -1 unless w is set and tight."""
+        v, seen = self.values[w], self.seen[w]
+        d = seen.bit_count()
         if v and d == v:  # each unset cell w sees must repeat a value it sees
-            self.cut[w] = self.seen[w]
-        elif v and d + self.unassigned[w] == v:  # ... must add a new one
-            self.cut[w] = ~self.seen[w]
-        else:
-            self.cut[w] = -1
-        return self.cut[w] != old
-
-    def _count(self, k: int, v: int, step: int) -> set[int]:
-        """Count free cell k's value v into (step 1) or out of (step -1) its
-        watchers' sightlines; the slots whose domains this can change."""
-        values, seen, unassigned = self.values, self.seen, self.unassigned
-        moved = {k, *self.free_watchers[k]}
-        for w in self.watchers[k]:
-            count = self.count[w]
-            count[v] += step
-            if count[v] == (step > 0):  # went from 0 to 1 or from 1 to 0
-                seen[w] ^= 1 << v
-            unassigned[w] -= step
-            if values[w] and self._tighten(w):  # an unset w's cut stays -1
-                moved.update(self.sees[w])
-        i = self.free[k]
-        if self._tighten(i):
-            moved.update(self.sees[i])
-        return moved
-
-    def _resize(self, slots) -> None:
-        values, free, size, domain = self.values, self.free, self.size, self._domain
-        for k in slots:
-            size[k] = self.full if values[free[k]] else domain(k).bit_count()
+            return seen
+        if v and d + self.unassigned[w] == v:  # ... must add a new one
+            return ~seen
+        return -1
 
     def _set(self, k: int, v: int) -> None:
-        self.values[self.free[k]] = v
-        self._resize(self._count(k, v, 1))
+        """Set free cell k to v, a value from its domain; narrow the domains
+        this bears on and push one trail frame that ``_unset`` pops."""
+        values, seen, unassigned, cut, free = self.values, self.seen, self.unassigned, self.cut, self.free
+        dom, size, sees = self.dom, self.size, self.sees
+        i = free[k]
+        values[i] = v
+        bit = 1 << v
+        cuts = []  # (cell, old cut) for each cut that changed
+        doms = [(k, dom[k], size[k])]  # (slot, old dom, old size), oldest first
+        size[k] = self.full
+        for w in (*self.watchers[k], i):  # and i, whose own cut can leave -1
+            if w != i:
+                count = self.count[w]
+                count[v] += 1
+                if count[v] == 1:
+                    seen[w] |= bit
+                unassigned[w] -= 1
+            if values[w] and (c := self._cut(w)) != cut[w]:  # an unset w's cut stays -1
+                cuts.append((w, cut[w]))
+                cut[w] = c
+                for s in sees[w]:
+                    if not values[free[s]] and (new := dom[s] & c) != dom[s]:
+                        doms.append((s, dom[s], size[s]))
+                        dom[s] = new
+                        size[s] = new.bit_count()
+        for s in self.free_watchers[k]:  # their spans narrowed
+            j = free[s]
+            if not values[j] and (new := dom[s] & self._span(j)) != dom[s]:
+                doms.append((s, dom[s], size[s]))
+                dom[s] = new
+                size[s] = new.bit_count()
+        self.trail.append((cuts, doms))
 
     def _unset(self, k: int) -> None:
+        """Undo the latest ``_set``, of free cell k: count its value out of
+        its watchers' sightlines and restore the cuts and domains from the
+        trail's top frame."""
+        seen, unassigned = self.seen, self.unassigned
         i = self.free[k]
         v = self.values[i]
         self.values[i] = 0
-        self._resize(self._count(k, v, -1))
+        for w in self.watchers[k]:
+            count = self.count[w]
+            count[v] -= 1
+            if not count[v]:
+                seen[w] ^= 1 << v
+            unassigned[w] += 1
+        cuts, doms = self.trail.pop()
+        cut, dom, size = self.cut, self.dom, self.size
+        for w, c in cuts:
+            cut[w] = c
+        for s, d, n in reversed(doms):  # a slot narrowed twice gets its oldest entry last
+            dom[s] = d
+            size[s] = n
 
     def _branch(self) -> tuple[int, int]:
         """The slot of the unset cell with the fewest feasible values
@@ -156,7 +198,7 @@ class _Search:
         if fewest == self.full:
             return -1, 0
         k = self.size.index(fewest)
-        return k, self._domain(k)
+        return k, self.dom[k]
 
     def run(self, cap: int) -> list[Filling]:
         # Givens alone can already be contradictory; after them, every value

@@ -306,8 +306,8 @@ class CheckedSearch(_Search):
     once, and before each branch every cell's kept state against a recount
     over Python sets: its sightline's unset cells and seen mask (whose
     popcount is the distinct count), the mask its tight case leaves, each
-    free cell's domain size, and the cell and values chosen (raises, which
-    ``-O`` keeps)."""
+    unset cell's kept domain and every free cell's domain size, and the cell
+    and values chosen (raises, which ``-O`` keeps)."""
 
     def __init__(self, g, budget):
         super().__init__(g, budget)
@@ -345,6 +345,8 @@ class CheckedSearch(_Search):
                     dom -= seen[w]
             if not values[i]:
                 domains[i] = dom
+                if self.dom[k] != sum(1 << v for v in dom):
+                    raise AssertionError(f"cell {i}: kept domain {self.dom[k]:b}, counted {dom}")
             if self.size[k] != (len(dom) if i in domains else self.full):
                 raise AssertionError(f"cell {i}: kept size {self.size[k]}, counted {dom}")
         want = min(domains, key=lambda i: (len(domains[i]), i), default=-1)
@@ -357,7 +359,7 @@ class CheckedSearch(_Search):
 
 def kept_counts(search: _Search):
     return (search.values, search.count, search.unassigned, search.seen, search.cut,
-            search.size)
+            search.dom, search.size)
 
 
 @settings(max_examples=200, deadline=None)
@@ -366,7 +368,9 @@ def test_solver_keeps_exact_sightline_counts(g):
     search = CheckedSearch(g, budget=20_000)
     found = search.run(cap=1000)
     assert len(found) < 1000  # so the search ran to exhaustion
-    # every value it set is unset again: the tables are back to the givens'
+    # every value it set is unset again: the tables are back to the givens',
+    # and every trail frame is popped
+    assert search.trail == []
     assert kept_counts(search) == kept_counts(_Search(g, budget=0))
 
 
