@@ -69,7 +69,7 @@ def _parse_nae(text: str):
 def _write(path: str | None, text: str):
     if path:
         try:
-            Path(path).write_text(text)
+            Path(path).write_text(text, encoding="utf-8")
         except OSError as e:
             raise InputError(f"cannot write {path}: {e}") from None
     else:

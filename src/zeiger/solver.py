@@ -18,21 +18,27 @@ A value from its cell's domain therefore never pushes a set cell's distinct
 count out of reach, and a full assignment reached this way is a solution.
 The search picks the unset cell with the fewest values (ties broken
 row-major) and tries them in ascending order.  Each cell keeps its
-sightline's counts, seen mask and, once set, the mask its tight case leaves
-(``cut``).  The givens are counted into them once, in one pass over the
-sightlines; after that, the search's state covers only the free (unnumbered)
-cells, the only ones it sets: their watcher lists, their domains (``dom``,
-computed once from scratch) and domain sizes, and the free cells each
-sightline holds.  Choosing a cell is a minimum over one list of the sizes.
+sightline's seen mask and unset-cell count and, once set, the mask its
+tight case leaves (``cut``).  The givens are counted into them once, in one
+pass over the sightlines; after that, the search's state covers only the
+free (unnumbered) cells, the only ones it sets: their slots (``slot``, -1
+for a given), watcher lists, domains (``dom``, computed once from scratch)
+and domain sizes, and the free cells each sightline holds.  Choosing a cell
+is a minimum over one list of the sizes.
 
-Setting free cell i to v updates the counts over i's watchers and narrows
-the kept domains with the new bounds only: each unset cell a watcher whose
-cut changed sees is ANDed with the new cut, and each unset free cell whose
-sightline holds i with its new span.  The old cuts and the old (dom, size)
-entries go onto a trail as one frame; unsetting i counts v back out and pops
-that frame, so nothing is recounted during the search.  A narrowed domain
-equals a full recount because setting a cell can only narrow a domain: v
-lies in every watcher's cut, so for a set watcher w
+Setting free cell i to v pushes a trail frame with the old seen mask and
+cut of i and of each of its watchers, adds v to each watcher's seen mask
+and takes one off its unset count.  It then narrows the kept domains with
+the new bounds only: each unset cell seen by a set cell whose cut changed
+is ANDed with the new cut, and each unset watcher with its new span; the
+old (dom, size) entries go into the same frame.  Unsetting i pops the
+frame, writes the seen masks and cuts back, gives each watcher its unset
+cell back and restores the domains newest first.  So nothing is recounted
+during the search, and no cell keeps a tally per value: the frame holds
+each seen mask as it was.
+
+A narrowed domain equals a full recount because setting a cell can only
+narrow a domain: v lies in every watcher's cut, so for a set watcher w
 
 - a cut of w's seen mask stays that mask (v repeats a value, d stays v);
 - a cut of its complement becomes the complement of a seen mask that has
@@ -71,41 +77,36 @@ class _Search:
         self.nodes = 0
         # cells are flat indices, as in g.sightlines: (row-1)*cols + (col-1);
         # free[k] is the k-th unnumbered cell in row-major order, the only
-        # cells the search sets, and k is its slot
+        # cells the search sets, k is its slot and slot[free[k]] == k
         self.full = g.max_value + 1  # more values than any domain holds
         self.values = values = [cell.given or 0 for row in g.cells for cell in row]  # 0 = unset
         self.free = free = [i for i, v in enumerate(values) if not v]
-        slot = dict(zip(free, range(len(free))))
-        # per cell w, over w's sightline: count[w][v] cells hold v, bit v of
-        # seen[w] is set for each v held (its popcount is d, the distinct
-        # count), and unassigned[w] of them are unset; cut[w] is the mask an
-        # assigned, tight w leaves each unset cell it sees (-1 when it leaves
-        # all); sees[w] lists the slots of the free cells in w's sightline.
-        # Per slot k: watchers[k] lists the cells whose sightlines hold
-        # free[k], free_watchers[k] the slots among them, dom[k] is free[k]'s
-        # domain (kept as it was when free[k] was set, until it is unset) and
-        # size[k] how many values it holds (full once free[k] is set).  The
-        # givens are counted here, once; _set and _unset keep the rest, and
-        # trail holds one frame of old cuts and domains per set cell.
-        self.count, self.seen, self.unassigned, self.sees = [], [], [], []
+        self.slot = slot = [-1] * len(values)  # -1 for a given
+        for k, i in enumerate(free):
+            slot[i] = k
+        # per cell w, over w's sightline: bit v of seen[w] is set for each
+        # value v held (its popcount is d, the distinct count), and
+        # unassigned[w] cells are unset; cut[w] is the mask an assigned,
+        # tight w leaves each unset cell it sees (-1 when it leaves all);
+        # sees[w] lists the slots of the free cells in w's sightline.  Per
+        # slot k: watchers[k] lists the cells whose sightlines hold free[k],
+        # dom[k] is free[k]'s domain (kept as it was when free[k] was set,
+        # until it is unset) and size[k] how many values it holds (full once
+        # free[k] is set).  The givens are counted here, once; _set and
+        # _unset keep the rest, and trail holds one frame per set cell: the
+        # old seen masks and cuts of the cell and its watchers, and the old
+        # domains.
+        self.seen, self.unassigned, self.sees = [], [], []
         self.watchers = [[] for _ in free]
-        self.free_watchers = [[] for _ in free]
         for w, line in enumerate(g.sightlines):
-            count, mask, sees = [0] * self.full, 0, []
-            for j in line:  # value 0 counts the unset cells, for unassigned[w]
-                v = values[j]
-                count[v] += 1
-                mask |= 1 << v
-                if not v:
-                    k = slot[j]
+            mask, sees = 0, []
+            for j in line:
+                mask |= 1 << values[j]
+                if (k := slot[j]) >= 0:
                     sees.append(k)
                     self.watchers[k].append(w)
-                    if not values[w]:
-                        self.free_watchers[k].append(slot[w])
-            self.unassigned.append(count[0])
-            count[0] = 0
-            self.count.append(count)
-            self.seen.append(mask & ~1)
+            self.seen.append(mask & ~1)  # bit 0 marks an unset cell
+            self.unassigned.append(len(sees))
             self.sees.append(sees)
         self.cut = [self._cut(w) for w in range(len(values))]
         self.dom = [self._domain(k) for k in range(len(free))]
@@ -138,54 +139,46 @@ class _Search:
         """Set free cell k to v, a value from its domain; narrow the domains
         this bears on and push one trail frame that ``_unset`` pops."""
         values, seen, unassigned, cut, free = self.values, self.seen, self.unassigned, self.cut, self.free
-        dom, size, sees = self.dom, self.size, self.sees
         i = free[k]
+        cells = (i, *self.watchers[k])  # i, whose own cut can leave -1, and its watchers
+        olds = [(w, seen[w], cut[w]) for w in cells]
+        doms = [(k, self.dom[k], self.size[k])]  # (slot, old dom, old size), oldest first
+        self.trail.append((olds, doms))
         values[i] = v
+        self.size[k] = self.full
         bit = 1 << v
-        cuts = []  # (cell, old cut) for each cut that changed
-        doms = [(k, dom[k], size[k])]  # (slot, old dom, old size), oldest first
-        size[k] = self.full
-        for w in (*self.watchers[k], i):  # and i, whose own cut can leave -1
-            if w != i:
-                count = self.count[w]
-                count[v] += 1
-                if count[v] == 1:
-                    seen[w] |= bit
-                unassigned[w] -= 1
-            if values[w] and (c := self._cut(w)) != cut[w]:  # an unset w's cut stays -1
-                cuts.append((w, cut[w]))
+        for w in cells[1:]:
+            seen[w] |= bit
+            unassigned[w] -= 1
+        for w in cells:
+            if not values[w]:  # an unset watcher: its span narrowed
+                self._narrow(self.slot[w], self._span(w), doms)
+            elif (c := self._cut(w)) != cut[w]:
                 cut[w] = c
-                for s in sees[w]:
-                    if not values[free[s]] and (new := dom[s] & c) != dom[s]:
-                        doms.append((s, dom[s], size[s]))
-                        dom[s] = new
-                        size[s] = new.bit_count()
-        for s in self.free_watchers[k]:  # their spans narrowed
-            j = free[s]
-            if not values[j] and (new := dom[s] & self._span(j)) != dom[s]:
-                doms.append((s, dom[s], size[s]))
-                dom[s] = new
-                size[s] = new.bit_count()
-        self.trail.append((cuts, doms))
+                for s in self.sees[w]:
+                    if not values[free[s]]:
+                        self._narrow(s, c, doms)
+
+    def _narrow(self, s: int, mask: int, doms: list) -> None:
+        """AND slot s's domain with mask, first pushing its old entry onto
+        doms if that changes it."""
+        if (new := self.dom[s] & mask) != self.dom[s]:
+            doms.append((s, self.dom[s], self.size[s]))
+            self.dom[s] = new
+            self.size[s] = new.bit_count()
 
     def _unset(self, k: int) -> None:
-        """Undo the latest ``_set``, of free cell k: count its value out of
-        its watchers' sightlines and restore the cuts and domains from the
-        trail's top frame."""
-        seen, unassigned = self.seen, self.unassigned
-        i = self.free[k]
-        v = self.values[i]
-        self.values[i] = 0
-        for w in self.watchers[k]:
-            count = self.count[w]
-            count[v] -= 1
-            if not count[v]:
-                seen[w] ^= 1 << v
-            unassigned[w] += 1
-        cuts, doms = self.trail.pop()
-        cut, dom, size = self.cut, self.dom, self.size
-        for w, c in cuts:
+        """Undo the latest ``_set``, of free cell k, from the trail's top
+        frame: write back the seen masks and cuts, give each watcher its
+        unset cell back and restore the domains."""
+        seen, cut, unassigned, dom, size = self.seen, self.cut, self.unassigned, self.dom, self.size
+        self.values[self.free[k]] = 0
+        olds, doms = self.trail.pop()
+        for w, m, c in olds:
+            seen[w] = m
             cut[w] = c
+        for w in self.watchers[k]:
+            unassigned[w] += 1
         for s, d, n in reversed(doms):  # a slot narrowed twice gets its oldest entry last
             dom[s] = d
             size[s] = n

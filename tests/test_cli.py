@@ -148,11 +148,13 @@ def fig2_end_to_end(zeiger, d, _):
          "audit-2x2"],
 )
 def test_pipeline_on_the_standard_library_alone(pipeline, spec, tmp_path):
-    """Each pipeline runs ``zeiger`` under ``python -S -W error`` in its own
-    directory: no site-packages, and any warning is an error."""
+    """Each pipeline runs ``zeiger`` under ``python -S -X warn_default_encoding
+    -W error`` in its own directory: no site-packages, and any warning is an
+    error, also a file opened without an explicit encoding (PEP 597)."""
 
     def zeiger(*args, code=0):
-        run = python("-W", "error", "-m", "zeiger.cli", *args, cwd=tmp_path)
+        run = python("-X", "warn_default_encoding", "-W", "error", "-m", "zeiger.cli", *args,
+                     cwd=tmp_path)
         assert run.returncode == code, (args, run.stdout, run.stderr)
         return run.stdout
 

@@ -314,10 +314,10 @@ class CheckedSearch(_Search):
         lines = g.sightlines
         free = [i for i, cell in enumerate(cell for row in g.cells for cell in row) if cell.given is None]
         watchers = [[w for w, line in enumerate(lines) if i in line] for i in free]
-        free_watchers = [[free.index(w) for w in ws if w in free] for ws in watchers]
+        slot = [free.index(i) if i in free else -1 for i in range(len(lines))]
         sees = [[free.index(j) for j in line if j in free] for line in lines]
-        if (self.free, self.watchers, self.free_watchers, self.sees) != (free, watchers, free_watchers, sees):
-            raise AssertionError("kept free cells, watchers or sightlines differ from the grid's")
+        if (self.free, self.slot, self.watchers, self.sees) != (free, slot, watchers, sees):
+            raise AssertionError("kept free cells, slots, watchers or sightlines differ from the grid's")
 
     def _branch(self):
         values, lines = self.values, self.g.sightlines
@@ -358,7 +358,7 @@ class CheckedSearch(_Search):
 
 
 def kept_counts(search: _Search):
-    return (search.values, search.count, search.unassigned, search.seen, search.cut,
+    return (search.values, search.unassigned, search.seen, search.cut,
             search.dom, search.size)
 
 
