@@ -5,6 +5,11 @@ main protocol: for every cell, copy its sequence and its sightline's
 sequences, count the distinct sightline values obliviously, and compare the
 result with the cell's own value.  The prover's cards are never revealed in
 any position that depends on the solution.
+
+The board is the prover's one commitment: ``setup_board`` lays it once and
+every check only reads it.  A copy uses up the committed row and lays two
+copies of it; one lies where the row lay and holds the same stacks, so the
+board keeps its row and the copy hands on only the other.
 """
 
 from __future__ import annotations
@@ -38,8 +43,11 @@ def turn_down_all(m):
 
 
 def copy_protocol(a: list[str], pool: ResourceStats, rng: random.Random,
-                  transcript: Transcript) -> tuple[list[str], list[str]]:
-    """Duplicate a pair encoding without revealing its value.
+                  transcript: Transcript) -> list[str]:
+    """Duplicate a pair encoding without revealing its value: the input row
+    is used up and two copies are laid.  One lies where the input lay and
+    holds the same stacks, so ``a`` stands for it; the other is returned.
+    The ledger takes 4q cards and discards the 2q of the reversed input.
 
     Also checks the input's format: a malformed input sequence surfaces as a
     MalformedReveal when row 1 is turned over.
@@ -55,24 +63,24 @@ def copy_protocol(a: list[str], pool: ResourceStats, rng: random.Random,
     pile_shift(m, rng, transcript)
     rotate_to_normalize(m, reveal_row(m, 0, transcript, "copy"), transcript)
     pool.discard(reversed_a)
-    kept = m.row(1)   # every shuffle moved rows 2 and 3 alike
-    return kept, kept[:]
+    return m.row(1)   # every shuffle moved rows 2 and 3 alike
 
 
 def set_size_protocol(seqs: list[list[str]], pool: ResourceStats, rng: random.Random,
                       transcript: Transcript) -> list[str]:
     """Count distinct encoded values: returns q two-card stacks whose odd-stack
-    count equals the number of different inputs.  A swap finds the two
-    stacks at the revealed position through the column order the scramble
-    just left (with no turn since), so no row but the revealed one is laid
-    out until the end."""
-    m = Pile([list(row) for row in seqs])   # copies: the swaps move stacks in place
-    top = m.rows[0]
+    count equals the number of different inputs.  Each reveal of row i swaps
+    the stacks of the top row and row i at the revealed position, found
+    through the column order the scramble just left (with no turn since).
+    Row i is never revealed again and is discarded face down, so only the
+    top row's half of the swap is written, into a copy of the top row; no
+    input is changed."""
+    top = list(seqs[0])
+    m = Pile([top, *seqs[1:]])
     for i in range(1, len(m.rows)):
         pile_scramble(m, rng, transcript)
         k = m.order[reveal_row(m, i, transcript, "setsize")]
-        row = m.rows[i]
-        top[k], row[k] = row[k], top[k]
+        top[k] = m.rows[i][k]
     pile_scramble(m, rng, transcript)
     for row in m.rows[1:]:
         pool.discard(row)
@@ -217,10 +225,7 @@ def verify_cell(board: Board, g: Grid, c: Coord, pool: ResourceStats, rng: rando
     sightline's distinct values and compare the count with the cell's.  A
     malformed sequence raises MalformedReveal when its row is turned over."""
     i = g.index(c)
-    copies = []
-    for j in (i, *g.sightlines[i]):
-        board[j], out = copy_protocol(board[j], pool, rng, transcript)
-        copies.append(out)
+    copies = [copy_protocol(board[j], pool, rng, transcript) for j in (i, *g.sightlines[i])]
     cell_copy = copies[0]
     y_stacks = set_size_protocol(copies[1:], pool, rng, transcript)
     z_seq = summation_protocol(y_stacks, pool, rng, transcript)
@@ -236,7 +241,8 @@ def run_protocol(g: Grid, behavior: ProverBehavior, seed: int
                  ) -> tuple[bool, Transcript, ResourceStats]:
     """Full run over every cell in row-major order.  One ``Stream``, seeded
     from the string ``run:<seed>`` (an int seed would make -1 and 1 alike),
-    draws every shuffle secret, so a run is deterministic per seed."""
+    draws every shuffle secret, so a run is deterministic per seed.  The
+    last checked cell's verdict is the run's."""
     rng = Stream(f"run:{seed}")
     transcript = Transcript()
     events = transcript.events
@@ -261,7 +267,7 @@ def run_protocol(g: Grid, behavior: ProverBehavior, seed: int
         stats.per_cell.append({"cell": [c.row, c.col], "shuffles": shifts + scrambles})
     else:
         transcript.verdict(True)
-    return events[-1]["accept"], transcript, stats
+    return ok, transcript, stats
 
 
 def count_resources(g: Grid) -> ResourceStats:

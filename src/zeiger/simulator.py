@@ -37,7 +37,7 @@ def _schedule(g: Grid) -> tuple[tuple[list[tuple], tuple[tuple, tuple, tuple]], 
     sightline's length, so ``verify_cell`` runs once per length, on rows of
     ``encode(b, 0, ODD_STACK)``, and the cells of a length share its block."""
     b = g.max_value + 1
-    board = [encode(b, 0, ODD_STACK)] * (g.rows * g.cols)  # no check changes a row it copies
+    board = [encode(b, 0, ODD_STACK)] * (g.rows * g.cols)  # a check only reads the board
     pool, rng, blocks, key = ResourceStats(), random.Random(0), {}, {}.setdefault
     for c, line in zip(g.coords(), g.sightlines):
         if len(line) not in blocks:

@@ -140,8 +140,7 @@ def test_criterion_07_subprotocol_oracles():
     failures = []
     for q in range(1, 7):
         for x in range(q):
-            o1, o2 = copy_protocol(encode(q, x, ODD_STACK), pool, rng, t)
-            if not locate(o1, ODD_STACK) == locate(o2, ODD_STACK) == x:
+            if locate(copy_protocol(encode(q, x, ODD_STACK), pool, rng, t), ODD_STACK) != x:
                 failures.append(f"copy q={q} x={x}")
         for p in (1, 2, 3):
             for xs in itertools.product(range(q), repeat=p):

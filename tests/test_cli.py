@@ -103,7 +103,7 @@ def stats_equal_a_run(zeiger, d, spec):
 
 def unsat(zeiger, d, spec):
     reduced(zeiger, spec)
-    assert "unsatisfiable" in zeiger("solve", "r.puzzle", code=1).splitlines()
+    assert zeiger("solve", "r.puzzle", code=1) == "unsatisfiable\n"
 
 
 def sat(zeiger, d, spec):

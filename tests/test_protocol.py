@@ -70,8 +70,7 @@ class TestCopy:
         for _ in range(30):
             q = r.randint(7, 12)
             x = r.randrange(q)
-            o1, o2 = copy_protocol(encode(q, x, ODD_STACK), pool, rng, t)
-            assert locate(o1, ODD_STACK) == locate(o2, ODD_STACK) == x
+            assert locate(copy_protocol(encode(q, x, ODD_STACK), pool, rng, t), ODD_STACK) == x
 
 
 class TestSetSize:
@@ -92,8 +91,10 @@ class TestSetSize:
         for _ in range(20):
             q = r.randint(7, 12)
             xs = [r.randrange(q) for _ in range(r.randint(1, 6))]
-            out = set_size_protocol([encode(q, x, ODD_STACK) for x in xs], pool, rng, t)
+            seqs = [encode(q, x, ODD_STACK) for x in xs]
+            out = set_size_protocol(seqs, pool, rng, t)
             assert sum(stack_bit(st) for st in out) == len(set(xs))
+            assert seqs == [encode(q, x, ODD_STACK) for x in xs]  # no input row is written
 
 
 class TestSummation:
@@ -200,12 +201,18 @@ def test_a_two_cell_check_is_sound_on_sampled_boards(seed):
 
 
 class TestVerifyCell:
-    def test_board_value_survives_verification(self, fig1_grid, fig1_solution):
+    def test_every_check_only_reads_the_board(self, fig1_grid, fig1_solution):
+        # the board is laid once: after every cell's check, each row is the
+        # list object laid, with the stacks laid, holding the filling's value
         pool, rng, t = ResourceStats(), random.Random(2), Transcript()
         board = setup_board(fig1_grid, ProverBehavior.honest(fig1_solution), pool)
-        verify_cell(board, fig1_grid, Coord(1, 1), pool, rng, t)
-        for i, c in enumerate(fig1_grid.coords()):
-            assert locate(board[i], ODD_STACK) == fig1_solution.value(c)
+        rows, laid = list(board), [list(row) for row in board]
+        for c in fig1_grid.coords():
+            assert verify_cell(board, fig1_grid, c, pool, rng, t)
+        assert all(row is start for row, start in zip(board, rows, strict=True))
+        assert board == laid
+        for row, c in zip(board, fig1_grid.coords()):
+            assert locate(row, ODD_STACK) == fig1_solution.value(c)
 
     def test_corrupted_sightline_detected_somewhere(self, fig1_grid, fig1_solution):
         bad = with_value(fig1_solution, Coord(2, 3), 2)  # 1 -> 2, unnumbered

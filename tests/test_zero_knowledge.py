@@ -95,7 +95,6 @@ def exact_check(g, f, seed):
     good, bad, unrevealed = 0, 0, 0
     for c in g.coords():
         stream = f"zk:{seed}:{c.row},{c.col}"
-        start = list(board)
         t = Transcript()
         assert verify_cell(board, g, c, ResourceStats(), _ForcedRng(stream), t)
         widths = [ev["cols"] for ev in t.events if ev["ev"] == "shuffle"]
@@ -105,7 +104,7 @@ def exact_check(g, f, seed):
                 probe = Transcript()
                 probe.events = seen = _StopAfterShuffle(k)
                 try:  # the cell's last shuffle runs to the cell's end
-                    verify_cell(list(start), g, c, ResourceStats(), _ForcedRng(stream, k, r), probe)
+                    verify_cell(board, g, c, ResourceStats(), _ForcedRng(stream, k, r), probe)
                 except _Stop:
                     pass
                 shown.append(seen.shown)
