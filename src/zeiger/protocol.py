@@ -47,7 +47,8 @@ def copy_protocol(a: list[str], pool: ResourceStats, rng: random.Random,
     """Duplicate a pair encoding without revealing its value: the input row
     is used up and two copies are laid.  One lies where the input lay and
     holds the same stacks, so ``a`` stands for it; the other is returned.
-    The ledger takes 4q cards and discards the 2q of the reversed input.
+    The ledger takes 4q cards, counts the shift and discards the 2q cards of
+    the reversed input.
 
     Also checks the input's format: a malformed input sequence surfaces as a
     MalformedReveal when row 1 is turned over.
@@ -61,8 +62,9 @@ def copy_protocol(a: list[str], pool: ResourceStats, rng: random.Random,
     zero = encode(q, 0, ODD_STACK)
     m = Pile([reversed_a, zero, zero])
     pile_shift(m, rng, transcript)
+    pool.shifts += 1
     rotate_to_normalize(m, reveal_row(m, 0, transcript, "copy"), transcript)
-    pool.discard(reversed_a)
+    pool.discard(2 * q)
     return m.row(1)   # every shuffle moved rows 2 and 3 alike
 
 
@@ -74,23 +76,26 @@ def set_size_protocol(seqs: list[list[str]], pool: ResourceStats, rng: random.Ra
     through the column order the scramble just left (with no turn since).
     Row i is never revealed again and is discarded face down, so only the
     top row's half of the swap is written, into a copy of the top row; no
-    input is changed."""
+    input is changed.  The ledger counts each scramble and discards the 2q
+    cards of every row after the first."""
     top = list(seqs[0])
     m = Pile([top, *seqs[1:]])
     for i in range(1, len(m.rows)):
         pile_scramble(m, rng, transcript)
+        pool.scrambles += 1
         k = m.order[reveal_row(m, i, transcript, "setsize")]
         top[k] = m.rows[i][k]
     pile_scramble(m, rng, transcript)
-    for row in m.rows[1:]:
-        pool.discard(row)
+    pool.scrambles += 1
+    pool.discard(2 * len(top) * (len(m.rows) - 1))
     return m.row(0)
 
 
 def summation_protocol(stacks: list[str], pool: ResourceStats, rng: random.Random,
                        transcript: Transcript) -> list[str]:
     """Sum q bits held as two-card stacks into a single club encoding of
-    length q+1."""
+    length q+1.  The ledger counts each shift and discards each step's i+1
+    cards of ``b_seq``."""
     q = len(stacks)
     a_seq = list(stacks[0])  # the first stack as a row of cards, top card leftmost
     for i in range(2, q + 1):
@@ -100,21 +105,22 @@ def summation_protocol(stacks: list[str], pool: ResourceStats, rng: random.Rando
         b_seq = [bottom] + [CLUB] * (i - 1) + [top]
         m = Pile([a_seq, b_seq])
         pile_shift(m, rng, transcript)
+        pool.shifts += 1
         rotate_to_normalize(m, reveal_row(m, 1, transcript, "sum"), transcript)
         a_seq = m.row(0)
-        pool.discard(b_seq)
+        pool.discard(i + 1)
     return a_seq
 
 
 def comparing_protocol(s1: list[str], s2: list[str], pool: ResourceStats, rng: random.Random,
                        transcript: Transcript) -> bool:
     """True iff both club encodings hold the same value; reveals everything
-    after a scramble, then discards all cards."""
+    after a scramble, counted in the ledger, then discards all cards."""
     m = Pile([s1, s2])
     pile_scramble(m, rng, transcript)
+    pool.scrambles += 1
     same = reveal_row(m, 0, transcript, "compare") == reveal_row(m, 1, transcript, "compare")
-    pool.discard(s1)
-    pool.discard(s2)
+    pool.discard(len(s1) + len(s2))
     return same
 
 
@@ -178,7 +184,10 @@ def setup_board(g: Grid, behavior: ProverBehavior, pool: ResourceStats) -> Board
 @dataclass
 class ResourceStats:
     """A run's only ledger of shuffles and cards.  The subprotocols take it as
-    ``pool``; it hands out no cards, callers lay out the faces they took."""
+    ``pool``; it hands out no cards, callers lay out the faces they took.
+    Each subprotocol counts its own shuffles, one to ``shifts`` or
+    ``scrambles`` right after each, before any reveal that can raise, and
+    passes card counts it already knows, so no entry reads a row."""
 
     shifts: int = 0
     scrambles: int = 0
@@ -197,10 +206,9 @@ class ResourceStats:
         if self.in_play > self.peak_cards:
             self.peak_cards = self.in_play
 
-    def discard(self, stacks):
-        """Return cards to the pool: each item is a stack, one character
-        per card."""
-        self.in_play -= sum(map(len, stacks))
+    def discard(self, cards: int):
+        """Return ``cards`` cards to the pool."""
+        self.in_play -= cards
 
     @property
     def total_shuffles(self) -> int:
@@ -231,7 +239,7 @@ def verify_cell(board: Board, g: Grid, c: Coord, pool: ResourceStats, rng: rando
     z_seq = summation_protocol(y_stacks, pool, rng, transcript)
     # the bottom cards of the retained copy form the club encoding of d
     d_seq = [stack[1] for stack in cell_copy]
-    pool.discard([stack[0] for stack in cell_copy])
+    pool.discard(len(cell_copy))   # the top cards
     pool.take(0, 1)
     d_seq.append(HEART)
     return comparing_protocol(d_seq, z_seq, pool, rng, transcript)
@@ -242,29 +250,26 @@ def run_protocol(g: Grid, behavior: ProverBehavior, seed: int
     """Full run over every cell in row-major order.  One ``Stream``, seeded
     from the string ``run:<seed>`` (an int seed would make -1 and 1 alike),
     draws every shuffle secret, so a run is deterministic per seed.  The
-    last checked cell's verdict is the run's."""
+    last checked cell's verdict is the run's.  A cell's ``per_cell``
+    shuffles are the change in ``stats.total_shuffles`` over its check,
+    which the subprotocols count as they shuffle; a rejected cell's
+    shuffles stay in ``shifts`` and ``scrambles``, and it gets no entry."""
     rng = Stream(f"run:{seed}")
     transcript = Transcript()
-    events = transcript.events
     stats = ResourceStats()
     board = setup_board(g, behavior, stats)
     for c in g.coords():
-        start = len(events)
+        before = stats.total_shuffles
         try:
             ok = verify_cell(board, g, c, stats, rng, transcript)
             reason = "cell value differs from its sightline's distinct count"
         except MalformedReveal as e:
             ok, reason = False, str(e)
-        # the cell's shuffles, counted once; a rejected cell's count too (only
-        # a shuffle event has a kind)
-        kinds = [ev.get("kind") for ev in events[start:]]
-        shifts, scrambles = kinds.count("shift"), kinds.count("scramble")
-        stats.shifts += shifts
-        stats.scrambles += scrambles
         if not ok:
             transcript.verdict(False, reason, c)
             break
-        stats.per_cell.append({"cell": [c.row, c.col], "shuffles": shifts + scrambles})
+        stats.per_cell.append({"cell": [c.row, c.col],
+                               "shuffles": stats.total_shuffles - before})
     else:
         transcript.verdict(True)
     return ok, transcript, stats

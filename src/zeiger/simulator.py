@@ -12,7 +12,7 @@ import functools
 import random
 from collections.abc import Iterator
 
-from .cards import MARKER, ODD_STACK, Transcript, encode
+from .cards import MARKER, ODD_STACK, Stream, Transcript, encode
 from .grid import Grid
 from .protocol import ResourceStats, verify_cell
 
@@ -53,7 +53,7 @@ def simulate_view(g: Grid, seed: int) -> Iterator[tuple[tuple[str, int], int]]:
     """``audit.check_transcript``'s view of an accepting run of ``g``, each
     fresh position drawn uniformly for ``seed``: the simulator's one draw rule.
     An iterator, so that ``simulate_transcript`` holds no list of the draws."""
-    randrange = random.Random(f"sim:{seed}").randrange
+    randrange = Stream(f"sim:{seed}").randrange  # the draws of random.Random's, inline
     return ((key, randrange(key[1]))
             for _, (_, keys, fresh) in _schedule(g) for key, new in zip(keys, fresh) if new)
 

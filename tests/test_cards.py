@@ -1,6 +1,7 @@
 import collections
 import math
 import random
+import warnings
 
 import pytest
 
@@ -196,6 +197,55 @@ def test_stream_shuffles_as_the_standard_library_does(seeds):
             assert ours.getrandbits(64) == theirs.getrandbits(64)
 
 
+def _draw(rng, *args):
+    """What ``rng.randrange(*args)`` returns, or the type of what it raises;
+    a deprecated argument raises its warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            return rng.randrange(*args)
+        except Exception as e:
+            return type(e)
+
+
+@pytest.mark.parametrize("seeds", [range(k, 40, 4) for k in range(4)])
+def test_stream_draws_a_range_as_the_standard_library_does(seeds):
+    """The same ``randrange(n)`` for every n up to 70, and the same stream
+    after it: the golden digests rest on each shift's offset and each
+    simulated position.  Every other form, and every bad argument, gives the
+    standard library's value or exception type."""
+    others = [(5, 9), (2, 30, 3), (30, 2, -4), (0,), (-3,), (5, 5), (1, 9, 0), (2.5,),
+              ("7",), (True,), (7, None, 2), (4, 1), (2**70,)]
+    for seed in seeds:
+        ours, theirs = Stream(f"range:{seed}"), random.Random(f"range:{seed}")
+        for n in range(1, 71):
+            assert ours.randrange(n) == theirs.randrange(n)
+            assert ours.getrandbits(64) == theirs.getrandbits(64)
+        for args in others:
+            assert _draw(ours, *args) == _draw(theirs, *args), args
+            assert ours.getrandbits(64) == theirs.getrandbits(64)
+
+
+def test_a_row_is_a_fresh_list_however_the_pile_lies():
+    rows = [encode(5, 1, ODD_STACK), encode(5, 3, CLUB)]
+    laid = [list(row) for row in rows]
+    m, t = Pile(rows), Transcript()
+    # each step, then whether the pile is (scrambled, turned)
+    steps = [(lambda: None, (False, False)),
+             (lambda: rotate_to_normalize(m, 1, t), (False, True)),
+             (lambda: pile_scramble(m, random.Random(3), t), (True, False)),
+             (lambda: rotate_to_normalize(m, 2, t), (True, True))]
+    for step, state in steps:
+        step()
+        assert (m.order is not None, m.turn != 0) == state
+        for i in range(len(rows)):
+            row = m.row(i)
+            shown = list(row)
+            row[0] = "XX"
+            assert m.rows == laid
+            assert m.row(i) == shown
+
+
 @pytest.mark.parametrize("site", sorted(MARKER))
 def test_reveal_row_locates_each_sites_marker(site):
     for q in range(1, 6):
@@ -256,13 +306,12 @@ def test_transcript_from_json_lines_names_a_bad_line(text, error):
 def test_card_pool_accounting():
     pool = ResourceStats()
     pool.take(3, 1)
-    cards = ["C", "C", "C", "H"]
     assert pool.in_play == 4 and pool.peak_cards == 4
-    pool.discard(cards[:2])
+    pool.discard(2)
     assert pool.in_play == 2
     pool.take(1, 0)
     assert pool.peak_cards == 4
-    pool.discard(["CH", "H"])   # stacks return all their cards
+    pool.discard(3)
     assert pool.in_play == 0
     assert (pool.clubs_drawn, pool.hearts_drawn) == (4, 1)
     assert "in_play" not in pool.to_dict()

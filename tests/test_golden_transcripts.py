@@ -88,6 +88,34 @@ def test_transcript_and_stats_are_byte_identical(case, seed):
     assert _sha(json.dumps(stats.to_dict())) == want_stats
 
 
+@pytest.mark.parametrize("case,seed", [(case, seed) for case in dict.fromkeys(c for c, _ in GOLDEN)
+                                       for seed in (1, 2, 3)])
+def test_the_ledger_counts_the_shuffles_the_transcript_shows(case, seed):
+    """The subprotocols count their own shuffles; the transcript, split into
+    checks after each one's last event (the second compare reveal) or at the
+    verdict, must show each counted cell's shuffles in its check and the
+    run's shifts and scrambles overall."""
+    g, f = _solved(case)
+    accept, transcript, stats = run_protocol(g, _behavior(case, f), seed)
+    *events, verdict = transcript.events
+    checks, check = [], []
+    for ev in events:
+        check.append(ev)
+        if ev["ev"] == "reveal" and ev["site"] == "compare" and ev["row"] == 1:
+            checks.append(check)
+            check = []
+    if check:
+        checks.append(check)
+    counted = len(stats.per_cell)
+    assert len(checks) == counted + (not accept) == (g.rows * g.cols if accept else
+                                                     g.index(Coord(*verdict["cell"])) + 1)
+    assert [c["cell"] for c in stats.per_cell] == [[c.row, c.col] for c in g.coords()][:counted]
+    assert [c["shuffles"] for c in stats.per_cell] == [
+        sum(ev["ev"] == "shuffle" for ev in check) for check in checks[:counted]]
+    kinds = [ev.get("kind") for ev in events]
+    assert (stats.shifts, stats.scrambles) == (kinds.count("shift"), kinds.count("scramble"))
+
+
 # (grid, seed) -> sha256 of simulate_transcript(grid, seed).to_json_lines()
 SIM_GOLDEN = {
     ("fig1", 1): "78bdec1db02f433de45f29192935f57aa23dec3dee325ea0477f64f5401ae6c1",
